@@ -1,0 +1,298 @@
+"""Arithmetic in the group algebra FG.
+
+Elements are dense coefficient vectors indexed by group element; the product
+is the convolution induced by the Cayley table.  Class sums span the center,
+and both center-membership tests (commuting with every basis element, and
+constancy on conjugacy classes) are kept side by side as mutual checks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .fields import GF, Matrix
+from .groups import FiniteGroup
+
+
+class GroupAlgebra:
+    """The algebra FG for a finite group G over a small finite field F."""
+
+    def __init__(self, group: FiniteGroup, field: GF):
+        self.group = group
+        self.field = field
+        self.dim = group.n
+
+    def element(self, coeffs: Sequence[int] | np.ndarray) -> "AlgebraElement":
+        arr = np.asarray(coeffs, dtype=np.int64)
+        if arr.shape != (self.dim,):
+            raise ValueError(f"coefficient vector must have length {self.dim}")
+        if (arr < 0).any() or (arr >= self.field.order).any():
+            raise ValueError("coefficients must be canonical field encodings")
+        arr = arr.copy()
+        arr.setflags(write=False)
+        return AlgebraElement(self, arr)
+
+    def zero(self) -> "AlgebraElement":
+        return self.element(np.zeros(self.dim, dtype=np.int64))
+
+    def one(self) -> "AlgebraElement":
+        c = np.zeros(self.dim, dtype=np.int64)
+        c[0] = 1
+        return self.element(c)
+
+    def basis(self, i: int) -> "AlgebraElement":
+        c = np.zeros(self.dim, dtype=np.int64)
+        c[i] = 1
+        return self.element(c)
+
+    def from_support(self, pairs: Iterable[tuple[int, int]]) -> "AlgebraElement":
+        c = np.zeros(self.dim, dtype=np.int64)
+        for i, v in pairs:
+            c[i] = v
+        return self.element(c)
+
+    def random_nonzero(self, rng: np.random.Generator) -> "AlgebraElement":
+        while True:
+            c = rng.integers(0, self.field.order, size=self.dim)
+            if c.any():
+                return self.element(c.astype(np.int64))
+
+    # -- multiplication kernels ------------------------------------------------
+
+    def _mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        F, t, n = self.field, self.group.table, self.dim
+        if F.k == 1:
+            nz = np.nonzero(x)[0]
+            if nz.size * 4 <= n:
+                # sparse x: one scatter per nonzero coefficient
+                out = np.zeros(n, dtype=np.int64)
+                for h in nz:
+                    out[t[h]] += int(x[h]) * y
+                return out % F.p
+            # dense x: right-multiplication matrix of y, RM[h, t[h, k]] = y[k]
+            rm = np.zeros((n, n), dtype=np.int64)
+            rm[np.arange(n)[:, None], t] = y[None, :]
+            return (x @ rm) % F.p
+        out = np.zeros(n, dtype=np.int64)
+        for h in np.nonzero(x)[0]:
+            row = t[h]
+            out[row] = F.vadd(out[row], F.vscale(int(x[h]), y))
+        return out
+
+    def right_mult_matrix(self, y: np.ndarray) -> Matrix:
+        """Matrix RM with (x y) = x @ RM for row vectors x."""
+        n, t = self.dim, self.group.table
+        rm = np.zeros((n, n), dtype=np.int64)
+        # RM[h, t[h, k]] = y[k]; rows of t are permutations, so no collisions
+        rm[np.arange(n)[:, None], t] = np.asarray(y)[None, :]
+        return Matrix(self.field, rm)
+
+    def left_mult_matrix(self, x: np.ndarray) -> Matrix:
+        """Matrix LM with (x y) = LM @ y for column vectors y."""
+        n, t = self.dim, self.group.table
+        lm = np.zeros((n, n), dtype=np.int64)
+        # LM[t[h, k], k] = x[h]; columns of t are permutations
+        lm[t, np.arange(n)[None, :]] = np.asarray(x)[:, None]
+        return Matrix(self.field, lm)
+
+    # -- the center --------------------------------------------------------------
+
+    @cached_property
+    def center_basis(self) -> "CenterBasis":
+        sums = []
+        for cls in self.group.conjugacy.classes:
+            c = np.zeros(self.dim, dtype=np.int64)
+            c[list(cls)] = 1
+            sums.append(self.element(c))
+        return CenterBasis(tuple(sums), len(sums))
+
+    @cached_property
+    def center_matrix(self) -> tuple[Matrix, list[int]]:
+        """Class-sum row matrix in RREF plus its pivot columns."""
+        rows = np.stack([e.coeffs for e in self.center_basis.class_sums])
+        return Matrix(self.field, rows).rref()
+
+    def reduce_mod_center(self, rows: np.ndarray) -> np.ndarray:
+        """Subtract the center-space projection from each row."""
+        F = self.field
+        red, piv = self.center_matrix
+        if not piv:
+            return rows % F.p if F.k == 1 else rows
+        zd = red.data
+        if F.k == 1:
+            return (rows - rows[..., piv] @ zd) % F.p
+        out = rows.copy()
+        for r in range(out.shape[0]):
+            for j, c in enumerate(piv):
+                f = int(out[r, c])
+                if f:
+                    out[r] = F.vsub(out[r], F.vscale(f, zd[j]))
+        return out
+
+    def is_central(self, x: "AlgebraElement") -> bool:
+        """Center membership, computed two independent ways.
+
+        Route 1: x commutes with every group basis element.  Route 2: the
+        coefficients are constant on conjugacy classes (class sums have
+        disjoint supports, so this is exactly span membership).  The two
+        must agree; a mismatch would be an implementation bug.
+        """
+        t = self.group.table
+        c = x.coeffs
+        commutes = True
+        for g in range(self.dim):
+            xg = np.zeros(self.dim, dtype=np.int64)
+            xg[t[:, g]] = c
+            gx = np.zeros(self.dim, dtype=np.int64)
+            gx[t[g, :]] = c
+            if not (xg == gx).all():
+                commutes = False
+                break
+        constant = all(
+            (c[list(cls)] == c[cls[0]]).all() for cls in self.group.conjugacy.classes
+        )
+        if commutes != constant:
+            raise RuntimeError("center membership routes disagree; this is a bug")
+        return commutes
+
+
+@dataclass(frozen=True)
+class CenterBasis:
+    class_sums: tuple["AlgebraElement", ...]
+    dim: int
+
+
+@dataclass(frozen=True, eq=False)
+class AlgebraElement:
+    algebra: GroupAlgebra
+    coeffs: np.ndarray
+
+    def _require_same(self, other: "AlgebraElement") -> None:
+        if self.algebra.group is not other.algebra.group or self.algebra.field != other.algebra.field:
+            raise ValueError("elements live in different group algebras")
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._require_same(other)
+        F = self.algebra.field
+        return self.algebra.element(F.vadd(self.coeffs, other.coeffs))
+
+    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._require_same(other)
+        F = self.algebra.field
+        return self.algebra.element(F.vsub(self.coeffs, other.coeffs))
+
+    def __neg__(self) -> "AlgebraElement":
+        return self.algebra.element(self.algebra.field.vneg(self.coeffs))
+
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._require_same(other)
+        return self.algebra.element(self.algebra._mul_arrays(self.coeffs, other.coeffs))
+
+    def scale(self, s: int) -> "AlgebraElement":
+        return self.algebra.element(self.algebra.field.vscale(s, self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, AlgebraElement)
+            and self.algebra.group is other.algebra.group
+            and self.algebra.field == other.algebra.field
+            and (self.coeffs == other.coeffs).all()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs.tobytes())
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
+    def power(self, e: int) -> "AlgebraElement":
+        out = self.algebra.one()
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def augmentation(self) -> int:
+        """Coefficient sum; the ring morphism onto F."""
+        return self.algebra.field.vsum(self.coeffs)
+
+    def support(self) -> list[tuple[int, int]]:
+        return [(int(i), int(self.coeffs[i])) for i in np.nonzero(self.coeffs)[0]]
+
+    def to_report(self) -> list[list]:
+        g = self.algebra.group
+        return [[g.label(i), v] for i, v in self.support()]
+
+    def __repr__(self) -> str:
+        g = self.algebra.group
+        parts = [f"{v}*{g.label(i)}" for i, v in self.support()]
+        return " + ".join(parts) if parts else "0"
+
+
+def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """[x, y] = xy - yx."""
+    return x * y - y * x
+
+
+def center_basis(group: FiniteGroup, field: GF) -> CenterBasis:
+    return GroupAlgebra(group, field).center_basis
+
+
+def omega_ideal_basis(
+    alg: GroupAlgebra, h: Iterable[int]
+) -> list[AlgebraElement]:
+    """Basis of the right ideal generated by {1 - h : h in H}.
+
+    H must be a subgroup.  For normal H the dimension is |G| - |G|/|H|,
+    asserted here.
+    """
+    g, F = alg.group, alg.field
+    members = sorted(set(h))
+    if tuple(members) != g.subgroup_generated(members):
+        raise ValueError("H is not a subgroup")
+    n = alg.dim
+    rows = []
+    neg_one = F.neg(1)
+    for hh in members:
+        if hh == 0:
+            continue
+        # (1 - h) x has support {x, h x}; h != identity keeps them distinct
+        for x in range(n):
+            r = np.zeros(n, dtype=np.int64)
+            r[x] = 1
+            r[g.mul(hh, x)] = neg_one
+            rows.append(r)
+    if not rows:
+        return []
+    red, piv = Matrix(F, np.stack(rows)).rref()
+    basis = [alg.element(red.data[i]) for i in range(len(piv))]
+    if g.is_normal(members):
+        expected = n - n // len(members)
+        if len(basis) != expected:
+            raise RuntimeError("augmentation ideal dimension mismatch for normal H")
+    return basis
+
+
+def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
+    """e = |H|^-1 * (sum of H); requires char(F) coprime to |H|."""
+    g, F = alg.group, alg.field
+    members = sorted(set(h))
+    if tuple(members) != g.subgroup_generated(members):
+        raise ValueError("H is not a subgroup")
+    m = len(members) % F.p
+    if m == 0:
+        raise ZeroDivisionError("characteristic divides |H|; no idempotent")
+    scale = F.inv(m)  # prime-subfield constants encode as themselves
+    c = np.zeros(alg.dim, dtype=np.int64)
+    c[members] = 1
+    e = alg.element(c).scale(scale)
+    if not (e * e == e):
+        raise RuntimeError("subgroup averaging element failed idempotency")
+    return e

@@ -1,0 +1,412 @@
+"""Built-in group constructions.
+
+Every entry is deterministic: identical tables across runs.  Families are
+built either from closed-form multiplication laws on normal forms (cyclic,
+dihedral, quaternion, ...) or from the generic product constructors, and a
+frozen fingerprint guards each fixed-name entry against construction drift.
+
+Grammar accepted by get(): Q8, C<n>, E<p>^<r>, D<2m>, QD16, Q16, M16,
+order16:<1..14>, prop29:<p>, S3, H<p>, and "A x B" for direct products.
+"""
+
+from __future__ import annotations
+
+import re
+from functools import lru_cache
+from typing import Callable
+
+import numpy as np
+
+from .fields import is_prime
+from .groups import FiniteGroup, direct_product, group_from_generators, semidirect_product
+
+
+def _table_from_law(elems: list, law: Callable, name: str, labels=None) -> FiniteGroup:
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    table = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            table[i, j] = index[law(a, b)]
+    return FiniteGroup(table, name, labels)
+
+
+def _pow_label(sym: str, e: int) -> str:
+    if e == 0:
+        return ""
+    return sym if e == 1 else f"{sym}^{e}"
+
+
+def _join_labels(parts: list[str]) -> str:
+    s = " ".join(p for p in parts if p)
+    return s if s else "1"
+
+
+@lru_cache(maxsize=None)
+def cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("cyclic group order must be positive")
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    labels = [_join_labels([_pow_label("g", i)]) for i in range(n)]
+    return FiniteGroup(table, f"C{n}", labels)
+
+
+@lru_cache(maxsize=None)
+def elem_abelian(p: int, r: int) -> FiniteGroup:
+    if not is_prime(p) or r < 1:
+        raise ValueError("elementary abelian group needs a prime and positive rank")
+    n = p**r
+    idx = np.arange(n)
+    digits = np.stack([(idx // p**i) % p for i in range(r)], axis=1)
+    enc = np.array([p**i for i in range(r)])
+    table = ((digits[:, None, :] + digits[None, :, :]) % p) @ enc
+    return FiniteGroup(table.astype(np.int32), f"E{p}^{r}")
+
+
+@lru_cache(maxsize=None)
+def dihedral(order: int) -> FiniteGroup:
+    if order < 2 or order % 2:
+        raise ValueError("dihedral group order must be even and >= 2")
+    m = order // 2
+    elems = [(i, s) for s in range(2) for i in range(m)]
+
+    def law(x, y):
+        i, s = x
+        j, t = y
+        return ((i + (j if s == 0 else -j)) % m, (s + t) % 2)
+
+    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for s in range(2) for i in range(m)]
+    return _table_from_law(elems, law, f"D{order}", labels)
+
+
+@lru_cache(maxsize=None)
+def gen_quaternion(order: int) -> FiniteGroup:
+    if order < 8 or order & (order - 1):
+        raise ValueError("generalized quaternion group order must be 2^m >= 8")
+    m = order // 2
+    half = m // 2
+    elems = [(x, u) for u in range(2) for x in range(m)]
+
+    def law(a, b):
+        x, u = a
+        y, v = b
+        return ((x + (y if u == 0 else -y) + (half if u and v else 0)) % m, (u + v) % 2)
+
+    labels = [_join_labels([_pow_label("a", x), _pow_label("b", u)]) for u in range(2) for x in range(m)]
+    return _table_from_law(elems, law, f"Q{order}", labels)
+
+
+@lru_cache(maxsize=None)
+def quaternion8() -> FiniteGroup:
+    """Q8 with the classical +/- i j k labels (a = i, b = j)."""
+    g = gen_quaternion(8)
+    labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
+    return FiniteGroup(g.table, "Q8", labels)
+
+
+@lru_cache(maxsize=None)
+def semidihedral16() -> FiniteGroup:
+    c8, c2 = cyclic(8), cyclic(2)
+    act = [list(range(8)), [(3 * i) % 8 for i in range(8)]]
+    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for i in range(8) for s in range(2)]
+    return semidirect_product(c8, c2, act, "QD16", labels)
+
+
+@lru_cache(maxsize=None)
+def modular16() -> FiniteGroup:
+    c8, c2 = cyclic(8), cyclic(2)
+    act = [list(range(8)), [(5 * i) % 8 for i in range(8)]]
+    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for i in range(8) for s in range(2)]
+    return semidirect_product(c8, c2, act, "M16", labels)
+
+
+@lru_cache(maxsize=None)
+def sym3() -> FiniteGroup:
+    g = group_from_generators(3, [(1, 0, 2), (1, 2, 0)], "S3")
+    return g
+
+
+@lru_cache(maxsize=None)
+def heisenberg(p: int) -> FiniteGroup:
+    """Unitriangular 3x3 matrices over GF(p): nonabelian of order p^3, class 2."""
+    if not is_prime(p):
+        raise ValueError("heisenberg group needs a prime")
+    elems = [(i, j, k) for i in range(p) for j in range(p) for k in range(p)]
+
+    def law(a, b):
+        i, j, k = a
+        x, y, z = b
+        return ((i + x) % p, (j + y) % p, (k + z + i * y) % p)
+
+    labels = [
+        _join_labels([_pow_label("x", i), _pow_label("y", j), _pow_label("z", k)])
+        for i in range(p) for j in range(p) for k in range(p)
+    ]
+    return _table_from_law(elems, law, f"H{p}", labels)
+
+
+@lru_cache(maxsize=None)
+def pauli16() -> FiniteGroup:
+    """Central product of D8 and C4: phases i^e times X^u Z^v with XZ = -ZX."""
+    elems = [(e, u, v) for e in range(4) for u in range(2) for v in range(2)]
+
+    def law(a, b):
+        e1, u1, v1 = a
+        e2, u2, v2 = b
+        return ((e1 + e2 + 2 * v1 * u2) % 4, (u1 + u2) % 2, (v1 + v2) % 2)
+
+    labels = [
+        _join_labels([_pow_label("w", e), _pow_label("X", u), _pow_label("Z", v)])
+        for e in range(4) for u in range(2) for v in range(2)
+    ]
+    return _table_from_law(elems, law, "P16", labels)
+
+
+@lru_cache(maxsize=None)
+def c4_rtimes_c4() -> FiniteGroup:
+    c4 = cyclic(4)
+    inv = [(-i) % 4 for i in range(4)]
+    act = [list(range(4)), inv, list(range(4)), inv]
+    return semidirect_product(c4, c4, act, "C4:C4")
+
+
+@lru_cache(maxsize=None)
+def c4xc2_rtimes_c2() -> FiniteGroup:
+    base = direct_product(cyclic(4), cyclic(2), "C4xC2")
+    # pair (i, j) has index 2 * i + j; the automorphism a -> ab, b -> b
+    perm = [((i + 0) % 4) * 2 + ((j + i) % 2) for i in range(4) for j in range(2)]
+    act = [list(range(8)), perm]
+    return semidirect_product(base, cyclic(2), act, "(C4xC2):C2")
+
+
+_ORDER16_BUILDERS: list[Callable[[], FiniteGroup]] = [
+    lambda: cyclic(16),
+    lambda: direct_product(cyclic(4), cyclic(4), "C4 x C4"),
+    lambda: direct_product(cyclic(8), cyclic(2), "C8 x C2"),
+    lambda: direct_product(direct_product(cyclic(4), cyclic(2)), cyclic(2), "C4 x C2 x C2"),
+    lambda: elem_abelian(2, 4),
+    lambda: dihedral(16),
+    lambda: semidihedral16(),
+    lambda: gen_quaternion(16),
+    lambda: modular16(),
+    lambda: direct_product(dihedral(8), cyclic(2), "D8 x C2"),
+    lambda: direct_product(quaternion8(), cyclic(2), "Q8 x C2"),
+    lambda: pauli16(),
+    lambda: c4_rtimes_c4(),
+    lambda: c4xc2_rtimes_c2(),
+]
+
+
+@lru_cache(maxsize=None)
+def order16(i: int) -> FiniteGroup:
+    if not 1 <= i <= 14:
+        raise ValueError("order-16 catalog index must be in 1..14")
+    return _ORDER16_BUILDERS[i - 1]()
+
+
+def order16_all() -> list[FiniteGroup]:
+    """All 14 isomorphism types of order 16, fixed order: abelian first."""
+    return [order16(i) for i in range(1, 15)]
+
+
+# -- the order-p^5 class-3 counterexample family ------------------------------
+
+
+@lru_cache(maxsize=None)
+def _p5_even() -> FiniteGroup:
+    """(Q8 x C2) : C2, the swap-i-j automorphism twisted by the C2 factor."""
+    q8 = quaternion8()
+    i_q, j_q = 1, 4
+    # phi: i -> j, j -> i extended to all of Q8 via the normal form i^x j^u
+    phi = []
+    for idx in range(8):
+        x, u = idx % 4, idx // 4
+        phi.append(q8.mul(q8.power(j_q, x), q8.power(i_q, u)))
+    n = direct_product(q8, cyclic(2), "Q8 x C2")
+    minus1 = 2
+    alpha = []
+    for idx in range(16):
+        q, c = idx // 2, idx % 2
+        img_q = phi[q] if c == 0 else q8.mul(phi[q], minus1)
+        alpha.append(img_q * 2 + c)
+    labels = []
+    for idx in range(32):
+        nidx, s = idx // 2, idx % 2
+        q, c = nidx // 2, nidx % 2
+        part = _join_labels([q8.label(q) if q else "", "a" if c else ""])
+        if q == 0 and c:
+            part = "a"
+        if q != 0 and c:
+            part = f"{q8.label(q)} a"
+        if q == 0 and not c:
+            part = "1"
+        labels.append(part if s == 0 else (f"{part} t" if part != "1" else "t"))
+    return semidirect_product(n, cyclic(2), [list(range(16)), alpha], "prop29:2", labels)
+
+
+@lru_cache(maxsize=None)
+def _p5_odd(p: int) -> FiniteGroup:
+    """Order p^5 for odd p: the normal-form group N of order p^4 extended by
+    an order-p automorphism."""
+    # N: tuples (k, l, m, r) for a^k b^l c^m g^r with
+    # (k,l,m,r)(k',l',m',r') = (k+k', l+l'+r m', m+m', r+r')
+    elems = [(k, l, m, r) for k in range(p) for l in range(p) for m in range(p) for r in range(p)]
+
+    def law(x, y):
+        k, l, m, r = x
+        k2, l2, m2, r2 = y
+        return ((k + k2) % p, (l + l2 + r * m2) % p, (m + m2) % p, (r + r2) % p)
+
+    labels_n = [
+        _join_labels([_pow_label("a", k), _pow_label("b", l), _pow_label("c", m), _pow_label("g", r)])
+        for (k, l, m, r) in elems
+    ]
+    n_grp = _table_from_law(elems, law, f"N{p}^4", labels_n)
+
+    index = {e: i for i, e in enumerate(elems)}
+
+    def beta(e):
+        k, l, m, r = e
+        return ((k + m + r) % p, (l + r * (r + 1) // 2) % p, (m + r) % p, r)
+
+    beta_perm = [index[beta(e)] for e in elems]
+    acts = [list(range(p**4))]
+    cur = beta_perm
+    for _ in range(p - 1):
+        acts.append(cur)
+        cur = [beta_perm[x] for x in cur]
+    if cur != list(range(p**4)):
+        raise RuntimeError("extension automorphism does not have order p")
+    labels = []
+    for idx in range(p**5):
+        nidx, s = divmod(idx, p)
+        base = labels_n[nidx]
+        tail = _pow_label("B", s)
+        labels.append(_join_labels([base if base != "1" else "", tail]))
+    return semidirect_product(n_grp, cyclic(p), acts, f"prop29:{p}", labels)
+
+
+@lru_cache(maxsize=None)
+def p5_class3_group(p: int) -> FiniteGroup:
+    """A group of order p^5 and nilpotency class 3 whose modular group
+    algebra over characteristic p is not centrally essential."""
+    if not is_prime(p):
+        raise ValueError("parameter must be prime")
+    if p > 5:
+        raise ValueError("order p^5 exceeds the supported cap for p > 5")
+    return _p5_even() if p == 2 else _p5_odd(p)
+
+
+# -- name grammar --------------------------------------------------------------
+
+
+def _atomic(spec: str) -> FiniteGroup:
+    spec = spec.strip()
+    if spec == "Q8":
+        return quaternion8()
+    if spec == "S3":
+        return sym3()
+    if spec == "QD16":
+        return semidihedral16()
+    if spec == "M16":
+        return modular16()
+    m = re.fullmatch(r"C(\d+)", spec)
+    if m:
+        return cyclic(int(m.group(1)))
+    m = re.fullmatch(r"E(\d+)\^(\d+)", spec)
+    if m:
+        return elem_abelian(int(m.group(1)), int(m.group(2)))
+    m = re.fullmatch(r"D(\d+)", spec)
+    if m:
+        return dihedral(int(m.group(1)))
+    m = re.fullmatch(r"Q(\d+)", spec)
+    if m:
+        return gen_quaternion(int(m.group(1)))
+    m = re.fullmatch(r"H(\d+)", spec)
+    if m:
+        return heisenberg(int(m.group(1)))
+    m = re.fullmatch(r"order16:(\d+)", spec)
+    if m:
+        return order16(int(m.group(1)))
+    m = re.fullmatch(r"prop29:(\d+)", spec)
+    if m:
+        return p5_class3_group(int(m.group(1)))
+    raise ValueError(f"unknown group spec {spec!r}")
+
+
+def get(spec: str) -> FiniteGroup:
+    """Build a group from a catalog spec, with " x " for direct products."""
+    parts = [s for s in spec.split(" x ") if s.strip()]
+    if not parts:
+        raise ValueError("empty group spec")
+    g = _atomic(parts[0])
+    for extra in parts[1:]:
+        g = direct_product(g, _atomic(extra), name=None)
+    if len(parts) > 1:
+        g = FiniteGroup(g.table, spec.strip(), g.labels, validate=False)
+    return g
+
+
+def names() -> list[str]:
+    """Stable listing of the atomic grammar for the CLI."""
+    return [
+        "C<n>            cyclic of order n",
+        "E<p>^<r>        elementary abelian of order p^r",
+        "D<2m>           dihedral of order 2m",
+        "Q<2^m>          generalized quaternion of order 2^m (Q8, Q16, ...)",
+        "QD16            semidihedral of order 16",
+        "M16             modular group of order 16",
+        "Q8              quaternion group with +/- i j k labels",
+        "S3              symmetric group on 3 letters",
+        "H<p>            unitriangular 3x3 group over GF(p), order p^3",
+        "order16:<1..14> the fourteen groups of order 16",
+        "prop29:<p>      order p^5, class 3, p in {2, 3, 5}",
+        "A x B           direct product of two specs",
+    ]
+
+
+def standard_entries() -> list[tuple[str, FiniteGroup]]:
+    """The fixed acceptance listing used by the reproduction suites."""
+    specs = [
+        "C1", "C2", "C3", "C4", "C6", "C8", "C9", "C12", "C16", "C27",
+        "E2^2", "E2^3", "E3^2", "E3^3",
+        "S3", "D8", "D12", "Q8", "H3",
+    ] + [f"order16:{i}" for i in range(1, 15)] + ["prop29:2", "prop29:3"]
+    return [(s, get(s)) for s in specs]
+
+
+# frozen construction fingerprints for the fixed-name entries; a mismatch
+# means the builder drifted
+_EXPECTED_FINGERPRINTS: dict[str, tuple] = {
+    "Q8": (8, ((1, 1), (2, 1), (4, 6)), ((1, 2), (2, 3)), (1, 2, 8), 2, ((1, 1), (2, 3))),
+    "S3": (6, ((1, 1), (2, 3), (3, 2)), ((1, 1), (2, 1), (3, 1)), (1,), 3, ((1, 1), (2, 1))),
+    "QD16": (16, ((1, 1), (2, 5), (4, 6), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "M16": (16, ((1, 1), (2, 3), (4, 4), (8, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+    "H3": (27, ((1, 1), (3, 26)), ((1, 3), (3, 8)), (1, 3, 27), 3, ((1, 1), (3, 8))),
+    "prop29:2": (32, ((1, 1), (2, 7), (4, 16), (8, 8)), ((1, 2), (2, 3), (4, 6)), (1, 2, 8, 32), 4, ((1, 1), (2, 7))),
+    "prop29:3": (243, ((1, 1), (3, 134), (9, 108)), ((1, 9), (9, 26)), (1, 9, 27, 243), 27, ((1, 1), (3, 8))),
+    "order16:1": (16, ((1, 1), (2, 1), (4, 2), (8, 4), (16, 8)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 1), (4, 2), (8, 4), (16, 8))),
+    "order16:2": (16, ((1, 1), (2, 3), (4, 12)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 3), (4, 12))),
+    "order16:3": (16, ((1, 1), (2, 3), (4, 4), (8, 8)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 3), (4, 4), (8, 8))),
+    "order16:4": (16, ((1, 1), (2, 7), (4, 8)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 7), (4, 8))),
+    "order16:5": (16, ((1, 1), (2, 15)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 15))),
+    "order16:6": (16, ((1, 1), (2, 9), (4, 2), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "order16:7": (16, ((1, 1), (2, 5), (4, 6), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "order16:8": (16, ((1, 1), (2, 1), (4, 10), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "order16:9": (16, ((1, 1), (2, 3), (4, 4), (8, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+    "order16:10": (16, ((1, 1), (2, 11), (4, 4)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 7))),
+    "order16:11": (16, ((1, 1), (2, 3), (4, 12)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 7))),
+    "order16:12": (16, ((1, 1), (2, 7), (4, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 7))),
+    "order16:13": (16, ((1, 1), (2, 3), (4, 12)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+    "order16:14": (16, ((1, 1), (2, 7), (4, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+}
+
+
+def verify_fixed_entries() -> list[str]:
+    """Rebuild every fixed-name entry and compare fingerprints; returns the
+    names that drifted (empty list = all good)."""
+    bad = []
+    for name, expected in _EXPECTED_FINGERPRINTS.items():
+        if get(name).fingerprint() != expected:
+            bad.append(name)
+    return bad
