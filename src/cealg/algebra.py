@@ -64,24 +64,10 @@ class GroupAlgebra:
     # -- multiplication kernels ------------------------------------------------
 
     def _mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        F, t, n = self.field, self.group.table, self.dim
-        if F.k == 1:
-            nz = np.nonzero(x)[0]
-            if nz.size * 4 <= n:
-                # sparse x: one scatter per nonzero coefficient
-                out = np.zeros(n, dtype=np.int64)
-                for h in nz:
-                    out[t[h]] += int(x[h]) * y
-                return out % F.p
-            # dense x: right-multiplication matrix of y, RM[h, t[h, k]] = y[k]
-            rm = np.zeros((n, n), dtype=np.int64)
-            rm[np.arange(n)[:, None], t] = y[None, :]
-            return (x @ rm) % F.p
-        out = np.zeros(n, dtype=np.int64)
-        for h in np.nonzero(x)[0]:
-            row = t[h]
-            out[row] = F.vadd(out[row], F.vscale(int(x[h]), y))
-        return out
+        # (x y)[j] = sum over h of x[h] * y[h^-1 j], over the support of x
+        g = self.group
+        nz = np.nonzero(x)[0]
+        return self.field.vmatmul(x[nz], y[g.table[g.inv[nz]]])
 
     def right_mult_matrix(self, y: np.ndarray) -> Matrix:
         """Matrix RM with (x y) = x @ RM for row vectors x."""
@@ -115,23 +101,6 @@ class GroupAlgebra:
         """Class-sum row matrix in RREF plus its pivot columns."""
         rows = np.stack([e.coeffs for e in self.center_basis.class_sums])
         return Matrix(self.field, rows).rref()
-
-    def reduce_mod_center(self, rows: np.ndarray) -> np.ndarray:
-        """Subtract the center-space projection from each row."""
-        F = self.field
-        red, piv = self.center_matrix
-        if not piv:
-            return rows % F.p if F.k == 1 else rows
-        zd = red.data
-        if F.k == 1:
-            return (rows - rows[..., piv] @ zd) % F.p
-        out = rows.copy()
-        for r in range(out.shape[0]):
-            for j, c in enumerate(piv):
-                f = int(out[r, c])
-                if f:
-                    out[r] = F.vsub(out[r], F.vscale(f, zd[j]))
-        return out
 
     def is_central(self, x: "AlgebraElement") -> bool:
         """Center membership, computed two independent ways.

@@ -36,7 +36,7 @@ from .decision import (
     socle_centrally_essential,
 )
 from .fields import GF, field_make, is_prime
-from .groups import FiniteGroup, group_from_generators
+from .groups import ORDER_CAP, FiniteGroup, group_from_generators
 
 EXIT_ESSENTIAL = 0
 EXIT_NOT_ESSENTIAL = 1
@@ -61,16 +61,27 @@ def parse_field(spec: str) -> GF | None:
 
 def load_group(spec: str) -> FiniteGroup:
     """A catalog spec, or a path to a JSON group description
-    {"name": ..., "degree": ..., "generators": [[image list], ...]}."""
-    if spec.endswith(".json") or os.path.exists(spec):
-        with open(spec) as fh:
-            data = json.load(fh)
-        return group_from_generators(
-            int(data["degree"]),
-            [list(map(int, g)) for g in data["generators"]],
-            str(data.get("name", os.path.basename(spec))),
-        )
-    return catalog.get(spec)
+    {"name": ..., "degree": ..., "generators": [[image list], ...]}.
+
+    A spec is a path when it ends in .json or contains a path separator, so
+    a file in the working directory cannot shadow a catalog name.
+    """
+    if not (spec.endswith(".json") or "/" in spec or os.sep in spec):
+        return catalog.get(spec)
+    with open(spec) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a group file must hold a JSON object")
+    degree, gens = data.get("degree"), data.get("generators")
+    if type(degree) is not int or not 1 <= degree <= ORDER_CAP:
+        raise ValueError(f"degree must be an integer in 1..{ORDER_CAP}")
+    if not isinstance(gens, list) or not all(
+        isinstance(g, list) and all(type(x) is int for x in g) for g in gens
+    ):
+        raise ValueError("generators must be a list of lists of integers")
+    if any(len(g) != degree for g in gens):
+        raise ValueError(f"every generator must have length {degree}")
+    return group_from_generators(degree, gens, str(data.get("name", os.path.basename(spec))))
 
 
 def _emit(text: str, path: str | None) -> None:

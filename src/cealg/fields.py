@@ -6,10 +6,13 @@ integer sum(c_i * p^i).  Index 0 is the additive identity, 1 the
 multiplicative identity.  A GF object owns the arithmetic; there is no
 per-element wrapper class.
 
-Vectorized operations work on numpy int64 arrays of encodings.  Fields of
-order <= 256 carry full add/mul tables; larger extension fields use digit
-tables for addition and log/exp tables for multiplication, so every field
-up to the 2^16 order cap stays vectorizable.
+Vectorized operations work on numpy int64 arrays of encodings.  Every field
+carries negation and inverse tables; fields of order <= 256 also carry full
+add/mul tables, and larger extension fields use digit tables for addition
+and log/exp tables for multiplication, so every field up to the 2^16 order
+cap stays vectorizable.  Only this module knows the encoding: the matrix
+kernels below and every caller use the GF vector operations, one code path
+for every GF(p^k).
 """
 
 from __future__ import annotations
@@ -119,30 +122,25 @@ class GF:
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.order
-        self._add_t = self._mul_t = self._inv_t = None
+        a = np.arange(q, dtype=np.int64)
+        self._add_t = self._mul_t = None
         self._dig = self._log = self._exp = None
-        if k > 1:
-            self._dig = np.array(
-                [_decode_base(x, p, k) for x in range(q)], dtype=np.int64
-            )
-            self._build_log_exp()
-        if q <= TABLE_ORDER:
-            a = np.arange(q, dtype=np.int64)
-            if k == 1:
+        if k == 1:
+            self._neg_t = (-a) % p
+            self._inv_t = np.array([pow(x, -1, p) if x else 0 for x in range(q)], dtype=np.int64)
+            if q <= TABLE_ORDER:
                 self._add_t = (a[:, None] + a[None, :]) % p
                 self._mul_t = (a[:, None] * a[None, :]) % p
-            else:
-                dig = self._dig
-                self._add_t = ((dig[:, None, :] + dig[None, :, :]) % p) @ self._pmat
-                mul = np.zeros((q, q), dtype=np.int64)
-                for x in range(q):
-                    for y in range(q):
-                        mul[x, y] = self._mul_scalar(x, y)
-                self._mul_t = mul
-            inv = np.zeros(q, dtype=np.int64)
-            for x in range(1, q):
-                inv[x] = self._inv_scalar(x)
-            self._inv_t = inv
+            return
+        dig = self._dig = np.array([_decode_base(x, p, k) for x in range(q)], dtype=np.int64)
+        self._build_log_exp()
+        log, exp = self._log[1:], self._exp
+        self._neg_t = ((-dig) % p) @ self._pmat
+        self._inv_t = np.concatenate([[0], exp[-log % (q - 1)]])
+        if q <= TABLE_ORDER:
+            self._add_t = ((dig[:, None, :] + dig[None, :, :]) % p) @ self._pmat
+            self._mul_t = np.zeros((q, q), dtype=np.int64)
+            self._mul_t[1:, 1:] = exp[(log[:, None] + log[None, :]) % (q - 1)]
 
     def _build_log_exp(self) -> None:
         q = self.order
@@ -187,23 +185,18 @@ class GF:
         self._check(a, b)
         if self.k == 1:
             return (a + b) % self.p
-        da = _decode_base(a, self.p, self.k)
-        db = _decode_base(b, self.p, self.k)
-        return sum(((x + y) % self.p) * self.p**i for i, (x, y) in enumerate(zip(da, db)))
+        if self._add_t is not None:
+            return int(self._add_t[a, b])
+        return int(((self._dig[a] + self._dig[b]) % self.p) @ self._pmat)
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.k == 1:
-            return (-a) % self.p
-        da = _decode_base(a, self.p, self.k)
-        return sum(((-x) % self.p) * self.p**i for i, x in enumerate(da))
+        return int(self._neg_t[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def _mul_scalar(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
         da = _decode_base(a, self.p, self.k)
         db = _decode_base(b, self.p, self.k)
         prod = _poly_mul_mod(da, db, self.modulus, self.p)
@@ -219,22 +212,11 @@ class GF:
             return 0
         return int(self._exp[(self._log[a] + self._log[b]) % (self.order - 1)])
 
-    def _inv_scalar(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._pow_scalar(a, self.order - 2)
-
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv_t is not None:
-            return int(self._inv_t[a])
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return int(self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)])
+        return int(self._inv_t[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -293,12 +275,12 @@ class GF:
         return ((self._dig[a] + self._dig[b]) % self.p) @ self._pmat
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return (-a) % self.p
-        return ((-self._dig[a]) % self.p) @ self._pmat
+        return self._neg_t[a]
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.vadd(a, self.vneg(b))
+        if self.k == 1:
+            return (a - b) % self.p
+        return self.vadd(a, self._neg_t[b])
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.k == 1:
@@ -319,11 +301,52 @@ class GF:
             return (s * a) % self.p
         return self.vmul(np.full(a.shape, s, dtype=np.int64), a)
 
-    def vsum(self, a: np.ndarray) -> int:
-        """Field sum of a 1-D array of encodings."""
+    def vinv(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverse of an array of nonzero encodings."""
+        if not np.all(a):
+            raise ZeroDivisionError("inverse of zero")
+        return self._inv_t[a]
+
+    def vsubmul(self, a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a - f*b elementwise; f*b must have the shape of the result."""
         if self.k == 1:
-            return int(a.sum() % self.p)
-        return int((self._dig[a].sum(axis=0) % self.p) @ self._pmat)
+            # one temporary, reused for the difference and the reduction
+            t = np.multiply(f, b)
+            np.subtract(a, t, out=t)
+            t %= self.p
+            return t
+        return self.vsub(a, self.vmul(f, b))
+
+    def vsum(self, a: np.ndarray, axis: int | None = None):
+        """Field sum along an axis, or of every entry (as an int) when the
+        axis is None."""
+        if self.k == 1:
+            s = np.sum(a, axis) % self.p
+        else:
+            dig = self._dig[np.ravel(a) if axis is None else a]
+            s = (dig.sum(0 if axis is None else axis % np.ndim(a)) % self.p) @ self._pmat
+        return s if axis is not None else int(s)
+
+    def vmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Field product of arrays shaped (..., m, n) @ (..., n, r).
+
+        Extension fields multiply the base-p digit arrays as integers, k^2
+        products, then reduce the coefficients mod p and the resulting
+        polynomial of degree <= 2k - 2 mod the modulus.
+        """
+        p, k = self.p, self.k
+        if k == 1:
+            return (a @ b) % p
+        da, db = self._dig[a], self._dig[b]
+        c = [0] * (2 * k - 1)
+        for i in range(k):
+            for j in range(k):
+                c[i + j] = c[i + j] + da[..., i] @ db[..., j]
+        for d in range(2 * k - 2, k - 1, -1):
+            top = c[d] % p
+            for i in range(k):
+                c[d - k + i] -= self.modulus[i] * top
+        return sum((c[i] % p) * p**i for i in range(k))
 
     def __eq__(self, other) -> bool:
         return (
@@ -398,7 +421,7 @@ class Matrix:
             factors[r] = 0
             hit = np.nonzero(factors)[0]
             if hit.size:
-                a[hit] = F.vsub(a[hit], F.vmul(factors[hit, None], a[r][None, :]))
+                a[hit] = F.vsubmul(a[hit], factors[hit, None], a[r][None, :])
             pivots.append(c)
             r += 1
         return Matrix(F, a), pivots
@@ -412,34 +435,13 @@ class Matrix:
         red, pivots = self.rref()
         n = self.cols
         free = [c for c in range(n) if c not in pivots]
-        if not free:
-            return Matrix(F, np.zeros((0, n), dtype=np.int64))
         basis = np.zeros((len(free), n), dtype=np.int64)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[i, pc] = F.neg(int(red.data[r, fc]))
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = F.vneg(red.data[: len(pivots), free].T)
         return Matrix(F, basis).rref()[0]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        F = self.field
-        if F.k == 1:
-            return (self.data @ v) % F.p
-        out = np.zeros(self.rows, dtype=np.int64)
-        for i in range(self.rows):
-            out[i] = F.vsum(F.vmul(self.data[i], v))
-        return out
-
     def matmul(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        if F.k == 1:
-            return Matrix(F, (self.data @ other.data) % F.p)
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        for j in range(other.cols):
-            col = other.data[:, j]
-            for i in range(self.rows):
-                out[i, j] = F.vsum(F.vmul(self.data[i], col))
-        return Matrix(F, out)
+        return Matrix(self.field, self.field.vmatmul(self.data, other.data))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, np.vstack([self.data, other.data]))
@@ -449,19 +451,15 @@ class Matrix:
 
 
 def rank_batched(field: GF, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a batch of matrices, shape (B, m, n), prime fields only.
+    """Ranks of a batch of matrices of encodings, shape (B, m, n).
 
     Branch-free Gaussian elimination vectorized across the batch; matches
     Matrix.rank on every slice.
     """
-    if field.k != 1:
-        raise ValueError("rank_batched supports prime fields only")
-    p = field.p
-    t = mats.astype(np.int64, copy=True) % p
+    t = np.array(mats, dtype=np.int64)
     nb, m, n = t.shape
     if nb == 0 or m == 0 or n == 0:
         return np.zeros(nb, dtype=np.int64)
-    inv_t = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
     piv = np.zeros(nb, dtype=np.int64)
     row_ids = np.arange(m)
     for c in range(n):
@@ -477,10 +475,10 @@ def rank_batched(field: GF, mats: np.ndarray) -> np.ndarray:
         t[idx, src, :] = t[idx, dst, :]
         t[idx, dst, :] = tmp
         pv = t[idx, dst, c]
-        t[idx, dst, :] = (t[idx, dst, :] * inv_t[pv][:, None]) % p
+        t[idx, dst, :] = field.vmul(field.vinv(pv)[:, None], t[idx, dst, :])
         factors = t[idx, :, c].copy()
         factors[np.arange(idx.size), dst] = 0
-        t[idx] = (t[idx] - factors[:, :, None] * t[idx, dst, :][:, None, :]) % p
+        t[idx] = field.vsubmul(t[idx], factors[:, :, None], t[idx, dst, :][:, None, :])
         piv[idx] = dst + 1
         if int(piv.min()) == m:
             break

@@ -149,9 +149,6 @@ class FiniteGroup:
         except ValueError:
             raise KeyError(f"no element labelled {lab!r} in {self.name}") from None
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} of order {self.n}>"
 
@@ -174,9 +171,6 @@ class FiniteGroup:
             class_of[orbit] = len(classes)
             classes.append(tuple(int(x) for x in orbit))
         return ClassPartition(tuple(classes), tuple(int(x) for x in class_of))
-
-    def conjugacy_classes(self) -> ClassPartition:
-        return self.conjugacy
 
     @cached_property
     def center(self) -> tuple[int, ...]:
@@ -360,13 +354,13 @@ def closure_elements(degree: int, gens: Sequence[Sequence[int]]) -> list[tuple[i
     Element order: identity first, then words by length, ties broken by
     generator index.
     """
-    ident = tuple(range(degree))
     gen_ts = []
     for g in gens:
         t = tuple(int(x) for x in g)
-        if sorted(t) != list(range(degree)):
+        if len(t) != degree or sorted(t) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
         gen_ts.append(t)
+    ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
     frontier = [ident]

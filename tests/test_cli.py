@@ -125,6 +125,30 @@ class TestCheckCommand:
         path.write_text("{not json")
         assert main(["check", "--group", str(path), "--field", "2"]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"degree": 3, "generators": [1, 2]},
+        [1, 2],
+        {"degree": 3, "generators": [[0, 1]]},
+    ])
+    def test_malformed_group_file_refused(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--group", str(path), "--field", "2"]) == 2
+
+    def test_huge_degree_refused_before_building(self, tmp_path, monkeypatch):
+        def build(*args):
+            raise AssertionError("group built from a refused description")
+
+        monkeypatch.setattr("cealg.cli.group_from_generators", build)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"degree": 10**12, "generators": []}))
+        assert main(["check", "--group", str(path), "--field", "2"]) == 2
+
+    def test_file_named_like_catalog_spec(self, tmp_path, monkeypatch):
+        (tmp_path / "Q8").write_text("not a group description")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--group", "Q8", "--field", "2"]) == 0
+
     def test_crossvalidate_flag(self, capsys):
         assert main(["check", "--group", "Q8", "--field", "2", "--crossvalidate"]) == 0
         assert "oracle" in capsys.readouterr().out

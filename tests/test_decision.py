@@ -53,6 +53,25 @@ class TestOracle:
         out2 = oracle_centrally_essential(catalog.cyclic(4), f4)
         assert out2.verdict == ESSENTIAL
 
+    @pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
+    def test_batched_scan_matches_per_candidate_loop(self, p, k):
+        # reference: test each projective candidate in enumeration order
+        fld = field_make(p, k)
+        g = catalog.sym3()
+        alg = GroupAlgebra(g, fld)
+        n, q = g.n, fld.order
+        first = None
+        for m in range(1, q**n):
+            coeffs = np.array([(m // q**i) % q for i in range(n)], dtype=np.int64)
+            if coeffs[np.nonzero(coeffs)[0][0]] != 1:
+                continue
+            if not candidate_admits_central_multiple(alg, coeffs)[0]:
+                first = m
+                break
+        out = oracle_centrally_essential(g, fld)
+        assert first is not None
+        assert out.artifact["candidate_index"] == first
+
     def test_counterexample_is_least(self, f2):
         # determinism: re-running returns the identical counterexample
         a = oracle_centrally_essential(catalog.sym3(), f2)
