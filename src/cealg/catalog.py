@@ -11,6 +11,7 @@ order16:<1..14>, prop29:<p>, S3, H<p>, and "A x B" for direct products.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from typing import Callable
@@ -21,14 +22,42 @@ from .fields import is_prime
 from .groups import FiniteGroup, direct_product, group_from_generators, semidirect_product
 
 
-def _table_from_law(elems: list, law: Callable, name: str, labels=None) -> FiniteGroup:
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[law(a, b)]
-    return FiniteGroup(table, name, labels)
+def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=None) -> FiniteGroup:
+    """Cayley table of a closed-form law on mixed-radix normal forms.
+
+    Element i has the digits of i in the given radices, most significant
+    first.  The law receives the digit arrays of the left factor as columns
+    and of the right factor as rows, and returns the product's digits
+    unreduced; each is reduced mod its radix here.
+    """
+    digits = _mixed_radix(np.arange(math.prod(radices), dtype=np.int32), radices)
+    prod = law([d[:, None] for d in digits], [d[None, :] for d in digits])
+    return FiniteGroup(_encode(prod, radices), name, labels)
+
+
+def _mixed_radix(idx: np.ndarray, radices: tuple[int, ...]) -> list[np.ndarray]:
+    """Digits of idx in the given radices, most significant first."""
+    out = []
+    for r in reversed(radices):
+        idx, d = np.divmod(idx, r)
+        out.append(d)
+    return out[::-1]
+
+
+def _encode(digits: list[np.ndarray], radices: tuple[int, ...]) -> np.ndarray:
+    """Index arrays of unreduced digit arrays, each reduced mod its radix."""
+    out = digits[0] % radices[0]
+    for d, r in zip(digits[1:], radices[1:]):
+        out = out * r + d % r
+    return out
+
+
+def _power_list(g: FiniteGroup, x: int, k: int) -> np.ndarray:
+    """x^0, ..., x^(k-1) in g."""
+    out = np.zeros(k, dtype=np.int64)
+    for e in range(1, k):
+        out[e] = g.table[out[e - 1], x]
+    return out
 
 
 def _pow_label(sym: str, e: int) -> str:
@@ -46,9 +75,8 @@ def _join_labels(parts: list[str]) -> str:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = [_join_labels([_pow_label("g", i)]) for i in range(n)]
-    return FiniteGroup(table, f"C{n}", labels)
+    return _table_from_law((n,), lambda a, b: (a[0] + b[0],), f"C{n}", labels)
 
 
 @lru_cache(maxsize=None)
@@ -68,15 +96,14 @@ def dihedral(order: int) -> FiniteGroup:
     if order < 2 or order % 2:
         raise ValueError("dihedral group order must be even and >= 2")
     m = order // 2
-    elems = [(i, s) for s in range(2) for i in range(m)]
 
     def law(x, y):
-        i, s = x
-        j, t = y
-        return ((i + (j if s == 0 else -j)) % m, (s + t) % 2)
+        s, i = x
+        t, j = y
+        return (s + t, i + j * (1 - 2 * s))
 
     labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for s in range(2) for i in range(m)]
-    return _table_from_law(elems, law, f"D{order}", labels)
+    return _table_from_law((2, m), law, f"D{order}", labels)
 
 
 @lru_cache(maxsize=None)
@@ -85,15 +112,14 @@ def gen_quaternion(order: int) -> FiniteGroup:
         raise ValueError("generalized quaternion group order must be 2^m >= 8")
     m = order // 2
     half = m // 2
-    elems = [(x, u) for u in range(2) for x in range(m)]
 
     def law(a, b):
-        x, u = a
-        y, v = b
-        return ((x + (y if u == 0 else -y) + (half if u and v else 0)) % m, (u + v) % 2)
+        u, x = a
+        v, y = b
+        return (u + v, x + y * (1 - 2 * u) + half * u * v)
 
     labels = [_join_labels([_pow_label("a", x), _pow_label("b", u)]) for u in range(2) for x in range(m)]
-    return _table_from_law(elems, law, f"Q{order}", labels)
+    return _table_from_law((2, m), law, f"Q{order}", labels)
 
 
 @lru_cache(maxsize=None)
@@ -131,35 +157,32 @@ def heisenberg(p: int) -> FiniteGroup:
     """Unitriangular 3x3 matrices over GF(p): nonabelian of order p^3, class 2."""
     if not is_prime(p):
         raise ValueError("heisenberg group needs a prime")
-    elems = [(i, j, k) for i in range(p) for j in range(p) for k in range(p)]
 
     def law(a, b):
         i, j, k = a
         x, y, z = b
-        return ((i + x) % p, (j + y) % p, (k + z + i * y) % p)
+        return (i + x, j + y, k + z + i * y)
 
     labels = [
         _join_labels([_pow_label("x", i), _pow_label("y", j), _pow_label("z", k)])
         for i in range(p) for j in range(p) for k in range(p)
     ]
-    return _table_from_law(elems, law, f"H{p}", labels)
+    return _table_from_law((p, p, p), law, f"H{p}", labels)
 
 
 @lru_cache(maxsize=None)
 def pauli16() -> FiniteGroup:
     """Central product of D8 and C4: phases i^e times X^u Z^v with XZ = -ZX."""
-    elems = [(e, u, v) for e in range(4) for u in range(2) for v in range(2)]
-
     def law(a, b):
         e1, u1, v1 = a
         e2, u2, v2 = b
-        return ((e1 + e2 + 2 * v1 * u2) % 4, (u1 + u2) % 2, (v1 + v2) % 2)
+        return (e1 + e2 + 2 * v1 * u2, u1 + u2, v1 + v2)
 
     labels = [
         _join_labels([_pow_label("w", e), _pow_label("X", u), _pow_label("Z", v)])
         for e in range(4) for u in range(2) for v in range(2)
     ]
-    return _table_from_law(elems, law, "P16", labels)
+    return _table_from_law((4, 2, 2), law, "P16", labels)
 
 
 @lru_cache(maxsize=None)
@@ -218,17 +241,13 @@ def _p5_even() -> FiniteGroup:
     q8 = quaternion8()
     i_q, j_q = 1, 4
     # phi: i -> j, j -> i extended to all of Q8 via the normal form i^x j^u
-    phi = []
-    for idx in range(8):
-        x, u = idx % 4, idx // 4
-        phi.append(q8.mul(q8.power(j_q, x), q8.power(i_q, u)))
+    t = q8.table
+    u, x = np.divmod(np.arange(8), 4)
+    phi = t[_power_list(q8, j_q, 4)[x], _power_list(q8, i_q, 2)[u]]
     n = direct_product(q8, cyclic(2), "Q8 x C2")
     minus1 = 2
-    alpha = []
-    for idx in range(16):
-        q, c = idx // 2, idx % 2
-        img_q = phi[q] if c == 0 else q8.mul(phi[q], minus1)
-        alpha.append(img_q * 2 + c)
+    qa, ca = np.divmod(np.arange(16), 2)
+    alpha = np.where(ca == 0, phi[qa], t[phi[qa], minus1]) * 2 + ca
     labels = []
     for idx in range(32):
         nidx, s = idx // 2, idx % 2
@@ -241,7 +260,7 @@ def _p5_even() -> FiniteGroup:
         if q == 0 and not c:
             part = "1"
         labels.append(part if s == 0 else (f"{part} t" if part != "1" else "t"))
-    return semidirect_product(n, cyclic(2), [list(range(16)), alpha], "prop29:2", labels)
+    return semidirect_product(n, cyclic(2), [list(range(16)), alpha.tolist()], "prop29:2", labels)
 
 
 @lru_cache(maxsize=None)
@@ -250,32 +269,26 @@ def _p5_odd(p: int) -> FiniteGroup:
     an order-p automorphism."""
     # N: tuples (k, l, m, r) for a^k b^l c^m g^r with
     # (k,l,m,r)(k',l',m',r') = (k+k', l+l'+r m', m+m', r+r')
-    elems = [(k, l, m, r) for k in range(p) for l in range(p) for m in range(p) for r in range(p)]
+    radices = (p, p, p, p)
 
     def law(x, y):
         k, l, m, r = x
         k2, l2, m2, r2 = y
-        return ((k + k2) % p, (l + l2 + r * m2) % p, (m + m2) % p, (r + r2) % p)
+        return (k + k2, l + l2 + r * m2, m + m2, r + r2)
 
+    ka, la, ma, ra = _mixed_radix(np.arange(p**4), radices)
     labels_n = [
         _join_labels([_pow_label("a", k), _pow_label("b", l), _pow_label("c", m), _pow_label("g", r)])
-        for (k, l, m, r) in elems
+        for (k, l, m, r) in zip(ka.tolist(), la.tolist(), ma.tolist(), ra.tolist())
     ]
-    n_grp = _table_from_law(elems, law, f"N{p}^4", labels_n)
+    n_grp = _table_from_law(radices, law, f"N{p}^4", labels_n)
 
-    index = {e: i for i, e in enumerate(elems)}
-
-    def beta(e):
-        k, l, m, r = e
-        return ((k + m + r) % p, (l + r * (r + 1) // 2) % p, (m + r) % p, r)
-
-    beta_perm = [index[beta(e)] for e in elems]
-    acts = [list(range(p**4))]
-    cur = beta_perm
+    # beta: a^k b^l c^m g^r -> a^(k+m+r) b^(l + r(r+1)/2) c^(m+r) g^r
+    beta = _encode([ka + ma + ra, la + ra * (ra + 1) // 2, ma + ra, ra], radices)
+    acts = [np.arange(p**4)]
     for _ in range(p - 1):
-        acts.append(cur)
-        cur = [beta_perm[x] for x in cur]
-    if cur != list(range(p**4)):
+        acts.append(beta[acts[-1]])
+    if not (beta[acts[-1]] == acts[0]).all():
         raise RuntimeError("extension automorphism does not have order p")
     labels = []
     for idx in range(p**5):
@@ -283,7 +296,7 @@ def _p5_odd(p: int) -> FiniteGroup:
         base = labels_n[nidx]
         tail = _pow_label("B", s)
         labels.append(_join_labels([base if base != "1" else "", tail]))
-    return semidirect_product(n_grp, cyclic(p), acts, f"prop29:{p}", labels)
+    return semidirect_product(n_grp, cyclic(p), [a.tolist() for a in acts], f"prop29:{p}", labels)
 
 
 @lru_cache(maxsize=None)

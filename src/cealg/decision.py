@@ -321,22 +321,41 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
 def decompose_p(group: FiniteGroup, p: int) -> PDecomposition:
     """Split elements into p-part and p'-part and test for a direct
     decomposition G = P x H with H abelian."""
-    orders = [group.element_order(x) for x in range(group.n)]
-
-    def is_p_power(m: int) -> bool:
-        while m % p == 0:
-            m //= p
-        return m == 1
-
-    p_part = tuple(x for x in range(group.n) if is_p_power(orders[x]))
-    h_part = tuple(x for x in range(group.n) if orders[x] % p != 0)
-    p_set = set(p_part)
-    closed = all(group.mul(a, b) in p_set for a in p_part for b in p_part)
-    commute = all(
-        group.mul(a, b) == group.mul(b, a) for a in p_part for b in h_part
+    n, t = group.n, group.table
+    # element orders divide n: a p-power order divides its p-part pk, an
+    # order prime to p divides n / pk
+    pk = _p_part(n, p)
+    every = np.arange(n)
+    p_mask = group.powers(every, pk) == 0
+    p_part = np.flatnonzero(p_mask)
+    if p_part.size == n:
+        # a p-group: P is everything, H the identity alone
+        return PDecomposition(p, tuple(range(n)), (0,), True, True, True)
+    h_part = np.flatnonzero(group.powers(every, n // pk) == 0)
+    closed = bool(p_mask[t[p_part[:, None], p_part]].all())
+    commute = bool((t[p_part[:, None], h_part] == t[h_part[:, None], p_part].T).all())
+    t_hh = t[h_part[:, None], h_part]
+    h_ab = bool((t_hh == t_hh.T).all())
+    return PDecomposition(
+        p, tuple(p_part.tolist()), tuple(h_part.tolist()), closed, commute, h_ab
     )
-    h_ab = all(group.mul(a, b) == group.mul(b, a) for a in h_part for b in h_part)
-    return PDecomposition(p, p_part, h_part, closed, commute, h_ab)
+
+
+def _p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    pk = 1
+    while n % (pk * p) == 0:
+        pk *= p
+    return pk
+
+
+def _p_part_group(group: FiniteGroup, dec: PDecomposition) -> FiniteGroup:
+    """The p-part of a direct decomposition as a group of its own; a p-group
+    is its own p-part and keeps its already validated table."""
+    name = f"{group.name}|P"
+    if len(dec.p_part) == group.n:
+        return FiniteGroup(group.table, name, group.labels, validate=False)
+    return group.subgroup(dec.p_part, name=name)
 
 
 def witness_ce(
@@ -401,8 +420,7 @@ def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[AlgebraElement, dict]:
     g = next(i for i in range(group.n) if i not in z2)
     alg = GroupAlgebra(group, fld)
     coeffs = np.zeros(group.n, dtype=np.int64)
-    for z in group.center:
-        coeffs[group.mul(g, z)] = 1
+    coeffs[group.table[g, list(group.center)]] = 1
     x = alg.element(coeffs)
     if x.is_zero():
         raise CrossValidationError("witness element vanished unexpectedly")
@@ -439,28 +457,25 @@ def check_q_subgroups(group: FiniteGroup, p: int) -> bool:
         d += 1
     if m > 1 and m != p:
         qs.add(m)
+    t, orders = group.table, group.element_orders
+    every = np.arange(n)
     for q in qs:
-        q_elems = [x for x in range(n) if _is_prime_power_order(group, x, q)]
-        for x in q_elems:
-            sub = set(group.subgroup_generated([x]))
-            for a in range(n):
-                if group.mul(group.mul(group.inverse(a), x), a) not in sub:
-                    return False
-        span = group.subgroup_generated(q_elems)
-        for a in span:
-            for b in span:
-                if group.mul(a, b) != group.mul(b, a):
-                    return False
+        q_elems = np.flatnonzero((_p_part(n, q) % orders == 0) & (orders > 1))
+        # in_sub[i, y]: y lies in the cyclic subgroup of q_elems[i]
+        in_sub = np.zeros((q_elems.size, n), dtype=bool)
+        rows = np.arange(q_elems.size)
+        cur = q_elems
+        for _ in range(int(orders[q_elems].max(initial=1))):
+            in_sub[rows, cur] = True
+            cur = t[cur, q_elems]
+        conj = t[t[group.inv[None, :], q_elems[:, None]], every[None, :]]  # a^-1 x a
+        if not in_sub[rows[:, None], conj].all():
+            return False
+        span = np.asarray(group.subgroup_generated(q_elems.tolist()))
+        t_ss = t[span[:, None], span]
+        if not (t_ss == t_ss.T).all():
+            return False
     return True
-
-
-def _is_prime_power_order(group: FiniteGroup, x: int, q: int) -> bool:
-    m = group.element_order(x)
-    if m == 1:
-        return False
-    while m % q == 0:
-        m //= q
-    return m == 1
 
 
 def central_idempotent_check(group: FiniteGroup, fld: GF) -> bool:
@@ -547,7 +562,7 @@ def decide(
         _maybe_oracle_check(report, group, fld, mode, budget)
         return report
 
-    p_group = group.subgroup(dec.p_part, name=f"{group.name}|P")
+    p_group = _p_part_group(group, dec)
     report.details["p_part_order"] = p_group.n
 
     t1 = time.perf_counter()
@@ -624,7 +639,7 @@ def decide_structural(group: FiniteGroup, fld: GF) -> DecisionReport:
         report.verdict = NOT_ESSENTIAL
         report.reason = "sylow_decomposition_failed"
         return report
-    p_group = group.subgroup(dec.p_part, name=f"{group.name}|P")
+    p_group = _p_part_group(group, dec)
     nc = p_group.nilpotency_class
     report.details["p_part_class"] = nc
     if nc is not None and nc <= 2:

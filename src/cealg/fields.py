@@ -69,11 +69,14 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) 
 
 
 def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by every lower-degree monic polynomial."""
+    """Trial division by every monic polynomial of degree 1..k/2: a
+    reducible m has a factor of at most half its degree."""
     k = len(m) - 1
     if k < 1:
         return False
-    for d in range(1, k):
+    if m[0] % p == 0:  # divisible by t
+        return k == 1
+    for d in range(1, k // 2 + 1):
         for enc in range(p**d):
             div = _decode_base(enc, p, d) + [1]
             if not _poly_trim(_poly_mod(list(m), div, p)):
@@ -132,7 +135,7 @@ class GF:
                 self._add_t = (a[:, None] + a[None, :]) % p
                 self._mul_t = (a[:, None] * a[None, :]) % p
             return
-        dig = self._dig = np.array([_decode_base(x, p, k) for x in range(q)], dtype=np.int64)
+        dig = self._dig = (a[:, None] // self._pmat) % p
         self._build_log_exp()
         log, exp = self._log[1:], self._exp
         self._neg_t = ((-dig) % p) @ self._pmat
@@ -143,17 +146,20 @@ class GF:
             self._mul_t[1:, 1:] = exp[(log[:, None] + log[None, :]) % (q - 1)]
 
     def _build_log_exp(self) -> None:
+        """Powers of a generator g by doubling: once exp holds g^0..g^(s-1),
+        the next s powers are that block times g^s, one vector product."""
         q = self.order
         g = self._find_generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_scalar(x, g)
-        if x != 1:
+        exp = np.ones(q - 1, dtype=np.int64)
+        s, g_s = 1, g  # g_s = g^s
+        while s < q - 1:
+            m = min(s, q - 1 - s)
+            exp[s : s + m] = self.vmatmul(exp[:m, None], np.array([[g_s]]))[:, 0]
+            s, g_s = s + m, self._mul_scalar(g_s, g_s)
+        if self._mul_scalar(int(exp[-1]), g) != 1:
             raise RuntimeError("generator order mismatch")
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
         self._exp, self._log = exp, log
 
     def _find_generator(self) -> int:

@@ -78,20 +78,27 @@ class FiniteGroup:
     # -- construction checks -------------------------------------------------
 
     def _compute_inverses(self) -> np.ndarray:
-        inv = np.full(self.n, -1, dtype=np.int32)
-        for g in range(self.n):
-            hits = np.nonzero(self.table[g] == 0)[0]
-            if hits.size != 1:
-                raise GroupValidationError(f"element {g} lacks a unique right inverse")
-            inv[g] = hits[0]
-        return inv
+        hits = self.table == 0
+        unique = np.count_nonzero(hits, axis=1) == 1
+        if not unique.all():
+            raise GroupValidationError(f"element {unique.argmin()} lacks a unique right inverse")
+        return hits.argmax(axis=1).astype(np.int32)
 
     def _validate(self) -> None:
         n, t = self.n, self.table
         if t.min() < 0 or t.max() >= n:
             raise GroupValidationError("table entries out of range")
         ref = np.arange(n, dtype=np.int32)
-        if not (np.sort(t, axis=1) == ref).all() or not (np.sort(t, axis=0) == ref[:, None]).all():
+        # every row and every column hits every value: mark the pairs
+        # (row, value), then (value, column), in one mask
+        seen = np.zeros(n * n, dtype=bool)
+        seen[(t + ref[:, None] * n).ravel()] = True
+        latin = seen.all()
+        if latin:
+            seen.fill(False)
+            seen[(t * n + ref).ravel()] = True
+            latin = seen.all()
+        if not latin:
             raise GroupValidationError("table is not a Latin square")
         if not (t[0] == ref).all() or not (t[:, 0] == ref).all():
             raise GroupValidationError("index 0 is not a two-sided identity")
@@ -103,9 +110,17 @@ class FiniteGroup:
                     raise GroupValidationError(f"associativity fails at element {a}")
         else:
             rng = np.random.default_rng(0xA550C)
-            idx = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
-            a, b, c = idx
-            if not (t[t[a, b], c] == t[a, t[b, c]]).all():
+            a, b, c = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
+            # t[x, y] = flat[x * n + y]; the flat indices are formed in the
+            # sample arrays themselves, so no index array is added to them
+            flat = t.ravel()
+            a *= n
+            ab = flat[a + b]
+            b *= n
+            b += c
+            a += flat[b]  # a * (b * c)
+            c += ab * n  # (a * b) * c
+            if not (flat[c] == flat[a]).all():
                 raise GroupValidationError("associativity fails on sampled triples")
 
     # -- basic operations -----------------------------------------------------
@@ -128,11 +143,36 @@ class FiniteGroup:
         return out
 
     def element_order(self, x: int) -> int:
-        m, cur = 1, x
-        while cur != 0:
-            cur = self.mul(cur, x)
-            m += 1
-        return m
+        return int(self.element_orders[x])
+
+    def powers(self, xs: np.ndarray, e: int) -> np.ndarray:
+        """x^e for every x in xs (e >= 0), by square-and-multiply gathers."""
+        t = self.table
+        out, base = np.zeros_like(xs), xs
+        while e:
+            if e & 1:
+                out = t[out, base]
+            e >>= 1
+            if e:
+                base = t[base, base]
+        return out
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Order of every element: the least divisor d of n with x^d = 1."""
+        n = self.n
+        orders = np.zeros(n, dtype=np.int64)
+        live = np.arange(n)
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            done = self.powers(live, d) == 0
+            orders[live[done]] = d
+            live = live[~done]
+            if not live.size:
+                break
+        orders.setflags(write=False)
+        return orders
 
     def commutator(self, x: int, y: int) -> int:
         """(x, y) = x^-1 y^-1 x y."""
@@ -157,20 +197,16 @@ class FiniteGroup:
     @cached_property
     def conjugacy(self) -> ClassPartition:
         t = self.table
-        n = self.n
-        a = np.arange(n, dtype=np.int32)
-        # conj[x, g] = x^-1 * (g * x), columns indexed by g
-        gx = t[:, :]  # gx[g, x] = g*x
-        conj = t[self.inv[:, None], gx.T]  # conj[x, g]
-        class_of = np.full(n, -1, dtype=np.int64)
-        classes: list[tuple[int, ...]] = []
-        for g in range(n):
-            if class_of[g] >= 0:
-                continue
-            orbit = np.unique(conj[:, g])
-            class_of[orbit] = len(classes)
-            classes.append(tuple(int(x) for x in orbit))
-        return ClassPartition(tuple(classes), tuple(int(x) for x in class_of))
+        # conj[x, g] = x^-1 * (g * x); a class is named by its least member,
+        # and the classes are numbered in the order of those
+        least = t[self.inv[:, None], t.T].min(axis=0)
+        class_of = (np.cumsum(least == np.arange(self.n)) - 1)[least]
+        members = np.argsort(class_of, kind="stable").tolist()
+        classes, start = [], 0
+        for size in np.bincount(class_of).tolist():
+            classes.append(tuple(members[start : start + size]))
+            start += size
+        return ClassPartition(tuple(classes), tuple(class_of.tolist()))
 
     @cached_property
     def center(self) -> tuple[int, ...]:
@@ -191,20 +227,18 @@ class FiniteGroup:
         return tuple(int(x) for x in np.nonzero(good)[0])
 
     def subgroup_generated(self, s: Iterable[int]) -> tuple[int, ...]:
-        # words in the generators form a subsemigroup, hence a subgroup here
-        seen = {0}
-        frontier = [0]
-        gens = sorted(set(s) | {0})
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+        # words in the generators form a subsemigroup, hence a subgroup here;
+        # each round multiplies the newest words by every generator at once
+        t = self.table
+        gens = np.unique(np.fromiter(s, dtype=np.int64))
+        seen = np.zeros(self.n, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size and gens.size:
+            nxt = np.unique(t[frontier[:, None], gens])
+            frontier = nxt[~seen[nxt]]
+            seen[frontier] = True
+        return tuple(np.flatnonzero(seen).tolist())
 
     @cached_property
     def commutator_subgroup(self) -> tuple[int, ...]:
@@ -240,39 +274,35 @@ class FiniteGroup:
 
     def subgroup(self, members: Iterable[int], name: str | None = None) -> "FiniteGroup":
         """The subgroup on the given closed member set, reindexed canonically."""
-        mem = sorted(set(members))
-        if mem[0] != 0:
+        inside = np.zeros(self.n, dtype=bool)
+        inside[np.fromiter(members, dtype=np.int64)] = True
+        if not inside[0]:
             raise ValueError("subgroup must contain the identity")
-        pos = {g: i for i, g in enumerate(mem)}
-        try:
-            table = [[pos[self.mul(x, y)] for y in mem] for x in mem]
-        except KeyError:
+        mem = np.flatnonzero(inside)
+        prod = self.table[mem[:, None], mem]
+        if not inside[prod].all():
             raise ValueError("member set is not closed under multiplication")
-        labels = [self.label(g) for g in mem] if self.labels else None
-        return FiniteGroup(table, name or f"{self.name}|sub{len(mem)}", labels)
+        # the position of each member in the sorted member list
+        table = (np.cumsum(inside, dtype=np.int32) - 1)[prod]
+        labels = [self.labels[g] for g in mem.tolist()] if self.labels else None
+        return FiniteGroup(table, name or f"{self.name}|sub{mem.size}", labels)
 
     def is_normal(self, members: Iterable[int]) -> bool:
-        mem = set(members)
-        arr = np.array(sorted(mem), dtype=np.int64)
+        arr = np.unique(np.fromiter(members, dtype=np.int64))
+        inside = np.zeros(self.n, dtype=bool)
+        inside[arr] = True
         t = self.table
-        conj = t[t[self.inv[:, None], arr[None, :]], np.arange(self.n, dtype=np.int64)[:, None]]
-        return all(int(x) in mem for x in np.unique(conj))
+        conj = t[t[self.inv[:, None], arr[None, :]], np.arange(self.n)[:, None]]
+        return bool(inside[conj].all())
 
     def quotient(self, normal: Iterable[int], name: str | None = None) -> "FiniteGroup":
-        mem = sorted(set(normal))
-        if not self.is_normal(mem):
+        arr = np.unique(np.fromiter(normal, dtype=np.int64))
+        if not self.is_normal(arr):
             raise ValueError("quotient requires a normal subgroup")
-        arr = np.array(mem, dtype=np.int64)
-        coset_min = np.full(self.n, -1, dtype=np.int64)
-        reps: list[int] = []
-        for g in range(self.n):
-            if coset_min[g] >= 0:
-                continue
-            coset = np.unique(self.table[g, arr])
-            coset_min[coset] = len(reps)
-            reps.append(g)
-        table = [[int(coset_min[self.mul(x, y)]) for y in reps] for x in reps]
-        return FiniteGroup(table, name or f"{self.name}/N{len(mem)}")
+        # cosets gN are named by their least member, and numbered in that order
+        reps, coset_of = np.unique(self.table[:, arr].min(axis=1), return_inverse=True)
+        table = coset_of[self.table[reps[:, None], reps]]
+        return FiniteGroup(table, name or f"{self.name}/N{arr.size}")
 
     # -- invariants used as construction fingerprints -------------------------
 
@@ -282,13 +312,12 @@ class FiniteGroup:
         (order, element-order counts, class-size counts, |Z_i| chain, |G'|,
         abelianization element-order counts).
         """
-        orders = sorted(self.element_order(x) for x in range(self.n))
-        order_counts = _counts(orders)
+        order_counts = _counts(sorted(self.element_orders.tolist()))
         class_counts = _counts(sorted(self.conjugacy.sizes))
         chain = tuple(len(s) for s in self.upper_central_series.subgroups)
         gprime = self.commutator_subgroup
         ab = self.quotient(gprime)
-        ab_counts = _counts(sorted(ab.element_order(x) for x in range(ab.n)))
+        ab_counts = _counts(sorted(ab.element_orders.tolist()))
         return (self.n, order_counts, class_counts, chain, len(gprime), ab_counts)
 
     # -- predicates feeding the structural deciders ---------------------------
@@ -303,19 +332,20 @@ class FiniteGroup:
         classes (conjugating g carries gH onto the same class), so one
         representative per class is checked.
         """
-        z = self.center
+        t = self.table
+        cp = self.conjugacy
+        class_of = np.asarray(cp.class_of)
+        cyclic: dict[int, np.ndarray] = {}  # central z -> the subgroup <z>
         cert: dict[int, int] = {}
-        for cls in self.conjugacy.classes:
+        for cls in cp.classes:
             if len(cls) == 1:
                 continue
             g = cls[0]
-            cls_set = set(cls)
             found = None
-            for zc in z:
-                if zc == 0:
-                    continue
-                h = self.subgroup_generated([zc])
-                if all(self.mul(g, x) in cls_set for x in h):
+            for zc in self.center[1:]:
+                if zc not in cyclic:
+                    cyclic[zc] = np.asarray(self.subgroup_generated([zc]))
+                if (class_of[t[g, cyclic[zc]]] == class_of[g]).all():
                     found = zc
                     break
             if found is None:
@@ -348,11 +378,15 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(a[b[x]] for x in range(len(a)))
 
 
-def closure_elements(degree: int, gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _closure(
+    degree: int, gens: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, ...]], np.ndarray, list[int], list[int]]:
     """Breadth-first closure of permutations under composition.
 
-    Element order: identity first, then words by length, ties broken by
-    generator index.
+    Returns the elements (identity first, then words by length, ties broken
+    by generator index), the right-multiplication maps right[k, i] = index of
+    element i . gens[k], and for every element but the identity the element
+    and generator whose product first reached it.
     """
     gen_ts = []
     for g in gens:
@@ -363,20 +397,26 @@ def closure_elements(degree: int, gens: Sequence[Sequence[int]]) -> list[tuple[i
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    frontier = [ident]
+    right: list[list[int]] = [[] for _ in gen_ts]
+    parent: list[int] = [0]
+    via: list[int] = [0]
+    frontier = [0]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gen_ts:
-                c = _compose(w, g)
+            for k, g in enumerate(gen_ts):
+                c = _compose(elems[w], g)
                 if c not in index:
                     if len(elems) >= ORDER_CAP:
                         raise ValueError(f"closure exceeds the order cap {ORDER_CAP}")
                     index[c] = len(elems)
                     elems.append(c)
-                    nxt.append(c)
+                    parent.append(w)
+                    via.append(k)
+                    nxt.append(index[c])
+                right[k].append(index[c])
         frontier = nxt
-    return elems
+    return elems, np.array(right, dtype=np.int32).reshape(len(gen_ts), len(elems)), parent, via
 
 
 def cycle_notation(perm: Sequence[int]) -> str:
@@ -401,32 +441,30 @@ def group_from_generators(
     name: str = "G",
 ) -> FiniteGroup:
     """The permutation group generated by gens, as a Cayley table."""
-    elems = closure_elements(degree, gens)
-    index = {e: i for i, e in enumerate(elems)}
+    elems, right, parent, via = _closure(degree, gens)
     n = len(elems)
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[_compose(a, b)]
+    # column j of the table from its parent's: a . (w . g) = (a . w) . g.
+    # Parents are listed before their children, so columns fill in order.
+    cols = np.empty((n, n), dtype=np.int32)
+    cols[0] = np.arange(n)
+    for j in range(1, n):
+        cols[j] = right[via[j], cols[parent[j]]]
     labels = [cycle_notation(e) for e in elems]
-    return FiniteGroup(table, name, labels)
+    return FiniteGroup(np.ascontiguousarray(cols.T), name, labels)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
     n1, n2 = g1.n, g2.n
     if n1 * n2 > ORDER_CAP:
         raise ValueError(f"product order {n1 * n2} exceeds the cap {ORDER_CAP}")
-    t1 = g1.table.astype(np.int64)
-    t2 = g2.table.astype(np.int64)
     # pair (x, y) -> x * n2 + y
-    table = (np.kron(t1, np.ones((n2, n2), dtype=np.int64)) * n2
-             + np.kron(np.ones((n1, n1), dtype=np.int64), t2))
+    table = g1.table[:, None, :, None] * np.int32(n2) + g2.table[None, :, None, :]
     labels = None
     if g1.labels or g2.labels:
         labels = [
             f"({g1.label(x)},{g2.label(y)})" for x in range(n1) for y in range(n2)
         ]
-    return FiniteGroup(table.astype(np.int32), name or f"{g1.name} x {g2.name}", labels)
+    return FiniteGroup(table.reshape(n1 * n2, n1 * n2), name or f"{g1.name} x {g2.name}", labels)
 
 
 def semidirect_product(
@@ -463,19 +501,17 @@ def semidirect_product(
                 f"action of element {c} is not an automorphism: fails at pair "
                 f"({int(bad[0])}, {int(bad[1])})"
             )
-    tg = gamma.table.astype(np.int64)
+    tg = gamma.table
     for c1 in range(ng):
-        for c2 in range(ng):
-            if not (acts[tg[c1, c2]] == acts[c1][acts[c2]]).all():
-                raise ValueError(
-                    f"action is not a homomorphism: fails at pair ({c1}, {c2})"
-                )
-    # pair (x, c) -> x * ng + c
-    table = np.zeros((nn * ng, nn * ng), dtype=np.int64)
-    for c in range(ng):
-        moved = tn[:, acts[c]]  # moved[x, x'] = x * c(x')
-        for c2 in range(ng):
-            rows = (np.arange(nn) * ng + c)[:, None]
-            cols = (np.arange(nn) * ng + c2)[None, :]
-            table[rows, cols] = moved * ng + tg[c, c2]
-    return FiniteGroup(table.astype(np.int32), name or f"{n_grp.name} : {gamma.name}", labels)
+        # hom[c2, x] says action[c1 c2](x) = action[c1](action[c2](x))
+        hom = (acts[tg[c1]] == acts[c1][acts]).all(axis=1)
+        if not hom.all():
+            raise ValueError(
+                f"action is not a homomorphism: fails at pair ({c1}, {int(np.argmin(hom))})"
+            )
+    # pair (x, c) -> x * ng + c; moved[x, c, x'] = x * action[c](x')
+    moved = n_grp.table[:, acts].astype(np.int32)
+    table = moved[:, :, :, None] * np.int32(ng) + tg[None, :, None, :]
+    return FiniteGroup(
+        table.reshape(nn * ng, nn * ng), name or f"{n_grp.name} : {gamma.name}", labels
+    )

@@ -1,6 +1,11 @@
+import itertools
+from functools import partial
+
+import numpy as np
 import pytest
 
 from cealg import catalog
+from cealg.groups import direct_product
 
 
 class TestNamedGroups:
@@ -121,3 +126,89 @@ def test_standard_entries_deterministic():
     a = [name for name, _ in catalog.standard_entries()]
     b = [name for name, _ in catalog.standard_entries()]
     assert a == b and len(a) == 35
+
+
+# -- the array builders against a per-pair loop over the same laws -------------
+
+
+def _law_table(elems, law):
+    """Reference Cayley table: one law call per ordered pair."""
+    index = {e: i for i, e in enumerate(elems)}
+    return np.array([[index[law(a, b)] for b in elems] for a in elems])
+
+
+def _cyclic_ref(n):
+    return _law_table(list(range(n)), lambda a, b: (a + b) % n)
+
+
+def _dihedral_ref(order):
+    m = order // 2
+
+    def law(x, y):
+        (i, s), (j, t) = x, y
+        return ((i + (j if s == 0 else -j)) % m, (s + t) % 2)
+
+    return _law_table([(i, s) for s in range(2) for i in range(m)], law)
+
+
+def _quaternion_ref(order):
+    m, half = order // 2, order // 4
+
+    def law(a, b):
+        (x, u), (y, v) = a, b
+        return ((x + (y if u == 0 else -y) + (half if u and v else 0)) % m, (u + v) % 2)
+
+    return _law_table([(x, u) for u in range(2) for x in range(m)], law)
+
+
+def _heisenberg_ref(p):
+    def law(a, b):
+        (i, j, k), (x, y, z) = a, b
+        return ((i + x) % p, (j + y) % p, (k + z + i * y) % p)
+
+    return _law_table(list(itertools.product(range(p), repeat=3)), law)
+
+
+def _pauli_ref():
+    def law(a, b):
+        (e1, u1, v1), (e2, u2, v2) = a, b
+        return ((e1 + e2 + 2 * v1 * u2) % 4, (u1 + u2) % 2, (v1 + v2) % 2)
+
+    return _law_table(list(itertools.product(range(4), range(2), range(2))), law)
+
+
+def _normal_form_p4_ref(p):
+    def law(x, y):
+        (k, l, m, r), (k2, l2, m2, r2) = x, y
+        return ((k + k2) % p, (l + l2 + r * m2) % p, (m + m2) % p, (r + r2) % p)
+
+    return _law_table(list(itertools.product(range(p), repeat=4)), law)
+
+
+_LAW_CASES = (
+    [(f"C{n}", partial(catalog.cyclic, n), partial(_cyclic_ref, n)) for n in (1, 2, 12)]
+    + [(f"D{n}", partial(catalog.dihedral, n), partial(_dihedral_ref, n)) for n in (6, 16, 30)]
+    + [(f"Q{n}", partial(catalog.gen_quaternion, n), partial(_quaternion_ref, n)) for n in (8, 16, 32)]
+    + [(f"H{p}", partial(catalog.heisenberg, p), partial(_heisenberg_ref, p)) for p in (2, 3, 5)]
+    + [("P16", catalog.pauli16, _pauli_ref)]
+)
+
+
+@pytest.mark.parametrize("build, ref", [c[1:] for c in _LAW_CASES], ids=[c[0] for c in _LAW_CASES])
+def test_law_builders_match_per_pair_loop(build, ref):
+    assert (build().table == ref()).all()
+
+
+def test_normal_form_base_matches_per_pair_loop():
+    # prop29:3 pairs (x, c) as x * 3 + c; the pairs (x, 0) form N_3^4
+    g = catalog.p5_class3_group(3)
+    base = g.subgroup(range(0, g.n, 3))
+    assert (base.table == _normal_form_p4_ref(3)).all()
+
+
+@pytest.mark.parametrize("a, b", [("Q8", "C3"), ("S3", "D8"), ("C1", "H3"), ("C4", "C1")])
+def test_direct_product_matches_per_pair_loop(a, b):
+    g1, g2 = catalog.get(a), catalog.get(b)
+    pairs = [(x, y) for x in range(g1.n) for y in range(g2.n)]
+    ref = _law_table(pairs, lambda u, v: (g1.mul(u[0], v[0]), g2.mul(u[1], v[1])))
+    assert (direct_product(g1, g2).table == ref).all()

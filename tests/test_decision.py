@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cealg import catalog
 from cealg.algebra import GroupAlgebra
@@ -20,6 +22,7 @@ from cealg.decision import (
     witness_not_ce,
 )
 from cealg.fields import field_make
+from cealg.groups import FiniteGroup
 
 
 class TestOracle:
@@ -327,3 +330,53 @@ class TestVerdictsOverExtensionFields:
         r = decide(catalog.quaternion8(), f4, mode="crossvalidate")
         assert r.verdict == ESSENTIAL
         assert ("oracle", ESSENTIAL) in r.cross_checks
+
+
+# -- invariance under relabeling the group elements -----------------------------
+
+RELABEL_CASES = [
+    ("Q8", 2), ("D16", 2), ("QD16", 2), ("order16:12", 2), ("S3", 2), ("S3", 3),
+    ("D12", 3), ("Q8 x C3", 2), ("H3", 3), ("prop29:2", 2),
+]
+
+
+def _relabel(g, perm):
+    """The same group with element x renamed perm[x]; perm fixes 0."""
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = perm[g.table]
+    labels = [""] * g.n
+    for x in range(g.n):
+        labels[perm[x]] = g.label(x)
+    return FiniteGroup(table, g.name, labels)
+
+
+@st.composite
+def _relabelings(draw):
+    spec, p = draw(st.sampled_from(RELABEL_CASES))
+    g = catalog.get(spec)
+    rest = draw(st.permutations(range(1, g.n)))
+    return g, p, np.array([0, *rest])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_relabelings())
+def test_relabeling_invariance(case):
+    g, p, perm = case
+    h = _relabel(g, perm)
+    assert sorted(h.element_orders.tolist()) == sorted(g.element_orders.tolist())
+    dg, dh = decompose_p(g, p), decompose_p(h, p)
+    assert (len(dh.p_part), len(dh.p_prime_part), dh.is_direct) == (
+        len(dg.p_part), len(dg.p_prime_part), dg.is_direct)
+    assert sorted(h.conjugacy.sizes) == sorted(g.conjugacy.sizes)
+    assert ([len(s) for s in h.upper_central_series.subgroups]
+            == [len(s) for s in g.upper_central_series.subgroups])
+    fld = field_make(p)
+    rg, rh = decide(g, fld), decide(h, fld)
+    assert (rh.verdict, rh.reason) == (rg.verdict, rg.reason)
+    assert len(rh.witnesses) == len(rg.witnesses)
+    alg = GroupAlgebra(h, fld)
+    for w in rh.witnesses:
+        x = alg.from_support((h.index_of_label(lab), v) for lab, v in w["element"])
+        assert not alg.is_central(x)
+        admits, _ = candidate_admits_central_multiple(alg, x.coeffs)
+        assert not admits

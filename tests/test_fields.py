@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ class TestConstruction:
         x = 700
         assert F.mul(x, F.inv(x)) == 1
         assert F.mul(3, F.mul(5, 7)) == F.mul(F.mul(3, 5), 7)
+
+    @pytest.mark.parametrize("p, k", [(2, 8), (3, 5), (5, 3)])
+    def test_log_exp_match_scalar_walk(self, p, k):
+        F = GF(p, k)
+        g, x = F._find_generator(), 1
+        exp, log = [], np.zeros(F.order, dtype=np.int64)
+        for i in range(F.order - 1):
+            exp.append(x)
+            log[x] = i
+            x = F._mul_scalar(x, g)
+        assert x == 1
+        assert F._exp.tolist() == exp and F._log.tolist() == log.tolist()
+        assert F._dig.tolist() == [list(F.decode(x)) for x in range(F.order)]
+
+    def test_largest_field_builds_fast(self):
+        t0 = time.process_time()
+        F = GF(2, 16)
+        assert time.process_time() - t0 < 1.0
+        assert F.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+        assert F.mul(F.inv(40000), 40000) == 1
 
     def test_encode_decode_roundtrip(self, f4):
         for x in range(4):

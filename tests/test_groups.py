@@ -5,6 +5,7 @@ from cealg import catalog
 from cealg.groups import (
     FiniteGroup,
     GroupValidationError,
+    _closure,
     direct_product,
     group_from_generators,
     semidirect_product,
@@ -42,6 +43,10 @@ class TestGenerators:
     def test_swap_gives_c2(self):
         g = group_from_generators(2, [(1, 0)])
         assert g.n == 2
+
+    def test_no_generators_give_trivial_group(self):
+        g = group_from_generators(3, [])
+        assert g.n == 1 and g.labels == ["e"]
 
     def test_s3(self):
         g = group_from_generators(3, [(1, 0, 2), (1, 2, 0)], "S3")
@@ -249,3 +254,133 @@ class TestJsonShapes:
             group_from_generators(2, [(1, 0)]).index_of_label("nope")
         unlabeled = FiniteGroup([[0, 1], [1, 0]])
         assert unlabeled.label(1) == "1"
+
+
+# -- the array analyses against scalar loops over the table ---------------------
+
+REFERENCE_SPECS = [f"order16:{i}" for i in range(1, 15)] + ["S3", "D12", "Q8 x C3"]
+
+
+def _orders_ref(g):
+    out = []
+    for x in range(g.n):
+        m, cur = 1, x
+        while cur != 0:
+            cur = g.mul(cur, x)
+            m += 1
+        out.append(m)
+    return out
+
+
+def _decompose_ref(g, p):
+    orders = _orders_ref(g)
+
+    def is_p_power(m):
+        while m % p == 0:
+            m //= p
+        return m == 1
+
+    p_part = tuple(x for x in range(g.n) if is_p_power(orders[x]))
+    h_part = tuple(x for x in range(g.n) if orders[x] % p != 0)
+    closed = all(g.mul(a, b) in set(p_part) for a in p_part for b in p_part)
+    commute = all(g.mul(a, b) == g.mul(b, a) for a in p_part for b in h_part)
+    h_ab = all(g.mul(a, b) == g.mul(b, a) for a in h_part for b in h_part)
+    return p_part, h_part, closed, commute, h_ab
+
+
+def _subgroup_table_ref(g, mem):
+    pos = {x: i for i, x in enumerate(mem)}
+    return [[pos[g.mul(x, y)] for y in mem] for x in mem]
+
+
+def _classes_ref(g):
+    classes = []
+    for x in range(g.n):
+        if not any(x in c for c in classes):
+            classes.append(tuple(sorted({g.mul(g.mul(g.inverse(a), x), a) for a in range(g.n)})))
+    return tuple(classes)
+
+
+def _generated_ref(g, gens):
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = [g.mul(x, s) for x in frontier for s in gens]
+        frontier = [y for y in dict.fromkeys(nxt) if y not in seen]
+        seen.update(frontier)
+    return tuple(sorted(seen))
+
+
+def _central_coset_ref(g):
+    cert = {}
+    for cls in _classes_ref(g):
+        if len(cls) == 1:
+            continue
+        rep = cls[0]
+        found = next(
+            (z for z in g.center if z != 0
+             and all(g.mul(rep, h) in cls for h in _generated_ref(g, [z]))),
+            None,
+        )
+        if found is None:
+            return False, {"violator": rep, "witnesses": cert}
+        cert[rep] = found
+    return True, {"violator": None, "witnesses": cert}
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_analyses_match_scalar_loops(spec):
+    from cealg.decision import decompose_p
+
+    g = catalog.get(spec)
+    assert g.element_orders.tolist() == _orders_ref(g)
+    assert g.conjugacy.classes == _classes_ref(g)
+    for p in (2, 3, 5):
+        dec = decompose_p(g, p)
+        assert (dec.p_part, dec.p_prime_part, dec.p_part_is_subgroup, dec.parts_commute,
+                dec.h_abelian) == _decompose_ref(g, p)
+        if dec.p_part_is_subgroup:
+            sub = g.subgroup(dec.p_part)
+            assert sub.table.tolist() == _subgroup_table_ref(g, dec.p_part)
+            assert sub.labels == ([g.labels[x] for x in dec.p_part] if g.labels else None)
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                g.subgroup(dec.p_part)
+    for x in range(0, g.n, 5):
+        assert g.subgroup_generated([x, g.n - 1 - x]) == _generated_ref(g, [x, g.n - 1 - x])
+    assert g.central_coset_condition() == _central_coset_ref(g)
+
+
+def test_generator_table_matches_composition_loop():
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    g = group_from_generators(4, gens, "S4")
+    elems = _closure(4, gens)[0]
+    index = {e: i for i, e in enumerate(elems)}
+    ref = [[index[tuple(a[b[x]] for x in range(4))] for b in elems] for a in elems]
+    assert g.n == 24 and g.table.tolist() == ref
+
+
+def test_no_scalar_loops_on_catalog_and_decide(monkeypatch):
+    """Building and deciding go through whole-table gathers: not one call of
+    the scalar product or the scalar element order."""
+    from cealg.decision import decide
+    from cealg.fields import field_make
+
+    calls = {"mul": 0, "element_order": 0}
+
+    def counted(name):
+        orig = getattr(FiniteGroup, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return orig(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FiniteGroup, name, counted(name))
+    catalog.heisenberg.cache_clear()
+    catalog.cyclic.cache_clear()
+    h11 = catalog.get("H11")
+    catalog.get("C1024")
+    assert decide(h11, field_make(11)).verdict == "centrally_essential"
+    assert calls == {"mul": 0, "element_order": 0}
