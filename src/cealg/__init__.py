@@ -9,8 +9,6 @@ from .decision import (
     BudgetError,
     DecisionReport,
     decide,
-    decide_char0,
-    decide_structural,
     oracle_centrally_essential,
     socle_centrally_essential,
     witness_ce,

@@ -30,10 +30,7 @@ from .decision import (
     DEFAULT_BUDGET,
     StructuralUndecidedError,
     decide,
-    decide_char0,
-    decide_structural,
     oracle_centrally_essential,
-    socle_centrally_essential,
 )
 from .fields import GF, field_make, is_prime
 from .groups import ORDER_CAP, FiniteGroup, group_from_generators
@@ -92,11 +89,15 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _field_label(field: tuple[int, int]) -> str:
+    p, k = field
+    return f"GF({p}^{k})" if k > 1 else f"GF({p})"
+
+
 def _report_text(r: DecisionReport) -> str:
     lines = [
         f"group    {r.group_name} (order {r.group_order})",
-        "field    " + ("characteristic 0" if r.field is None else
-                       f"GF({r.field[0]}" + (f"^{r.field[1]})" if r.field[1] > 1 else ")")),
+        "field    " + ("characteristic 0" if r.field is None else _field_label(r.field)),
         f"method   {r.method}",
         f"verdict  {r.verdict}",
         f"reason   {r.reason}",
@@ -152,47 +153,13 @@ def cmd_check(args) -> int:
         raise ValueError("characteristic 0 admits only the structural decider")
     if fld is not None and method == "char0":
         raise ValueError("char0 method requires --field 0")
-    if method == "oracle" and fld is None:
-        raise ValueError("the oracle needs a finite field")
+    if args.crossvalidate:
+        if fld is None or method != "auto":
+            raise ValueError("--crossvalidate needs --method auto and a finite field")
+        method = "crossvalidate"
 
     t0 = time.perf_counter()
-    if fld is None:
-        report = decide_char0(group)
-    elif method in ("auto",):
-        report = decide(group, fld, mode="crossvalidate" if args.crossvalidate else "auto",
-                        budget=args.budget)
-    elif method == "oracle":
-        out = oracle_centrally_essential(group, fld, budget=args.budget)
-        report = DecisionReport(
-            group_name=group.name, group_order=group.n, field=(fld.p, fld.k),
-            method="oracle", verdict=out.verdict,
-            reason="oracle_counterexample" if out.counterexample else "oracle_no_counterexample",
-            details=out.artifact,
-        )
-        if out.counterexample is not None:
-            report.witnesses.append({
-                "kind": "oracle_counterexample",
-                "element": out.counterexample.to_report(),
-                "checks": out.artifact,
-            })
-    elif method == "socle":
-        out = socle_centrally_essential(group, fld)
-        report = DecisionReport(
-            group_name=group.name, group_order=group.n, field=(fld.p, fld.k),
-            method="socle", verdict=out.verdict,
-            reason="socle_inside_center" if out.verdict == ESSENTIAL else "socle_outside_center",
-            details={"socle_dim": out.socle_dim},
-        )
-        if out.excess is not None:
-            report.witnesses.append({
-                "kind": "socle_excess",
-                "element": out.excess.to_report(),
-                "checks": out.artifact,
-            })
-    elif method == "structural":
-        report = decide_structural(group, fld)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    report = decide(group, fld, method, args.budget)
     report.timings["total"] = time.perf_counter() - t0
 
     text = (_report_json(report, args.timings) if args.format == "json"
@@ -206,7 +173,7 @@ def _reproduce_remark31(fmt: str) -> tuple[int, str]:
     rows = []
     bad = []
     for g in catalog.order16_all():
-        r = decide(g, f2, mode="crossvalidate")
+        r = decide(g, f2, "crossvalidate")
         rows.append(r)
         if r.verdict != ESSENTIAL:
             bad.append(f"{g.name}: verdict {r.verdict}")
@@ -224,7 +191,7 @@ def _reproduce_prop29(fmt: str, include_p5: bool) -> tuple[int, str]:
     for p in ps:
         g = catalog.p5_class3_group(p)
         fld = field_make(p)
-        r = decide_structural(g, fld) if p == 5 else decide(g, fld)
+        r = decide(g, fld, "structural" if p == 5 else "auto")
         rows.append(r)
         if r.verdict != NOT_ESSENTIAL:
             bad.append(f"{g.name}: verdict {r.verdict}")
@@ -261,8 +228,7 @@ def _format_rows(rows: list[DecisionReport], fmt: str, bad: list[str]) -> str:
     header = ("group", "order", "field", "method", "reason")
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)) + "  verdict"]
     for r in rows:
-        fld = "char0" if r.field is None else (
-            f"GF({r.field[0]}" + (f"^{r.field[1]})" if r.field[1] > 1 else ")"))
+        fld = "char0" if r.field is None else _field_label(r.field)
         cells = (r.group_name[:24], str(r.group_order), fld, r.method, r.reason[:28])
         lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + f"  {r.verdict}")
     if bad:
@@ -306,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--method", choices=["auto", "oracle", "socle", "structural", "char0"],
                    default="auto")
     c.add_argument("--crossvalidate", action="store_true",
-                   help="run redundant deciders and assert agreement")
+                   help="run redundant deciders and assert agreement "
+                        "(with --method auto over a finite field)")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="oracle enumeration budget (total candidate count)")
     c.add_argument("--format", choices=["text", "json"], default="text")

@@ -505,155 +505,140 @@ def central_idempotent_check(group: FiniteGroup, fld: GF) -> bool:
 # -- the pipeline -------------------------------------------------------------------
 
 
-def decide_char0(group: FiniteGroup) -> DecisionReport:
-    """Over any field of characteristic zero FG is centrally essential
-    exactly when it is commutative, i.e. when G is abelian."""
-    ab = group.is_abelian
-    return DecisionReport(
-        group_name=group.name,
-        group_order=group.n,
-        field=None,
-        method="char0",
-        verdict=ESSENTIAL if ab else NOT_ESSENTIAL,
-        reason="char0_commutative" if ab else "char0_noncommutative",
-    )
-
-
 def _witness_dict(kind: str, x: AlgebraElement, checks: dict) -> dict:
     return {"kind": kind, "element": x.to_report(), "checks": checks}
 
 
 def decide(
     group: FiniteGroup,
-    fld: GF,
-    mode: str = "auto",
+    fld: GF | None,
+    method: str = "auto",
     budget: int = DEFAULT_BUDGET,
 ) -> DecisionReport:
-    """Full decision pipeline for a finite field:
+    """The one decision entry point: a verdict, a reason and re-verified
+    witnesses for FG.
 
-    1. p-decomposition; failure settles the question negatively;
-    2. nilpotency class <= 2 on the p-part settles it positively;
-    3. otherwise the socle decider on the p-part;
-    4. in crossvalidate mode the socle (and, within budget, the oracle)
-       run redundantly and must agree.
+    `fld=None` is characteristic zero, where FG is centrally essential
+    exactly when it is commutative, i.e. when G is abelian (method "auto" or
+    "char0").  Over GF(p^k) the method is one of
+
+    * "auto": p-decomposition, whose failure settles the question
+      negatively; nilpotency class <= 2 on the p-part settles it
+      positively; otherwise the socle decider on the p-part;
+    * "crossvalidate": "auto", then the socle decider (after the class
+      shortcut) and, within budget, the oracle run redundantly and must
+      agree;
+    * "oracle" or "socle": that decider alone, on G itself;
+    * "structural": the structural rules alone; raises
+      StructuralUndecidedError when they do not apply.
     """
-    if mode not in ("auto", "crossvalidate"):
-        raise ValueError(f"unknown mode {mode!r}")
     report = DecisionReport(
         group_name=group.name,
         group_order=group.n,
-        field=(fld.p, fld.k),
+        field=None if fld is None else (fld.p, fld.k),
         method="structural",
         verdict="",
         reason="",
     )
+    if fld is None:
+        if method not in ("auto", "char0"):
+            raise ValueError(f"method {method!r} needs a finite field")
+        report.method = "char0"
+        if group.is_abelian:
+            report.verdict, report.reason = ESSENTIAL, "char0_commutative"
+        else:
+            report.verdict, report.reason = NOT_ESSENTIAL, "char0_noncommutative"
+    elif method == "oracle":
+        out = oracle_centrally_essential(group, fld, budget)
+        report.method, report.verdict, report.details = "oracle", out.verdict, out.artifact
+        if out.counterexample is None:
+            report.reason = "oracle_no_counterexample"
+        else:
+            report.reason = "oracle_counterexample"
+            report.witnesses.append(
+                _witness_dict("oracle_counterexample", out.counterexample, out.artifact)
+            )
+    elif method == "socle":
+        _record_socle(report, socle_centrally_essential(group, fld))
+    elif method == "structural":
+        _, p_group = _shortcuts(report, group, fld, {})
+        if not report.reason:
+            if not p_group.central_coset_condition()[0]:
+                raise StructuralUndecidedError(
+                    f"structural rules do not settle {group.name}: class > 2 "
+                    "without the central-coset condition"
+                )
+            x, artifact = witness_not_ce(p_group, fld)
+            report.verdict, report.reason = NOT_ESSENTIAL, "central_coset_witness"
+            report.witnesses.append(_witness_dict("center_sum_translate", x, artifact))
+    elif method in ("auto", "crossvalidate"):
+        dec, p_group = _shortcuts(report, group, fld, report.timings)
+        report.details["decomposition"] = {
+            "p_part_size": len(dec.p_part),
+            "p_prime_part_size": len(dec.p_prime_part),
+            "is_direct": dec.is_direct,
+            "h_abelian": dec.h_abelian,
+        }
+        if p_group is not None:
+            report.details["p_part_order"] = p_group.n
+        if not report.reason:
+            t0 = time.perf_counter()
+            soc = socle_centrally_essential(p_group, fld)
+            report.timings["socle"] = time.perf_counter() - t0
+            _record_socle(report, soc)
+            if soc.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
+                x, artifact = witness_not_ce(p_group, fld)
+                report.witnesses.append(_witness_dict("center_sum_translate", x, artifact))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+
+    if method == "crossvalidate":
+        checks = []
+        if report.reason == "nc_le_2":
+            checks.append(("socle", lambda: socle_centrally_essential(p_group, fld)))
+        if fld.order**group.n <= budget:
+            checks.append(("oracle", lambda: oracle_centrally_essential(group, fld, budget)))
+        for name, run in checks:
+            t0 = time.perf_counter()
+            verdict = run().verdict
+            report.timings[name] = time.perf_counter() - t0
+            report.cross_checks.append((name, verdict))
+            if verdict != report.verdict:
+                raise CrossValidationError(
+                    f"{name} disagrees with {report.method} ({report.reason}) on {group.name}"
+                )
+    return report
+
+
+def _shortcuts(
+    report: DecisionReport, group: FiniteGroup, fld: GF, timings: dict[str, float]
+) -> tuple[PDecomposition, FiniteGroup | None]:
+    """The Sylow split and the class <= 2 shortcut of the auto and structural
+    routes: sets the verdict and reason when they settle FG, records the
+    p-part's class, and returns the split with the p-part (None when the
+    split is not direct)."""
     t0 = time.perf_counter()
     dec = decompose_p(group, fld.p)
-    report.timings["decompose"] = time.perf_counter() - t0
-    report.details["decomposition"] = {
-        "p_part_size": len(dec.p_part),
-        "p_prime_part_size": len(dec.p_prime_part),
-        "is_direct": dec.is_direct,
-        "h_abelian": dec.h_abelian,
-    }
+    timings["decompose"] = time.perf_counter() - t0
     if not dec.is_direct:
-        report.verdict = NOT_ESSENTIAL
-        report.reason = "sylow_decomposition_failed"
-        _maybe_oracle_check(report, group, fld, mode, budget)
-        return report
-
+        report.verdict, report.reason = NOT_ESSENTIAL, "sylow_decomposition_failed"
+        return dec, None
     p_group = _p_part_group(group, dec)
-    report.details["p_part_order"] = p_group.n
-
     t1 = time.perf_counter()
     nc = p_group.nilpotency_class
-    report.timings["central_series"] = time.perf_counter() - t1
+    timings["central_series"] = time.perf_counter() - t1
     report.details["p_part_class"] = nc
-
     if nc is not None and nc <= 2:
-        report.verdict = ESSENTIAL
-        report.reason = "nc_le_2"
-        if mode == "crossvalidate":
-            t2 = time.perf_counter()
-            soc = socle_centrally_essential(p_group, fld)
-            report.timings["socle"] = time.perf_counter() - t2
-            report.cross_checks.append(("socle", soc.verdict))
-            if soc.verdict != report.verdict:
-                raise CrossValidationError(
-                    f"socle disagrees with the class shortcut on {group.name}"
-                )
-        _maybe_oracle_check(report, group, fld, mode, budget)
-        return report
+        report.verdict, report.reason = ESSENTIAL, "nc_le_2"
+    return dec, p_group
 
-    t2 = time.perf_counter()
-    soc = socle_centrally_essential(p_group, fld)
-    report.timings["socle"] = time.perf_counter() - t2
-    report.method = "socle"
-    report.verdict = soc.verdict
+
+def _record_socle(report: DecisionReport, soc: SocleOutcome) -> None:
+    """A socle outcome as the report's route, verdict, reason and witness."""
+    report.method, report.verdict = "socle", soc.verdict
     report.details["socle_dim"] = soc.socle_dim
     if soc.verdict == ESSENTIAL:
         report.reason = "socle_inside_center"
     else:
         report.reason = "socle_outside_center"
         report.witnesses.append(_witness_dict("socle_excess", soc.excess, soc.artifact))
-        ok, _ = p_group.central_coset_condition()
-        if ok:
-            x, artifact = witness_not_ce(p_group, fld)
-            report.witnesses.append(
-                _witness_dict("center_sum_translate", x, artifact)
-            )
-    _maybe_oracle_check(report, group, fld, mode, budget)
-    return report
-
-
-def _maybe_oracle_check(
-    report: DecisionReport, group: FiniteGroup, fld: GF, mode: str, budget: int
-) -> None:
-    if mode != "crossvalidate":
-        return
-    if fld.order**group.n > budget:
-        return
-    t0 = time.perf_counter()
-    oracle = oracle_centrally_essential(group, fld, budget)
-    report.timings["oracle"] = time.perf_counter() - t0
-    report.cross_checks.append(("oracle", oracle.verdict))
-    if oracle.verdict != report.verdict:
-        raise CrossValidationError(
-            f"oracle disagrees with {report.method} on {group.name}"
-        )
-
-
-def decide_structural(group: FiniteGroup, fld: GF) -> DecisionReport:
-    """Decide using only the structural rules; raises
-    StructuralUndecidedError when they do not apply."""
-    report = DecisionReport(
-        group_name=group.name,
-        group_order=group.n,
-        field=(fld.p, fld.k),
-        method="structural",
-        verdict="",
-        reason="",
-    )
-    dec = decompose_p(group, fld.p)
-    if not dec.is_direct:
-        report.verdict = NOT_ESSENTIAL
-        report.reason = "sylow_decomposition_failed"
-        return report
-    p_group = _p_part_group(group, dec)
-    nc = p_group.nilpotency_class
-    report.details["p_part_class"] = nc
-    if nc is not None and nc <= 2:
-        report.verdict = ESSENTIAL
-        report.reason = "nc_le_2"
-        return report
-    ok, _ = p_group.central_coset_condition()
-    if ok:
-        x, artifact = witness_not_ce(p_group, fld)
-        report.verdict = NOT_ESSENTIAL
-        report.reason = "central_coset_witness"
-        report.witnesses.append(_witness_dict("center_sum_translate", x, artifact))
-        return report
-    raise StructuralUndecidedError(
-        f"structural rules do not settle {group.name}: class > 2 without the "
-        "central-coset condition"
-    )

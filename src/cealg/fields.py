@@ -248,22 +248,6 @@ class GF:
             e >>= 1
         return out
 
-    def arith(self, op: str, a: int, b: int | None = None) -> int:
-        """Dispatch one named field operation; unary ops ignore b."""
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "div":
-            return self.div(a, b)
-        if op == "neg":
-            return self.neg(a)
-        if op == "inv":
-            return self.inv(a)
-        raise ValueError(f"unknown field operation {op!r}")
-
     def encode(self, coeffs: Iterable[int]) -> int:
         return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
 

@@ -14,7 +14,6 @@ from cealg.decision import (
     NOT_ESSENTIAL,
     DEFAULT_BUDGET,
     decide,
-    decide_char0,
     oracle_centrally_essential,
     socle_centrally_essential,
     witness_ce,
@@ -201,11 +200,11 @@ def test_criterion_7_structural_facts():
 def test_criterion_8_characteristic_zero():
     t0 = time.perf_counter()
     for name, g in catalog.standard_entries():
-        r = decide_char0(g)
+        r = decide(g, None)
         want = ESSENTIAL if g.is_abelian else NOT_ESSENTIAL
         assert r.verdict == want, name
-    assert decide_char0(catalog.quaternion8()).verdict == NOT_ESSENTIAL
-    assert decide_char0(catalog.sym3()).verdict == NOT_ESSENTIAL
+    assert decide(catalog.quaternion8(), None).verdict == NOT_ESSENTIAL
+    assert decide(catalog.sym3(), None).verdict == NOT_ESSENTIAL
     elapsed = time.perf_counter() - t0
     _report(8, elapsed, "characteristic-zero verdict equals the abelianness "
             "test across the catalog")

@@ -12,8 +12,6 @@ from cealg.decision import (
     StructuralUndecidedError,
     candidate_admits_central_multiple,
     decide,
-    decide_char0,
-    decide_structural,
     decompose_p,
     oracle_centrally_essential,
     radical_center_basis,
@@ -170,14 +168,14 @@ class TestDecide:
         assert r.verdict == ESSENTIAL and r.reason == "nc_le_2"
 
     def test_q8_x_c3_gf2_crossvalidated(self, f2):
-        r = decide(catalog.get("Q8 x C3"), f2, mode="crossvalidate")
+        r = decide(catalog.get("Q8 x C3"), f2, method="crossvalidate")
         assert r.verdict == ESSENTIAL
         assert ("socle", ESSENTIAL) in r.cross_checks
         # 2^24 candidates exceed the default budget: no oracle cross-check
         assert not any(name == "oracle" for name, _ in r.cross_checks)
 
     def test_crossvalidate_runs_oracle_in_budget(self, f2):
-        r = decide(catalog.quaternion8(), f2, mode="crossvalidate")
+        r = decide(catalog.quaternion8(), f2, method="crossvalidate")
         assert ("oracle", ESSENTIAL) in r.cross_checks
 
     def test_counterexample_group_gf3(self, f3):
@@ -201,7 +199,7 @@ class TestDecide:
 
     def test_rejects_bad_mode(self, f2):
         with pytest.raises(ValueError):
-            decide(catalog.quaternion8(), f2, mode="fast")
+            decide(catalog.quaternion8(), f2, method="fast")
 
     def test_timings_recorded(self, f2):
         r = decide(catalog.quaternion8(), f2)
@@ -210,30 +208,30 @@ class TestDecide:
 
 class TestDecideChar0:
     def test_abelian_positive(self):
-        assert decide_char0(catalog.cyclic(6)).verdict == ESSENTIAL
+        assert decide(catalog.cyclic(6), None).verdict == ESSENTIAL
 
     def test_q8_negative(self):
-        r = decide_char0(catalog.quaternion8())
+        r = decide(catalog.quaternion8(), None)
         assert r.verdict == NOT_ESSENTIAL and r.method == "char0"
 
     def test_s3_negative(self):
-        assert decide_char0(catalog.sym3()).verdict == NOT_ESSENTIAL
+        assert decide(catalog.sym3(), None).verdict == NOT_ESSENTIAL
 
 
 class TestStructural:
     def test_counterexample_without_linear_algebra_decider(self, f2):
-        r = decide_structural(catalog.p5_class3_group(2), f2)
+        r = decide(catalog.p5_class3_group(2), f2, "structural")
         assert r.verdict == NOT_ESSENTIAL
         assert r.reason == "central_coset_witness"
         assert r.witnesses[0]["kind"] == "center_sum_translate"
 
     def test_d16_undecided(self, f2):
         with pytest.raises(StructuralUndecidedError):
-            decide_structural(catalog.dihedral(16), f2)
+            decide(catalog.dihedral(16), f2, "structural")
 
     def test_shortcut_cases(self, f2):
-        assert decide_structural(catalog.quaternion8(), f2).verdict == ESSENTIAL
-        assert decide_structural(catalog.sym3(), f2).verdict == NOT_ESSENTIAL
+        assert decide(catalog.quaternion8(), f2, "structural").verdict == ESSENTIAL
+        assert decide(catalog.sym3(), f2, "structural").verdict == NOT_ESSENTIAL
 
 
 class TestWitnessCE:
@@ -327,7 +325,7 @@ class TestVerdictsOverExtensionFields:
     def test_q8_gf4(self, f4):
         # same machinery applies for k > 1; verdicts recorded, no
         # field-independence claim
-        r = decide(catalog.quaternion8(), f4, mode="crossvalidate")
+        r = decide(catalog.quaternion8(), f4, method="crossvalidate")
         assert r.verdict == ESSENTIAL
         assert ("oracle", ESSENTIAL) in r.cross_checks
 

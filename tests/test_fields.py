@@ -13,6 +13,8 @@ class TestConstruction:
 
     def test_gf3_arithmetic(self, f3):
         assert f3.add(2, 2) == 1
+        assert f3.sub(1, 2) == 2
+        assert f3.div(1, 2) == 2
         assert f3.inv(2) == 2
         assert f3.neg(1) == 2
 
@@ -52,16 +54,6 @@ class TestConstruction:
             f3.inv(0)
         with pytest.raises(ZeroDivisionError):
             f3.div(1, 0)
-
-    def test_arith_dispatch(self, f3):
-        assert f3.arith("add", 1, 2) == 0
-        assert f3.arith("sub", 1, 2) == 2
-        assert f3.arith("mul", 2, 2) == 1
-        assert f3.arith("div", 1, 2) == 2
-        assert f3.arith("neg", 1) == 2
-        assert f3.arith("inv", 2) == 2
-        with pytest.raises(ValueError):
-            f3.arith("xor", 1, 1)
 
     def test_large_extension_field(self):
         # above the table threshold: log/exp route
