@@ -64,10 +64,17 @@ class GroupAlgebra:
     # -- multiplication kernels ------------------------------------------------
 
     def _mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # (x y)[j] = sum over h of x[h] * y[h^-1 j], over the support of x
+        """The product x y of a coefficient vector x with y, a coefficient
+        vector of shape (n,) or a block of them as the columns of an (n, d)
+        array.
+
+        (x y)[j] = sum over h in supp x of x[h] * y[h^-1 j]: one gathered
+        product over the support of x, so a sparse x costs |supp x| rows of
+        y per result row and no n x n multiplication matrix is formed.
+        """
         g = self.group
         nz = np.nonzero(x)[0]
-        return self.field.vmatmul(x[nz], y[g.table[g.inv[nz]]])
+        return self.field.vmatmul(x[nz], y, take=g.table[g.inv[nz]])
 
     def right_mult_matrix(self, y: np.ndarray) -> Matrix:
         """Matrix RM with (x y) = x @ RM for row vectors x."""
@@ -78,7 +85,11 @@ class GroupAlgebra:
         return Matrix(self.field, rm)
 
     def left_mult_matrix(self, x: np.ndarray) -> Matrix:
-        """Matrix LM with (x y) = LM @ y for column vectors y."""
+        """Matrix LM with (x y) = LM @ y for column vectors y.
+
+        No decider builds it: it is the independent dense reference that the
+        tests hold `_mul_arrays` to, and perfbench's tracer looks it up by name.
+        """
         n, t = self.dim, self.group.table
         lm = np.zeros((n, n), dtype=np.int64)
         # LM[t[h, k], k] = x[h]; columns of t are permutations

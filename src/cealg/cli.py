@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 = centrally essential, 1 = not centrally essential,
 2 = refusal or error, 3 = a reproduction assertion failed.  Identical
-configurations produce byte-identical JSON reports; timings appear only
-with --timings.
+configurations produce byte-identical reports, text or JSON; timings
+appear only with --timings.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _field_label(field: tuple[int, int]) -> str:
     return f"GF({p}^{k})" if k > 1 else f"GF({p})"
 
 
-def _report_text(r: DecisionReport) -> str:
+def _report_text(r: DecisionReport, include_timings: bool) -> str:
     lines = [
         f"group    {r.group_name} (order {r.group_order})",
         "field    " + ("characteristic 0" if r.field is None else _field_label(r.field)),
@@ -107,8 +107,9 @@ def _report_text(r: DecisionReport) -> str:
     for w in r.witnesses:
         lines.append(f"witness  [{w['kind']}] " + " + ".join(
             f"{v}*{lab}" for lab, v in w["element"]))
-    for k, v in sorted(r.timings.items()):
-        lines.append(f"time     {k}: {v * 1000:.1f} ms")
+    if include_timings:
+        for k, v in sorted(r.timings.items()):
+            lines.append(f"time     {k}: {v * 1000:.1f} ms")
     return "\n".join(lines) + "\n"
 
 
@@ -163,7 +164,7 @@ def cmd_check(args) -> int:
     report.timings["total"] = time.perf_counter() - t0
 
     text = (_report_json(report, args.timings) if args.format == "json"
-            else _report_text(report))
+            else _report_text(report, args.timings))
     _emit(text, args.output)
     return EXIT_ESSENTIAL if report.verdict == ESSENTIAL else EXIT_NOT_ESSENTIAL
 
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="oracle enumeration budget (total candidate count)")
     c.add_argument("--format", choices=["text", "json"], default="text")
-    c.add_argument("--timings", action="store_true", help="include timings in JSON output")
+    c.add_argument("--timings", action="store_true",
+                   help="include per-phase timings in the report, text or JSON")
     c.add_argument("--output", help="write the report to this path instead of stdout")
     c.set_defaults(fn=cmd_check)
 

@@ -274,19 +274,29 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     F, n = fld, group.n
     rad = radical_center_basis(group, fld)
     for b in rad:
-        # the radical description rests on these being nilpotent; guard it
-        if not b.power(n).is_zero():
+        # the radical description rests on these being nilpotent; guard it.
+        # b is nilpotent iff b^n = 0 iff b^(2^m) = 0 for 2^m >= n, and
+        # repeated squaring can stop at the first zero
+        x, e = b, 1
+        while e < n and not x.is_zero():
+            x, e = x * x, 2 * e
+        if not x.is_zero():
             raise CrossValidationError("radical basis element is not nilpotent")
-    # intersect kernels incrementally; columns of basis span the running space
-    basis = np.eye(n, dtype=np.int64)
+    # intersect kernels incrementally; columns of basis span the running
+    # space, which starts as the whole algebra (the identity basis, so the
+    # first kernel needs no change of coordinates)
+    basis, first = np.eye(n, dtype=np.int64), True
     for b in rad:
-        lm = alg.left_mult_matrix(b.coeffs)
-        restricted = lm.matmul(Matrix(F, basis))
-        ker = restricted.nullspace()  # rows: coordinates w.r.t. current basis
+        restricted = alg._mul_arrays(b.coeffs, basis)
+        if not restricted.any():
+            continue  # b already annihilates the running space
+        ker = Matrix(F, restricted).nullspace()
         if ker.rows == 0:
             basis = np.zeros((n, 0), dtype=np.int64)
             break
-        basis = Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
+        # ker rows are coordinates w.r.t. the current basis
+        basis = ker.data.T if first else Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
+        first = False
     socle_rows = Matrix(F, basis.T).rref()[0].data
     socle_rows = socle_rows[~(socle_rows == 0).all(axis=1)]
     socle_dim = socle_rows.shape[0]

@@ -25,6 +25,12 @@ import numpy as np
 
 MAX_ORDER = 1 << 16
 TABLE_ORDER = 1 << 8
+# entries in one gathered block of a vmatmul operand
+_GATHER = 1 << 19
+# float64 integer sums are exact below this; a product with inner dimension
+# up to the largest group order, 2^13, over a field of order up to MAX_ORDER
+# stays below 2^46
+EXACT_FLOAT = 1 << 53
 
 
 def is_prime(n: int) -> bool:
@@ -127,7 +133,7 @@ class GF:
         p, k, q = self.p, self.k, self.order
         a = np.arange(q, dtype=np.int64)
         self._add_t = self._mul_t = None
-        self._dig = self._log = self._exp = None
+        self._dig = self._fplanes = self._log = self._exp = None
         if k == 1:
             self._neg_t = (-a) % p
             self._inv_t = np.array([pow(x, -1, p) if x else 0 for x in range(q)], dtype=np.int64)
@@ -136,6 +142,8 @@ class GF:
                 self._mul_t = (a[:, None] * a[None, :]) % p
             return
         dig = self._dig = (a[:, None] // self._pmat) % p
+        # the float64 digit planes for vmatmul: _fplanes[i, x] is digit i of x
+        self._fplanes = np.ascontiguousarray(dig.T, dtype=np.float64)
         self._build_log_exp()
         log, exp = self._log[1:], self._exp
         self._neg_t = ((-dig) % p) @ self._pmat
@@ -317,26 +325,71 @@ class GF:
             s = (dig.sum(0 if axis is None else axis % np.ndim(a)) % self.p) @ self._pmat
         return s if axis is not None else int(s)
 
-    def vmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def vmatmul(
+        self, a: np.ndarray, b: np.ndarray, take: np.ndarray | None = None
+    ) -> np.ndarray:
         """Field product of arrays shaped (..., m, n) @ (..., n, r).
 
-        Extension fields multiply the base-p digit arrays as integers, k^2
-        products, then reduce the coefficients mod p and the resulting
-        polynomial of degree <= 2k - 2 mod the modulus.
+        With `take`, an (s, t) index array into the first axis of b, the
+        product is a @ b[take] for a vector a of length s: entry j is
+        sum over i of a[i] * b[take[i, j]], shaped (t,) + b.shape[1:].  The
+        gather reads the float64 form of b in blocks of result rows, each at
+        most _GATHER entries, so the gathered operand is never built whole.
+
+        The operands are split into their k base-p digit planes (one plane,
+        the encodings themselves, over a prime field) and the k^2 plane
+        products run as float64 BLAS products, exact while every sum they
+        accumulate stays below 2^53 (the FFLAS-FFPACK technique).  The
+        coefficient sums are reduced mod p, and the polynomial of degree
+        <= 2k - 2 they form mod the modulus.  Raises ValueError when the
+        inner dimension is too long for exact sums.
         """
         p, k = self.p, self.k
+        inner = a.shape[-1]
+        if k * inner * (p - 1) ** 2 >= EXACT_FLOAT:
+            raise ValueError(
+                f"inner dimension {inner} too long for exact float64 products over {self}"
+            )
+        da, db = self._planes(a), self._planes(b)
+        if take is None:
+            return self._plane_product(da, db)
+        s, t = take.shape
+        width = b.size // b.shape[0]  # entries per row of b
+        rows = max(1, _GATHER // max(1, k * s * width))
+        out = np.empty(t * width, dtype=np.int64)
+        for lo in range(0, t, rows):
+            blk = take[:, lo : lo + rows]
+            out[lo * width : (lo + rows) * width] = self._plane_product(
+                da, db[:, blk].reshape(k, s, blk.shape[1] * width))
+        return out.reshape((t,) + b.shape[1:])
+
+    def _planes(self, x: np.ndarray) -> np.ndarray:
+        """The float64 digit planes of an array of encodings, shaped
+        (k,) + x.shape."""
+        return x.astype(np.float64)[None] if self.k == 1 else self._fplanes[:, x]
+
+    def _plane_product(self, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+        """The encodings of the product of two arrays of digit planes."""
+        p, k = self.p, self.k
         if k == 1:
-            return (a @ b) % p
-        da, db = self._dig[a], self._dig[b]
+            out = (da[0] @ db[0]).astype(np.int64)
+            out %= p
+            return out
         c = [0] * (2 * k - 1)
         for i in range(k):
             for j in range(k):
-                c[i + j] = c[i + j] + da[..., i] @ db[..., j]
+                c[i + j] = c[i + j] + da[i] @ db[j]
+        # the exact sums convert to int64, where % is far cheaper than fmod
+        c = [x.astype(np.int64) for x in c]
         for d in range(2 * k - 2, k - 1, -1):
             top = c[d] % p
             for i in range(k):
                 c[d - k + i] -= self.modulus[i] * top
-        return sum((c[i] % p) * p**i for i in range(k))
+        out = c[k - 1] % p
+        for i in range(k - 2, -1, -1):
+            out *= p
+            out += c[i] % p
+        return out
 
     def __eq__(self, other) -> bool:
         return (

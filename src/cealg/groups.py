@@ -105,9 +105,12 @@ class FiniteGroup:
         if not (t[ref, self.inv] == 0).all() or not (t[self.inv, ref] == 0).all():
             raise GroupValidationError("inverse law fails")
         if n <= EXHAUSTIVE_ASSOC_CAP:
-            for a in range(n):
-                if not (t[t[a], :] == t[a, t]).all():
-                    raise GroupValidationError(f"associativity fails at element {a}")
+            # Light's test: the s with (xy)s = x(ys) for all x, y form a set
+            # closed under the product, so checking a generating set checks
+            # every element
+            for s in self._right_generators():
+                if not (t[t, s] == t[:, t[:, s]]).all():
+                    raise GroupValidationError(f"associativity fails at element {s}")
         else:
             rng = np.random.default_rng(0xA550C)
             a, b, c = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
@@ -122,6 +125,24 @@ class FiniteGroup:
             c += ab * n  # (a * b) * c
             if not (flat[c] == flat[a]).all():
                 raise GroupValidationError("associativity fails on sampled triples")
+
+    def _right_generators(self) -> list[int]:
+        """A greedy generating set S: every element is a right-bracketed
+        product (((1 s1) s2) ...) sk of members of S.  The closure multiplies
+        on the right only, so it does not assume associativity."""
+        t = self.table
+        gens: list[int] = []
+        reached = np.zeros(self.n, dtype=bool)
+        reached[0] = True
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))  # least element not reached
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                hit = np.zeros(self.n, dtype=bool)
+                hit[t[frontier[:, None], gens]] = True
+                frontier = np.flatnonzero(hit & ~reached)
+                reached[frontier] = True
+        return gens
 
     # -- basic operations -----------------------------------------------------
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cealg import catalog
+from cealg import catalog, fields
 from cealg.algebra import (
     GroupAlgebra,
     center_basis,
@@ -9,7 +9,7 @@ from cealg.algebra import (
     omega_ideal_basis,
     subgroup_idempotent,
 )
-from cealg.fields import field_make
+from cealg.fields import Matrix, field_make
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +186,25 @@ class TestCenterSumAnnihilation:
         assert len(h) % p == 0
         sig_h = alg.from_support([(i, 1) for i in h])
         assert (sig_z * sig_h).is_zero()
+
+
+@pytest.mark.parametrize("gather", [fields._GATHER, 7])
+@pytest.mark.parametrize("spec", ["D8", "Q8 x C3", "H5", "prop29:3"])
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (2, 2), (5, 2)])
+def test_block_product_matches_left_mult_matrix(spec, p, k, gather, rng, monkeypatch):
+    # a small gather limit splits every product into many row blocks
+    monkeypatch.setattr(fields, "_GATHER", gather)
+    g, F = catalog.get(spec), field_make(p, k)
+    alg = GroupAlgebra(g, F)
+    n = g.n
+    sparse = np.zeros(n, dtype=np.int64)
+    sparse[[0, n - 1]] = [1, F.neg(1)]
+    dense = rng.integers(0, F.order, size=n).astype(np.int64)
+    for x in (sparse, dense, np.zeros(n, dtype=np.int64)):
+        lm = alg.left_mult_matrix(x)
+        for d in (1, 7, n):
+            y = rng.integers(0, F.order, size=(n, d)).astype(np.int64)
+            want = lm.matmul(Matrix(F, y)).data
+            assert (alg._mul_arrays(x, y) == want).all()
+        # a vector is the block of one column
+        assert (alg._mul_arrays(x, y[:, 0]) == want[:, 0]).all()

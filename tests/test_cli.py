@@ -114,6 +114,17 @@ class TestCheckCommand:
               "--timings", "--output", str(p)])
         assert "timings" in json.loads(p.read_text())
 
+    def test_text_byte_determinism(self, capsys):
+        argv = ["check", "--group", "Q8 x C3", "--field", "2", "--crossvalidate"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "time " not in outs[0]
+        assert main(argv + ["--timings"]) == 0
+        assert "time     total:" in capsys.readouterr().out
+
     def test_json_group_input(self, tmp_path):
         desc = {"name": "S3-file", "degree": 3,
                 "generators": [[1, 0, 2], [1, 2, 0]]}

@@ -205,6 +205,16 @@ class TestDecide:
         r = decide(catalog.quaternion8(), f2)
         assert "decompose" in r.timings
 
+    def test_h11_socle_agrees_with_sylow_shortcut(self):
+        # order 1331 is far beyond the oracle; the socle chain checks the
+        # class <= 2 shortcut there instead
+        g, f11 = catalog.get("H11"), field_make(11)
+        auto = decide(g, f11)
+        assert auto.reason == "nc_le_2"
+        soc = decide(g, f11, "socle")
+        assert soc.reason == "socle_inside_center"
+        assert soc.verdict == auto.verdict == ESSENTIAL
+
 
 class TestDecideChar0:
     def test_abelian_positive(self):

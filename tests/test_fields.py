@@ -3,7 +3,16 @@ import time
 import numpy as np
 import pytest
 
-from cealg.fields import GF, Matrix, field_make, is_prime, rank_batched
+from cealg.fields import (
+    EXACT_FLOAT,
+    GF,
+    Matrix,
+    _decode_base,
+    _poly_mod,
+    field_make,
+    is_prime,
+    rank_batched,
+)
 
 
 class TestConstruction:
@@ -197,3 +206,71 @@ class TestMatrix:
                 for t in range(4):
                     want = F.add(want, F.mul(int(a.data[i, t]), int(b.data[t, j])))
                 assert prod.data[i, j] == want
+
+
+def _matmul_reference(F, a, b):
+    """Field product with Python ints: digit polynomials multiplied and
+    summed without any reduction, then reduced mod p and the modulus."""
+    p, k = F.p, F.k
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    da = [[_decode_base(int(x), p, k) for x in row] for row in a]
+    db = [[_decode_base(int(x), p, k) for x in row] for row in b.T]
+    for i, ra in enumerate(da):
+        for j, cb in enumerate(db):
+            acc = [0] * (2 * k - 1)
+            for xa, xb in zip(ra, cb):
+                for s, ca in enumerate(xa):
+                    if ca:
+                        for t, cc in enumerate(xb):
+                            acc[s + t] += ca * cc
+            red = _poly_mod(acc, F.modulus, p) if k > 1 else [acc[0] % p]
+            out[i, j] = sum(c * p**e for e, c in enumerate(red))
+    return out
+
+
+class TestVmatmulExactness:
+    """The float64 products at the largest sums the exactness bound allows."""
+
+    def test_prime_field_all_max_entries(self):
+        F = field_make(65521)
+        a = np.full((2, 8192), F.p - 1, dtype=np.int64)
+        b = np.full((8192, 3), F.p - 1, dtype=np.int64)
+        want = (8192 * (F.p - 1) ** 2) % F.p
+        assert (F.vmatmul(a, b) == want).all()
+
+    def test_prime_field_longest_exact_inner(self):
+        F = field_make(65521)
+        inner = (EXACT_FLOAT - 1) // (F.p - 1) ** 2  # the sum stays below 2^53
+        a = np.full((1, inner), F.p - 1, dtype=np.int64)
+        b = np.full((inner, 1), F.p - 1, dtype=np.int64)
+        assert F.vmatmul(a, b)[0, 0] == (inner * (F.p - 1) ** 2) % F.p
+
+    def test_prime_field_random_against_python_ints(self, rng):
+        F = field_make(65521)
+        a = rng.integers(F.p - 64, F.p, size=(3, 4096)).astype(np.int64)
+        b = rng.integers(F.p - 64, F.p, size=(4096, 2)).astype(np.int64)
+        assert (F.vmatmul(a, b) == _matmul_reference(F, a, b)).all()
+
+    @pytest.mark.parametrize("p,k", [(2, 8), (3, 5)])
+    def test_extension_field_all_max_digits(self, p, k, rng):
+        F = field_make(p, k)
+        top = F.order - 1  # every base-p digit is p - 1
+        a = np.full((1, 8192), top, dtype=np.int64)
+        b = np.full((8192, 2), top, dtype=np.int64)
+        b[:5, 1] = rng.integers(0, F.order, size=5)
+        assert (F.vmatmul(a, b) == _matmul_reference(F, a, b)).all()
+        a = rng.integers(0, F.order, size=(4, 33)).astype(np.int64)
+        b = rng.integers(0, F.order, size=(33, 5)).astype(np.int64)
+        assert (F.vmatmul(a, b) == _matmul_reference(F, a, b)).all()
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (65521, 1), (3, 5), (2, 16)])
+    def test_guard_refuses_inexact_products_before_copying(self, p, k):
+        F = field_make(p, k)
+        inner = -(-EXACT_FLOAT // (k * (p - 1) ** 2))  # least inner at the bound
+        # zero-stride views hold no memory; except over GF(65521), a float
+        # copy of either would need petabytes and raise MemoryError, so a
+        # ValueError shows the guard came first
+        a = np.broadcast_to(np.int64(1), (1, inner))
+        b = np.broadcast_to(np.int64(1), (inner, 1))
+        with pytest.raises(ValueError, match="exact float64"):
+            F.vmatmul(a, b)

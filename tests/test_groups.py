@@ -34,6 +34,31 @@ class TestValidation:
         with pytest.raises(GroupValidationError, match="associativity"):
             FiniteGroup(NONASSOC_LOOP)
 
+    def test_rejects_single_corrupted_product(self):
+        t = catalog.get("D8").table.copy()
+        t[3, 5] = t[3, 6]
+        with pytest.raises(GroupValidationError):
+            FiniteGroup(t)
+
+    @pytest.mark.parametrize("spec", ["C8", "D8", "Q8 x C3", "D256", "H5 x C2"])
+    def test_rejects_swapped_intercalate(self, spec):
+        # With z a central involution, rows a, az and columns b, zb of a group
+        # table form a 2x2 Latin subsquare; swapping its entries keeps the
+        # Latin square, the identity and the inverses but breaks
+        # associativity, which only the associativity test can see.
+        g = catalog.get(spec)
+        t, n = g.table.copy(), g.n
+        z = next(z for z in g.center if g.element_orders[z] == 2)
+        a, b = next((a, b) for a in range(1, n) for b in range(1, n)
+                    if z not in (a, b) and t[a, b] not in (0, z))
+        az, zb = t[a, z], t[z, b]
+        t[a, b], t[a, zb] = t[a, zb], t[a, b]
+        t[az, b], t[az, zb] = t[az, zb], t[az, b]
+        # the reference n^3 check agrees that the result is not associative
+        assert any(not (t[t[x], :] == t[x, t]).all() for x in range(n))
+        with pytest.raises(GroupValidationError, match="associativity"):
+            FiniteGroup(t)
+
     def test_rejects_non_square(self):
         with pytest.raises(GroupValidationError):
             FiniteGroup([[0, 1]])
