@@ -19,7 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .fields import is_prime
-from .groups import FiniteGroup, direct_product, group_from_generators, semidirect_product
+from .groups import (
+    ORDER_CAP,
+    FiniteGroup,
+    direct_product,
+    group_from_generators,
+    semidirect_product,
+)
 
 
 def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=None) -> FiniteGroup:
@@ -83,12 +89,16 @@ def cyclic(n: int) -> FiniteGroup:
 def elem_abelian(p: int, r: int) -> FiniteGroup:
     if not is_prime(p) or r < 1:
         raise ValueError("elementary abelian group needs a prime and positive rank")
-    n = p**r
-    idx = np.arange(n)
-    digits = np.stack([(idx // p**i) % p for i in range(r)], axis=1)
-    enc = np.array([p**i for i in range(r)])
-    table = ((digits[:, None, :] + digits[None, :, :]) % p) @ enc
-    return FiniteGroup(table.astype(np.int32), f"E{p}^{r}")
+    if p**r > ORDER_CAP:
+        raise ValueError(f"group order {p}^{r} exceeds the cap {ORDER_CAP}")
+    # C_p x ... x C_p, one factor at a time: each product keeps one int32
+    # table of its order, and no labels, so the digits stay base p
+    idx = np.arange(p, dtype=np.int32)
+    cp = FiniteGroup((idx[:, None] + idx) % p, f"E{p}^1")
+    g = cp
+    for k in range(2, r + 1):
+        g = direct_product(g, cp, f"E{p}^{k}")
+    return g
 
 
 @lru_cache(maxsize=None)

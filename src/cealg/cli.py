@@ -7,7 +7,8 @@ Subcommands:
 * reproduce <thm11 | remark31 | prop29>
 
 Exit codes: 0 = centrally essential, 1 = not centrally essential,
-2 = refusal or error, 3 = a reproduction assertion failed.  Identical
+2 = refusal or error (any unexpected exception, out of memory included, is
+reported on one `error:` line), 3 = a reproduction assertion failed.  Identical
 configurations produce byte-identical reports, text or JSON; timings
 appear only with --timings.
 """
@@ -308,6 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     except CrossValidationError as exc:
         print(f"cross-validation failure: {exc}", file=sys.stderr)
         return EXIT_MISMATCH if args.command == "reproduce" else EXIT_ERROR
+    except Exception as exc:
+        # exit 1 is a verdict, so a crash (MemoryError included) must never
+        # fall through to it
+        msg = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}" + (f": {msg}" if msg else ""), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -468,7 +468,6 @@ def check_q_subgroups(group: FiniteGroup, p: int) -> bool:
     if m > 1 and m != p:
         qs.add(m)
     t, orders = group.table, group.element_orders
-    every = np.arange(n)
     for q in qs:
         q_elems = np.flatnonzero((_p_part(n, q) % orders == 0) & (orders > 1))
         # in_sub[i, y]: y lies in the cyclic subgroup of q_elems[i]
@@ -478,7 +477,8 @@ def check_q_subgroups(group: FiniteGroup, p: int) -> bool:
         for _ in range(int(orders[q_elems].max(initial=1))):
             in_sub[rows, cur] = True
             cur = t[cur, q_elems]
-        conj = t[t[group.inv[None, :], q_elems[:, None]], every[None, :]]  # a^-1 x a
+        # <x> is normal once s^-1 x s lies in it for every generator s
+        conj = group.conjugators[:, q_elems].T
         if not in_sub[rows[:, None], conj].all():
             return False
         span = np.asarray(group.subgroup_generated(q_elems.tolist()))

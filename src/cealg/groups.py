@@ -3,6 +3,13 @@ need: conjugacy classes, center, centralizers, commutator subgroup, upper
 central series, and the coset/centralizer predicates on which the structural
 deciders rest.
 
+Everything works from one small right generating set S of the table.
+Validation is exhaustive at every order: Light's associativity test over S
+checks every triple, in O(n^2 |S|).  Classes are orbits of conjugation by S,
+the center commutes with S, Z_{i+1} is read off the n x |S| table of the
+commutators [x, s], and G' is the normal closure of the [s, u]; each is
+O(n |S|) up to logarithmic factors, and none forms an n x n array.
+
 Elements are canonical indices 0..n-1 with index 0 the identity.  Subsets of
 a group are passed around as sorted tuples of indices so that every derived
 object serializes identically across runs.
@@ -17,8 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ORDER_CAP = 1 << 13
-EXHAUSTIVE_ASSOC_CAP = 300
-ASSOC_SAMPLES = 1_000_000
 
 
 class GroupValidationError(ValueError):
@@ -69,9 +74,10 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.n:
             raise GroupValidationError("label count does not match order")
-        self.inv = self._compute_inverses()
         if validate:
             self._validate()
+        else:
+            self.inv = self._compute_inverses()
         self.table.setflags(write=False)
         self.inv.setflags(write=False)
 
@@ -88,45 +94,28 @@ class FiniteGroup:
         n, t = self.n, self.table
         if t.min() < 0 or t.max() >= n:
             raise GroupValidationError("table entries out of range")
+        # the identity comes before the generating set, whose closure
+        # terminates only because 0 * s = s
         ref = np.arange(n, dtype=np.int32)
-        # every row and every column hits every value: mark the pairs
-        # (row, value), then (value, column), in one mask
-        seen = np.zeros(n * n, dtype=bool)
-        seen[(t + ref[:, None] * n).ravel()] = True
-        latin = seen.all()
-        if latin:
-            seen.fill(False)
-            seen[(t * n + ref).ravel()] = True
-            latin = seen.all()
-        if not latin:
-            raise GroupValidationError("table is not a Latin square")
         if not (t[0] == ref).all() or not (t[:, 0] == ref).all():
             raise GroupValidationError("index 0 is not a two-sided identity")
-        if not (t[ref, self.inv] == 0).all() or not (t[self.inv, ref] == 0).all():
+        self.inv = self._compute_inverses()
+        if not (t[self.inv, ref] == 0).all():
             raise GroupValidationError("inverse law fails")
-        if n <= EXHAUSTIVE_ASSOC_CAP:
-            # Light's test: the s with (xy)s = x(ys) for all x, y form a set
-            # closed under the product, so checking a generating set checks
-            # every element
-            for s in self._right_generators():
-                if not (t[t, s] == t[:, t[:, s]]).all():
+        # Light's test: the s with (xy)s = x(ys) for all x, y form a set closed
+        # under the product, so checking a generating set checks every element.
+        # An associative table with a two-sided identity and right inverses is
+        # a group, and so a Latin square.
+        rows = max(1, (1 << 16) // n)
+        for s in self.right_generators.tolist():
+            col = np.ascontiguousarray(t[:, s])  # y -> ys
+            for lo in range(0, n, rows):
+                blk = t[lo : lo + rows]
+                if not (col.take(blk) == blk.take(col, axis=1)).all():
                     raise GroupValidationError(f"associativity fails at element {s}")
-        else:
-            rng = np.random.default_rng(0xA550C)
-            a, b, c = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
-            # t[x, y] = flat[x * n + y]; the flat indices are formed in the
-            # sample arrays themselves, so no index array is added to them
-            flat = t.ravel()
-            a *= n
-            ab = flat[a + b]
-            b *= n
-            b += c
-            a += flat[b]  # a * (b * c)
-            c += ab * n  # (a * b) * c
-            if not (flat[c] == flat[a]).all():
-                raise GroupValidationError("associativity fails on sampled triples")
 
-    def _right_generators(self) -> list[int]:
+    @cached_property
+    def right_generators(self) -> np.ndarray:
         """A greedy generating set S: every element is a right-bracketed
         product (((1 s1) s2) ...) sk of members of S.  The closure multiplies
         on the right only, so it does not assume associativity."""
@@ -142,7 +131,18 @@ class FiniteGroup:
                 hit[t[frontier[:, None], gens]] = True
                 frontier = np.flatnonzero(hit & ~reached)
                 reached[frontier] = True
-        return gens
+        out = np.array(gens, dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def conjugators(self) -> np.ndarray:
+        """conjugators[i, g] = s^-1 g s for the i-th right generator s."""
+        s = self.right_generators
+        t = self.table
+        out = t[self.inv[s][:, None], t[:, s].T]
+        out.setflags(write=False)
+        return out
 
     # -- basic operations -----------------------------------------------------
 
@@ -217,10 +217,9 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy(self) -> ClassPartition:
-        t = self.table
-        # conj[x, g] = x^-1 * (g * x); a class is named by its least member,
-        # and the classes are numbered in the order of those
-        least = t[self.inv[:, None], t.T].min(axis=0)
+        # the classes are the orbits of g -> s^-1 g s over the generators; a
+        # class is named by its least member, and numbered in the order of those
+        least = _least_in_orbit(self.conjugators)
         class_of = (np.cumsum(least == np.arange(self.n)) - 1)[least]
         members = np.argsort(class_of, kind="stable").tolist()
         classes, start = [], 0
@@ -231,8 +230,8 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        commutes = (self.table == self.table.T).all(axis=1)
-        return tuple(int(x) for x in np.nonzero(commutes)[0])
+        # an element commuting with every generator commutes with every word
+        return self._commuting_with(self.right_generators)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -242,10 +241,21 @@ class FiniteGroup:
         s = sorted(set(s))
         if not s:
             raise ValueError("centralizer of the empty set is undefined")
+        # the centralizer of s is that of any subset generating <s>: keep each
+        # member that the ones kept before do not already generate
+        gens: list[int] = []
+        span = np.zeros(self.n, dtype=bool)
+        span[0] = True
+        for x in s:
+            if not span[x]:
+                gens.append(x)
+                span[np.asarray(self.subgroup_generated(gens))] = True
+        return self._commuting_with(np.array(gens, dtype=np.int64))
+
+    def _commuting_with(self, arr: np.ndarray) -> tuple[int, ...]:
         t = self.table
-        arr = np.array(s, dtype=np.int64)
         good = (t[:, arr] == t[arr, :].T).all(axis=1)
-        return tuple(int(x) for x in np.nonzero(good)[0])
+        return tuple(np.flatnonzero(good).tolist())
 
     def subgroup_generated(self, s: Iterable[int]) -> tuple[int, ...]:
         # words in the generators form a subsemigroup, hence a subgroup here;
@@ -261,24 +271,37 @@ class FiniteGroup:
             seen[frontier] = True
         return tuple(np.flatnonzero(seen).tolist())
 
+    def _commutators(self, xs: np.ndarray) -> np.ndarray:
+        """[x, s] = x^-1 s^-1 x s for every x in xs and generator s."""
+        t, inv, s = self.table, self.inv, self.right_generators
+        return t[t[inv[xs][:, None], inv[s]], t[xs[:, None], s]]
+
     @cached_property
     def commutator_subgroup(self) -> tuple[int, ...]:
-        t = self.table
-        n = self.n
-        a = np.arange(n)
-        comms = t[t[self.inv[:, None], self.inv[None, :]], t[a[:, None], a[None, :]]]
-        return self.subgroup_generated(int(x) for x in np.unique(comms))
+        # G' is the normal closure of the commutators of the generators.  Each
+        # round adds the least conjugate that escapes, so the subgroup at
+        # least doubles, and stops once conjugating by the generators keeps it
+        gens = np.unique(self._commutators(self.right_generators)).tolist()
+        while True:
+            members = np.asarray(self.subgroup_generated(gens))
+            inside = np.zeros(self.n, dtype=bool)
+            inside[members] = True
+            conj = self.conjugators[:, members]
+            escaped = conj[~inside[conj]]
+            if not escaped.size:
+                return tuple(members.tolist())
+            gens.append(int(escaped.min()))
 
     @cached_property
     def upper_central_series(self) -> CentralSeries:
-        n, t = self.n, self.table
-        a = np.arange(n)
-        comm = t[t[self.inv[:, None], self.inv[None, :]], t[a[:, None], a[None, :]]]
+        # Z_{i+1} = {x : [x, s] in Z_i for every generator s}
+        n = self.n
+        comm = self._commutators(np.arange(n))
         chain: list[tuple[int, ...]] = [(0,)]
         current = np.zeros(n, dtype=bool)
         current[0] = True
         while True:
-            in_cur = current[comm]  # in_cur[g, a] = (g,a) in Z_i
+            in_cur = current[comm]  # in_cur[g, i] = [g, s_i] in Z_i
             nxt = in_cur.all(axis=1)
             if (nxt == current).all():
                 break
@@ -309,12 +332,11 @@ class FiniteGroup:
         return FiniteGroup(table, name or f"{self.name}|sub{mem.size}", labels)
 
     def is_normal(self, members: Iterable[int]) -> bool:
+        # the g with g^-1 N g = N form a subgroup, so the generators decide
         arr = np.unique(np.fromiter(members, dtype=np.int64))
         inside = np.zeros(self.n, dtype=bool)
         inside[arr] = True
-        t = self.table
-        conj = t[t[self.inv[:, None], arr[None, :]], np.arange(self.n)[:, None]]
-        return bool(inside[conj].all())
+        return bool(inside[self.conjugators[:, arr]].all())
 
     def quotient(self, normal: Iterable[int], name: str | None = None) -> "FiniteGroup":
         arr = np.unique(np.fromiter(normal, dtype=np.int64))
@@ -379,6 +401,31 @@ class FiniteGroup:
         chain = self.upper_central_series.subgroups
         z2 = chain[min(2, len(chain) - 1)]
         return set(self.centralizer(z2)) <= set(z2)
+
+
+def _least_in_orbit(perms: np.ndarray) -> np.ndarray:
+    """For every point, the least point of its orbit under the group that the
+    rows of perms (permutations of 0..n-1) generate.
+
+    Min-label hooking with pointer jumping: every label is a point of the same
+    orbit and no larger than the point itself.  Each round hooks the root of
+    every edge's larger end onto the smaller root and then flattens the trees,
+    so every tree that has a neighbour merges, and the rounds are logarithmic.
+    """
+    label = np.arange(perms.shape[1])
+    while True:
+        before = label
+        label = label.copy()
+        for p in perms:
+            a, b = before, before[p]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+        if (label == before).all():
+            return label
 
 
 def _counts(sorted_vals: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -46,7 +46,7 @@ class TestNamedGroups:
 
     def test_unknown_specs_rejected(self):
         for bad in ["X9", "D7", "order16:15", "order16:0", "prop29:7", "prop29:4",
-                    "E4^2", "Q12", "", "C0"]:
+                    "E4^2", "Q12", "", "C0", "E2^14", "E3^20"]:
             with pytest.raises(ValueError):
                 catalog.get(bad)
 

@@ -177,6 +177,21 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--crossvalidate" in captured.err
 
+    @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("boom\nsecond line"),
+                                     IndexError()])
+    def test_crash_exits_2_never_1(self, capsys, monkeypatch, exc):
+        # exit 1 means "not centrally essential": a crash must not read as it
+        from cealg import cli
+
+        def crash(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", crash)
+        assert main(["check", "--group", "S3", "--field", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestReproduceCommand:
     def test_prop29(self, capsys):

@@ -26,6 +26,14 @@ class TestValidation:
         with pytest.raises(GroupValidationError):
             FiniteGroup([[0, 1], [1, 1]])
 
+    def test_rejects_non_latin_with_identity_and_inverses(self):
+        # a two-sided identity, a unique right inverse in every row and the
+        # left inverse law, yet rows 1 and 2 repeat a value: the
+        # associativity test is what refuses it
+        t = [[0, 1, 2], [1, 0, 1], [2, 2, 0]]
+        with pytest.raises(GroupValidationError, match="associativity"):
+            FiniteGroup(t)
+
     def test_rejects_wrong_identity(self):
         with pytest.raises(GroupValidationError):
             FiniteGroup([[1, 0], [0, 1]])
@@ -40,20 +48,24 @@ class TestValidation:
         with pytest.raises(GroupValidationError):
             FiniteGroup(t)
 
-    @pytest.mark.parametrize("spec", ["C8", "D8", "Q8 x C3", "D256", "H5 x C2"])
+    @pytest.mark.parametrize("spec", ["C8", "D8", "Q8 x C3", "D256", "H5 x C2",
+                                      "D512", "S3 x C64", "H7"])
     def test_rejects_swapped_intercalate(self, spec):
-        # With z a central involution, rows a, az and columns b, zb of a group
-        # table form a 2x2 Latin subsquare; swapping its entries keeps the
-        # Latin square, the identity and the inverses but breaks
+        # With z central of least order m, rows a<z> and columns b, zb of a
+        # group table form a Latin subsquare: both columns hold ab<z> there.
+        # Swapping the two columns inside it (for m = 2, an intercalate) keeps
+        # the Latin square, the identity and the inverses but breaks
         # associativity, which only the associativity test can see.
         g = catalog.get(spec)
         t, n = g.table.copy(), g.n
-        z = next(z for z in g.center if g.element_orders[z] == 2)
+        orders = g.element_orders
+        z = min(g.center[1:], key=lambda z: (orders[z], z))
+        zs = set(g.subgroup_generated([z]))
         a, b = next((a, b) for a in range(1, n) for b in range(1, n)
-                    if z not in (a, b) and t[a, b] not in (0, z))
-        az, zb = t[a, z], t[z, b]
-        t[a, b], t[a, zb] = t[a, zb], t[a, b]
-        t[az, b], t[az, zb] = t[az, zb], t[az, b]
+                    if a not in zs and b not in zs and t[a, b] not in zs)
+        zb = t[z, b]
+        rows = t[a, sorted(zs)]
+        t[rows, b], t[rows, zb] = t[rows, zb], t[rows, b]
         # the reference n^3 check agrees that the result is not associative
         assert any(not (t[t[x], :] == t[x, t]).all() for x in range(n))
         with pytest.raises(GroupValidationError, match="associativity"):
@@ -409,3 +421,113 @@ def test_no_scalar_loops_on_catalog_and_decide(monkeypatch):
     catalog.get("C1024")
     assert decide(h11, field_make(11)).verdict == "centrally_essential"
     assert calls == {"mul": 0, "element_order": 0}
+
+
+# -- the generating-set analyses against the O(n^2) table scans ---------------
+
+
+def _scan_classes(g):
+    """Classes from the whole conjugation table x^-1 g x, by least member."""
+    t = g.table
+    least = t[g.inv[:, None], t.T].min(axis=0)
+    class_of = (np.cumsum(least == np.arange(g.n)) - 1)[least]
+    classes = tuple(tuple(np.flatnonzero(class_of == c).tolist())
+                    for c in range(int(class_of.max()) + 1))
+    return classes, tuple(class_of.tolist())
+
+
+def _scan_center(g):
+    return tuple(np.flatnonzero((g.table == g.table.T).all(axis=1)).tolist())
+
+
+def _scan_commutators(g):
+    """The n x n table of (x, y) = x^-1 y^-1 x y."""
+    t, inv = g.table, g.inv
+    return t[t[inv[:, None], inv[None, :]], t]
+
+
+def _scan_series(g):
+    comm = _scan_commutators(g)
+    chain = [(0,)]
+    current = np.zeros(g.n, dtype=bool)
+    current[0] = True
+    while True:
+        nxt = current[comm].all(axis=1)
+        if (nxt == current).all():
+            break
+        current = nxt
+        chain.append(tuple(np.flatnonzero(current).tolist()))
+        if current.all():
+            break
+    return tuple(chain), (len(chain) - 1 if current.all() else None)
+
+
+def _scan_commutator_subgroup(g):
+    return g.subgroup_generated(np.unique(_scan_commutators(g)).tolist())
+
+
+def _scan_centralizer(g, s):
+    arr = np.array(sorted(set(s)))
+    return tuple(np.flatnonzero((g.table[:, arr] == g.table[arr, :].T).all(axis=1)).tolist())
+
+
+def _scan_is_normal(g, members):
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(members)] = True
+    t, arr = g.table, np.array(sorted(members))
+    return bool(inside[t[t[g.inv[:, None], arr[None, :]], np.arange(g.n)[:, None]]].all())
+
+
+def _relabelled(g, rng):
+    """g with its non-identity elements renamed by a random permutation pi;
+    returns the copy and pi as an array (pi[0] = 0)."""
+    pi = np.concatenate([[0], 1 + rng.permutation(g.n - 1)]).astype(np.int32)
+    table = np.empty_like(g.table)
+    table[np.ix_(pi, pi)] = pi[g.table]
+    return FiniteGroup(table, g.name + "'"), pi
+
+
+def _mapped(pi, members):
+    return tuple(sorted(pi[list(members)].tolist()))
+
+
+def _assert_matches_scan(g):
+    classes, class_of = _scan_classes(g)
+    assert g.conjugacy.classes == classes and g.conjugacy.class_of == class_of
+    assert g.center == _scan_center(g)
+    series = g.upper_central_series
+    assert (series.subgroups, series.nilpotency_class) == _scan_series(g)
+    assert g.commutator_subgroup == _scan_commutator_subgroup(g)
+    z2 = series.subgroups[min(2, len(series.subgroups) - 1)]
+    assert g.centralizer(z2) == _scan_centralizer(g, z2)
+    for h in (g.commutator_subgroup, g.subgroup_generated([g.n - 1])):
+        assert g.is_normal(h) == _scan_is_normal(g, h)
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s, _ in catalog.standard_entries()] + ["D64", "S3 x C64", "H7"]
+)
+def test_generator_analyses_match_table_scans(spec):
+    g = catalog.get(spec)
+    _assert_matches_scan(g)
+    # a relabelled copy: its own scans agree, and they carry g's over pi
+    h, pi = _relabelled(g, np.random.default_rng(g.n))
+    _assert_matches_scan(h)
+    assert {_mapped(pi, c) for c in g.conjugacy.classes} == set(h.conjugacy.classes)
+    assert _mapped(pi, g.center) == h.center
+    assert [_mapped(pi, z) for z in g.upper_central_series.subgroups] == list(
+        h.upper_central_series.subgroups)
+    assert _mapped(pi, g.commutator_subgroup) == h.commutator_subgroup
+    assert g.central_coset_condition()[0] == h.central_coset_condition()[0]
+    assert g.z2_self_centralizing() == h.z2_self_centralizing()
+    assert g.fingerprint() == h.fingerprint()
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 1)])
+def test_elem_abelian_table_is_digitwise_sum(p, r):
+    n = p**r
+    digits = np.stack([(np.arange(n) // p**i) % p for i in range(r)], axis=1)
+    ref = ((digits[:, None, :] + digits[None, :, :]) % p) @ np.array([p**i for i in range(r)])
+    g = catalog.elem_abelian(p, r)
+    assert g.table.tolist() == ref.tolist()
+    assert g.name == f"E{p}^{r}" and g.labels is None
