@@ -1,7 +1,7 @@
 """Finite groups, their modular group algebras, and deciders for the
 centrally essential property."""
 
-from .algebra import AlgebraElement, GroupAlgebra, center_basis, commutator, omega_ideal_basis, subgroup_idempotent
+from .algebra import AlgebraElement, GroupAlgebra, commutator, omega_ideal_basis, subgroup_idempotent
 from .catalog import get as catalog_get
 from .decision import (
     ESSENTIAL,

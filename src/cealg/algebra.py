@@ -32,7 +32,11 @@ class GroupAlgebra:
             raise ValueError(f"coefficient vector must have length {self.dim}")
         if (arr < 0).any() or (arr >= self.field.order).any():
             raise ValueError("coefficients must be canonical field encodings")
-        arr = arr.copy()
+        return self._wrap(arr.copy())
+
+    def _wrap(self, arr: np.ndarray) -> "AlgebraElement":
+        """An element on a fresh int64 array of canonical encodings, which
+        it takes over without a copy or a check: the arithmetic results."""
         arr.setflags(write=False)
         return AlgebraElement(self, arr)
 
@@ -158,22 +162,23 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)
         F = self.algebra.field
-        return self.algebra.element(F.vadd(self.coeffs, other.coeffs))
+        return self.algebra._wrap(F.vadd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)
         F = self.algebra.field
-        return self.algebra.element(F.vsub(self.coeffs, other.coeffs))
+        return self.algebra._wrap(F.vsub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "AlgebraElement":
-        return self.algebra.element(self.algebra.field.vneg(self.coeffs))
+        return self.algebra._wrap(self.algebra.field.vneg(self.coeffs))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)
-        return self.algebra.element(self.algebra._mul_arrays(self.coeffs, other.coeffs))
+        return self.algebra._wrap(self.algebra._mul_arrays(self.coeffs, other.coeffs))
 
     def scale(self, s: int) -> "AlgebraElement":
-        return self.algebra.element(self.algebra.field.vscale(s, self.coeffs))
+        self.algebra.field._check(s)
+        return self.algebra._wrap(self.algebra.field.vscale(s, self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,10 +224,6 @@ class AlgebraElement:
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """[x, y] = xy - yx."""
     return x * y - y * x
-
-
-def center_basis(group: FiniteGroup, field: GF) -> CenterBasis:
-    return GroupAlgebra(group, field).center_basis
 
 
 def omega_ideal_basis(

@@ -258,18 +258,11 @@ def _p5_even() -> FiniteGroup:
     minus1 = 2
     qa, ca = np.divmod(np.arange(16), 2)
     alpha = np.where(ca == 0, phi[qa], t[phi[qa], minus1]) * 2 + ca
-    labels = []
-    for idx in range(32):
-        nidx, s = idx // 2, idx % 2
-        q, c = nidx // 2, nidx % 2
-        part = _join_labels([q8.label(q) if q else "", "a" if c else ""])
-        if q == 0 and c:
-            part = "a"
-        if q != 0 and c:
-            part = f"{q8.label(q)} a"
-        if q == 0 and not c:
-            part = "1"
-        labels.append(part if s == 0 else (f"{part} t" if part != "1" else "t"))
+    # element (q, c, s) has index 4q + 2c + s
+    labels = [
+        _join_labels([q8.label(q) if q else "", "a" if c else "", "t" if s else ""])
+        for q in range(8) for c in range(2) for s in range(2)
+    ]
     return semidirect_product(n, cyclic(2), [list(range(16)), alpha.tolist()], "prop29:2", labels)
 
 

@@ -13,8 +13,8 @@ other:
   property a constructive non-essentiality witness g * (sum of the center),
   re-verified by independent linear algebra.
 
-Every negative verdict carries a witness that is re-validated numerically,
-never trusted from theory alone.
+Every witness that a verdict carries is re-validated numerically, never
+trusted from theory alone; a failed Sylow split carries none.
 """
 
 from __future__ import annotations
@@ -444,72 +444,6 @@ def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[AlgebraElement, dict]:
     artifact["witness_g"] = group.label(g)
     artifact["noncentral"] = True
     return x, artifact
-
-
-def check_q_subgroups(group: FiniteGroup, p: int) -> bool:
-    """For every prime q != p dividing |G|: all cyclic q-subgroups are
-    normal and the q-elements generate an abelian subgroup.
-
-    Cyclic subgroups suffice: every element of a q-subgroup generates one,
-    normality passes to the subgroup it generates, and commutativity of
-    the full q-generated subgroup covers the rest.
-    """
-    n = group.n
-    qs = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            if d != p:
-                qs.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1 and m != p:
-        qs.add(m)
-    t, orders = group.table, group.element_orders
-    for q in qs:
-        q_elems = np.flatnonzero((_p_part(n, q) % orders == 0) & (orders > 1))
-        # in_sub[i, y]: y lies in the cyclic subgroup of q_elems[i]
-        in_sub = np.zeros((q_elems.size, n), dtype=bool)
-        rows = np.arange(q_elems.size)
-        cur = q_elems
-        for _ in range(int(orders[q_elems].max(initial=1))):
-            in_sub[rows, cur] = True
-            cur = t[cur, q_elems]
-        # <x> is normal once s^-1 x s lies in it for every generator s
-        conj = group.conjugators[:, q_elems].T
-        if not in_sub[rows[:, None], conj].all():
-            return False
-        span = np.asarray(group.subgroup_generated(q_elems.tolist()))
-        t_ss = t[span[:, None], span]
-        if not (t_ss == t_ss.T).all():
-            return False
-    return True
-
-
-def central_idempotent_check(group: FiniteGroup, fld: GF) -> bool:
-    """Consistency of subgroup idempotents: e_H is idempotent for every
-    cyclic H with |H| coprime to the characteristic, and central whenever
-    the algebra is centrally essential."""
-    from .algebra import subgroup_idempotent
-
-    alg = GroupAlgebra(group, fld)
-    verdict = decide(group, fld).verdict
-    seen: set[tuple[int, ...]] = set()
-    for x in range(group.n):
-        h = group.subgroup_generated([x])
-        if h in seen:
-            continue
-        seen.add(h)
-        if len(h) % fld.p == 0:
-            continue
-        e = subgroup_idempotent(alg, h)
-        if not (e * e == e):
-            return False
-        if verdict == ESSENTIAL and not alg.is_central(e):
-            return False
-    return True
 
 
 # -- the pipeline -------------------------------------------------------------------

@@ -197,11 +197,7 @@ class GF:
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self.k == 1:
-            return (a + b) % self.p
-        if self._add_t is not None:
-            return int(self._add_t[a, b])
-        return int(((self._dig[a] + self._dig[b]) % self.p) @ self._pmat)
+        return int(self.vadd(a, b))
 
     def neg(self, a: int) -> int:
         self._check(a)
@@ -218,13 +214,7 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._mul_t is not None:
-            return int(self._mul_t[a, b])
-        if self.k == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.order - 1)])
+        return int(self.vmul(a, b))
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -295,9 +285,7 @@ class GF:
         return out
 
     def vscale(self, s: int, a: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return (s * a) % self.p
-        return self.vmul(np.full(a.shape, s, dtype=np.int64), a)
+        return self.vmul(s, a)
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
         """Elementwise inverse of an array of nonzero encodings."""
@@ -420,14 +408,6 @@ class Matrix:
     field: GF
     data: np.ndarray  # int64, shape (rows, cols)
 
-    @staticmethod
-    def from_rows(field: GF, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
-        if len(rows) == 0:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            return Matrix(field, np.zeros((0, cols), dtype=np.int64))
-        return Matrix(field, np.array(rows, dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -488,9 +468,6 @@ class Matrix:
 
     def vstack(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, np.vstack([self.data, other.data]))
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
 
 
 def rank_batched(field: GF, mats: np.ndarray) -> np.ndarray:

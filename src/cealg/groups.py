@@ -116,24 +116,46 @@ class FiniteGroup:
 
     @cached_property
     def right_generators(self) -> np.ndarray:
-        """A greedy generating set S: every element is a right-bracketed
-        product (((1 s1) s2) ...) sk of members of S.  The closure multiplies
-        on the right only, so it does not assume associativity."""
-        t = self.table
-        gens: list[int] = []
-        reached = np.zeros(self.n, dtype=bool)
-        reached[0] = True
-        while not reached.all():
-            gens.append(int(np.argmin(reached)))  # least element not reached
-            frontier = np.flatnonzero(reached)
-            while frontier.size:
-                hit = np.zeros(self.n, dtype=bool)
-                hit[t[frontier[:, None], gens]] = True
-                frontier = np.flatnonzero(hit & ~reached)
-                reached[frontier] = True
-        out = np.array(gens, dtype=np.int64)
+        """A greedy generating set S: every element is a product of members
+        of S.  The closure multiplies on the right only, so it does not
+        assume associativity."""
+        out = self._greedy_generators(np.arange(self.n))
         out.setflags(write=False)
         return out
+
+    def _greedy_generators(self, candidates: np.ndarray) -> np.ndarray:
+        """Each candidate, in order, that the ones kept before it do not
+        generate: together they generate what all the candidates do."""
+        reached = np.arange(self.n) == 0  # the identity alone
+        kept: list[int] = []
+        while True:
+            rest = candidates[~reached[candidates]]
+            if not rest.size:
+                return np.array(kept, dtype=np.int64)
+            kept.append(int(rest[0]))
+            self._close(reached, kept)
+
+    def _close(self, reached: np.ndarray, gens: Iterable[int]) -> np.ndarray:
+        """Extend the bool mask `reached` in place until right multiplication
+        by gens keeps it, and return it.
+
+        Each round multiplies the newest elements by every generator and adds
+        the squares of the generators as generators, until no new one
+        appears; a square is a product of generators, so the closure stays
+        the same, and <g> closes in about log2 |g| rounds."""
+        t = self.table
+        is_gen = np.zeros_like(reached)
+        is_gen[np.fromiter(gens, dtype=np.int64)] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            s = np.flatnonzero(is_gen)
+            fresh = np.zeros_like(reached)
+            fresh[t[frontier[:, None], s]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+            is_gen[t[s, s]] = True
+        return reached
 
     @cached_property
     def conjugators(self) -> np.ndarray:
@@ -241,16 +263,8 @@ class FiniteGroup:
         s = sorted(set(s))
         if not s:
             raise ValueError("centralizer of the empty set is undefined")
-        # the centralizer of s is that of any subset generating <s>: keep each
-        # member that the ones kept before do not already generate
-        gens: list[int] = []
-        span = np.zeros(self.n, dtype=bool)
-        span[0] = True
-        for x in s:
-            if not span[x]:
-                gens.append(x)
-                span[np.asarray(self.subgroup_generated(gens))] = True
-        return self._commuting_with(np.array(gens, dtype=np.int64))
+        # the centralizer of s is that of any subset generating <s>
+        return self._commuting_with(self._greedy_generators(np.array(s, dtype=np.int64)))
 
     def _commuting_with(self, arr: np.ndarray) -> tuple[int, ...]:
         t = self.table
@@ -258,18 +272,9 @@ class FiniteGroup:
         return tuple(np.flatnonzero(good).tolist())
 
     def subgroup_generated(self, s: Iterable[int]) -> tuple[int, ...]:
-        # words in the generators form a subsemigroup, hence a subgroup here;
-        # each round multiplies the newest words by every generator at once
-        t = self.table
-        gens = np.unique(np.fromiter(s, dtype=np.int64))
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size and gens.size:
-            nxt = np.unique(t[frontier[:, None], gens])
-            frontier = nxt[~seen[nxt]]
-            seen[frontier] = True
-        return tuple(np.flatnonzero(seen).tolist())
+        # words in the generators form a subsemigroup, hence a subgroup here
+        reached = np.arange(self.n) == 0  # the identity alone
+        return tuple(np.flatnonzero(self._close(reached, s)).tolist())
 
     def _commutators(self, xs: np.ndarray) -> np.ndarray:
         """[x, s] = x^-1 s^-1 x s for every x in xs and generator s."""
@@ -282,10 +287,9 @@ class FiniteGroup:
         # round adds the least conjugate that escapes, so the subgroup at
         # least doubles, and stops once conjugating by the generators keeps it
         gens = np.unique(self._commutators(self.right_generators)).tolist()
+        inside = np.arange(self.n) == 0
         while True:
-            members = np.asarray(self.subgroup_generated(gens))
-            inside = np.zeros(self.n, dtype=bool)
-            inside[members] = True
+            members = np.flatnonzero(self._close(inside, gens))
             conj = self.conjugators[:, members]
             escaped = conj[~inside[conj]]
             if not escaped.size:

@@ -4,7 +4,6 @@ import pytest
 from cealg import catalog, fields
 from cealg.algebra import (
     GroupAlgebra,
-    center_basis,
     commutator,
     omega_ideal_basis,
     subgroup_idempotent,
@@ -45,6 +44,14 @@ class TestRingOps:
         x = alg.from_support([(1, 2)])
         assert x.scale(2) == alg.from_support([(1, 1)])
         assert (x + (-x)).is_zero()
+
+    def test_scale_rejects_non_encodings(self, f4):
+        # a scalar outside [0, 4) must not index the GF(4) tables: -1 would
+        # read the row of 3, although -1 = 1 in characteristic 2
+        x = GroupAlgebra(catalog.cyclic(2), f4).basis(1)
+        for s in (-1, 4):
+            with pytest.raises(ValueError):
+                x.scale(s)
 
     def test_extension_field_product(self, f4):
         alg = GroupAlgebra(catalog.cyclic(2), f4)
@@ -99,13 +106,13 @@ class TestAugmentation:
 class TestCenter:
     def test_commutative_center_dim(self, f2):
         c6 = catalog.cyclic(6)
-        assert center_basis(c6, f2).dim == 6
+        assert GroupAlgebra(c6, f2).center_basis.dim == 6
 
     def test_q8_center_dim(self, q8_f2):
         assert q8_f2.center_basis.dim == 5
 
     def test_d16_center_dim(self, f2):
-        assert center_basis(catalog.dihedral(16), f2).dim == 7
+        assert GroupAlgebra(catalog.dihedral(16), f2).center_basis.dim == 7
 
     def test_class_sums_central(self, q8_f2):
         for s in q8_f2.center_basis.class_sums:

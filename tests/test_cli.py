@@ -270,3 +270,47 @@ def test_report_bytes_pinned(capsys, cmd, code, digest):
     assert main(shlex.split(cmd) + ["--format", "json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the names the benchmark's tracer wraps -------------------------------------
+
+# analyses the tracer rewraps as cached_property, so they still compute once
+TRACED_CACHED = {
+    ("groups", "FiniteGroup.conjugacy"),
+    ("groups", "FiniteGroup.upper_central_series"),
+    ("algebra", "GroupAlgebra.center_basis"),
+    ("algebra", "GroupAlgebra.center_matrix"),
+}
+
+
+def test_tracer_names_resolve():
+    """Every (module, qualname) that perfbench/tracing.py wraps still exists
+    in cealg: a callable, and a method of a class a plain function or, where
+    it was one, a cached_property.
+    The tracer module is loaded by path and not installed."""
+    import functools
+    import importlib
+    import importlib.util
+    import inspect
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    wrapped = [(mod, qual) for _, mod, qual in tracing.SPANS + tracing.COUNTERS]
+    wrapped += [("decision", qual) for qual in tracing.ORACLE_SCANS]
+    wrapped.append(("decision", "_projective_mask"))
+    for mod, qual in wrapped:
+        owner = importlib.import_module(f"cealg.{mod}")
+        if "." not in qual:
+            assert callable(getattr(owner, qual, None)), (mod, qual)
+            continue
+        cls_name, attr = qual.split(".")
+        target = getattr(owner, cls_name).__dict__.get(attr)
+        if (mod, qual) in TRACED_CACHED:
+            assert isinstance(target, functools.cached_property), (mod, qual)
+        else:
+            assert inspect.isfunction(target), (mod, qual)
+    assert TRACED_CACHED <= set(wrapped)

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cealg import catalog
-from cealg.algebra import GroupAlgebra
+from cealg.algebra import GroupAlgebra, subgroup_idempotent
 from cealg.decision import (
     ESSENTIAL,
     NOT_ESSENTIAL,
     BudgetError,
     StructuralUndecidedError,
+    _p_part,
     candidate_admits_central_multiple,
     decide,
     decompose_p,
@@ -307,25 +308,84 @@ class TestWitnessNotCE:
             witness_not_ce(catalog.dihedral(16), f2)
 
 
+# -- consistency predicates that only the tests use -----------------------------
+
+
+def check_q_subgroups(group: FiniteGroup, p: int) -> bool:
+    """For every prime q != p dividing |G|: all cyclic q-subgroups are
+    normal and the q-elements generate an abelian subgroup.
+
+    Cyclic subgroups suffice: every element of a q-subgroup generates one,
+    normality passes to the subgroup it generates, and commutativity of
+    the full q-generated subgroup covers the rest.
+    """
+    n = group.n
+    qs = set()
+    m = n
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            if d != p:
+                qs.add(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1 and m != p:
+        qs.add(m)
+    t, orders = group.table, group.element_orders
+    for q in qs:
+        q_elems = np.flatnonzero((_p_part(n, q) % orders == 0) & (orders > 1))
+        # in_sub[i, y]: y lies in the cyclic subgroup of q_elems[i]
+        in_sub = np.zeros((q_elems.size, n), dtype=bool)
+        rows = np.arange(q_elems.size)
+        cur = q_elems
+        for _ in range(int(orders[q_elems].max(initial=1))):
+            in_sub[rows, cur] = True
+            cur = t[cur, q_elems]
+        # <x> is normal once s^-1 x s lies in it for every generator s
+        conj = group.conjugators[:, q_elems].T
+        if not in_sub[rows[:, None], conj].all():
+            return False
+        span = np.asarray(group.subgroup_generated(q_elems.tolist()))
+        t_ss = t[span[:, None], span]
+        if not (t_ss == t_ss.T).all():
+            return False
+    return True
+
+
+def central_idempotent_check(group: FiniteGroup, fld) -> bool:
+    """Consistency of subgroup idempotents: e_H is idempotent for every
+    cyclic H with |H| coprime to the characteristic, and central whenever
+    the algebra is centrally essential."""
+    alg = GroupAlgebra(group, fld)
+    verdict = decide(group, fld).verdict
+    seen: set[tuple[int, ...]] = set()
+    for x in range(group.n):
+        h = group.subgroup_generated([x])
+        if h in seen:
+            continue
+        seen.add(h)
+        if len(h) % fld.p == 0:
+            continue
+        e = subgroup_idempotent(alg, h)
+        if not (e * e == e):
+            return False
+        if verdict == ESSENTIAL and not alg.is_central(e):
+            return False
+    return True
+
+
 class TestQSubgroupsAndIdempotents:
     def test_q8_vacuous(self):
-        from cealg.decision import check_q_subgroups
-
         assert check_q_subgroups(catalog.quaternion8(), 2)
 
     def test_s3_fails(self):
-        from cealg.decision import check_q_subgroups
-
         assert not check_q_subgroups(catalog.sym3(), 3)
 
     def test_c6_passes(self):
-        from cealg.decision import check_q_subgroups
-
         assert check_q_subgroups(catalog.cyclic(6), 3)
 
     def test_central_idempotents(self, f2, f3):
-        from cealg.decision import central_idempotent_check
-
         assert central_idempotent_check(catalog.cyclic(6), f3)
         assert central_idempotent_check(catalog.get("Q8 x C3"), f2)
         assert central_idempotent_check(catalog.sym3(), f2)

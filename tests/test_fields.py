@@ -120,7 +120,7 @@ class TestMatrix:
         assert m.rank() == 3
 
     def test_equal_rows(self, f2):
-        m = Matrix.from_rows(f2, [[1, 1], [1, 1]])
+        m = Matrix(f2, np.array([[1, 1], [1, 1]], dtype=np.int64))
         ns = m.nullspace()
         assert ns.data.tolist() == [[1, 1]]
         assert m.rank() == 1
@@ -156,7 +156,7 @@ class TestMatrix:
                 assert not m.matmul(Matrix(F, ns.data.T)).data.any()
 
     def test_rref_deterministic_and_canonical(self, f3):
-        m = Matrix.from_rows(f3, [[0, 2, 1], [1, 1, 1], [1, 0, 0]])
+        m = Matrix(f3, np.array([[0, 2, 1], [1, 1, 1], [1, 0, 0]], dtype=np.int64))
         red1, piv1 = m.rref()
         red2, piv2 = m.rref()
         assert (red1.data == red2.data).all() and piv1 == piv2
@@ -167,7 +167,7 @@ class TestMatrix:
             assert not col.any()
 
     def test_empty_matrix(self, f2):
-        m = Matrix.from_rows(f2, [], cols=4)
+        m = Matrix(f2, np.zeros((0, 4), dtype=np.int64))
         assert m.rank() == 0
         assert m.nullspace().rows == 4
 

@@ -463,7 +463,7 @@ def _scan_series(g):
 
 
 def _scan_commutator_subgroup(g):
-    return g.subgroup_generated(np.unique(_scan_commutators(g)).tolist())
+    return _generated_ref(g, np.unique(_scan_commutators(g)).tolist())
 
 
 def _scan_centralizer(g, s):
@@ -491,6 +491,15 @@ def _mapped(pi, members):
     return tuple(sorted(pi[list(members)].tolist()))
 
 
+def _right_generators_ref(g):
+    gens, span = [], {0}
+    for x in range(g.n):
+        if x not in span:
+            gens.append(x)
+            span = set(_generated_ref(g, gens))
+    return gens
+
+
 def _assert_matches_scan(g):
     classes, class_of = _scan_classes(g)
     assert g.conjugacy.classes == classes and g.conjugacy.class_of == class_of
@@ -502,10 +511,17 @@ def _assert_matches_scan(g):
     assert g.centralizer(z2) == _scan_centralizer(g, z2)
     for h in (g.commutator_subgroup, g.subgroup_generated([g.n - 1])):
         assert g.is_normal(h) == _scan_is_normal(g, h)
+    # the closure squares its generators, so long cycles close in few rounds
+    xs = [1 % g.n, g.n // 3, g.n - 1]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert g.subgroup_generated([x]) == _generated_ref(g, [x])
+        assert g.subgroup_generated([x, y]) == _generated_ref(g, [x, y])
+    assert g.right_generators.tolist() == _right_generators_ref(g)
 
 
 @pytest.mark.parametrize(
-    "spec", [s for s, _ in catalog.standard_entries()] + ["D64", "S3 x C64", "H7"]
+    "spec", [s for s, _ in catalog.standard_entries()]
+    + ["D64", "S3 x C64", "H7", "C1024", "D512", "Q8 x C125"]
 )
 def test_generator_analyses_match_table_scans(spec):
     g = catalog.get(spec)
