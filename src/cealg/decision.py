@@ -4,7 +4,9 @@ Three routes, kept deliberately independent so they can cross-check each
 other:
 
 * the exhaustive oracle enumerates projective representatives r and asks,
-  per candidate, whether rC meets C away from zero (a pair of ranks);
+  per candidate, whether rC meets C away from zero: a nonzero central
+  multiple r * Sigma_K certifies r, and an exact pair of ranks settles the
+  rest;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
   center -- one nullspace chain plus one rank;
@@ -173,16 +175,50 @@ def oracle_centrally_essential(
     return OracleOutcome(NOT_ESSENTIAL, witness, artifact)
 
 
+def _class_products(alg: GroupAlgebra) -> np.ndarray:
+    """The (n, d * n) matrix P whose row vector product r @ P holds every
+    r * Sigma_K, K = 0..d-1, in class coordinates.
+
+    Class coordinates: x'_j = x_j - x_rep(j) for each of the n - d elements
+    j that are not the least member rep(j) of their class (the residues,
+    first), then x_rep for the d least members.  C is exactly the vectors
+    whose residues vanish.
+    """
+    n, F = alg.dim, alg.field
+    classes = alg.group.conjugacy.classes
+    d = len(classes)
+    reps = [cls[0] for cls in classes]
+    others = [j for cls in classes for j in cls[1:]]
+    rep_of = [cls[0] for cls in classes for _ in cls[1:]]
+    out = np.empty((n, d, n), dtype=np.int64)
+    for k, s in enumerate(alg.center_basis.class_sums):
+        rm = alg.right_mult_matrix(s.coeffs).data  # r * Sigma_K = r @ rm
+        out[:, k, : n - d] = F.vsub(rm[:, others], rm[:, rep_of])
+        out[:, k, n - d :] = rm[:, reps]
+    return out.reshape(n, d * n)
+
+
+def _central_multiple(a: np.ndarray) -> np.ndarray:
+    """For products a[i, K] = r_i * Sigma_K in class coordinates, shaped
+    (B, d, n): whether some r_i * Sigma_K is a nonzero central element,
+    i.e. has zero residues and a nonzero rep coordinate."""
+    d, n = a.shape[1:]
+    central = ~a[:, :, : n - d].any(axis=2) & a[:, :, n - d :].any(axis=2)
+    return central.any(axis=1)
+
+
 def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
-    """Index of the first candidate r with rC /\\ C = 0, or None."""
-    group, F = alg.group, alg.field
-    n, q = group.n, F.order
-    sums = alg.center_basis.class_sums
-    # rms[h, K*n + m] = RM(Sigma_K)[h, m]: one product gives every r * Sigma_K
-    rms = np.stack([alg.right_mult_matrix(s.coeffs).data for s in sums], axis=1)
-    rms = rms.reshape(n, len(sums) * n)
-    zmat, piv = alg.center_matrix
-    nonpiv = [c for c in range(n) if c not in piv]
+    """Index of the first candidate r with rC /\\ C = 0, or None.
+
+    One product per chunk gives every r * Sigma_K in class coordinates (see
+    _class_products).  Each candidate is certified either by a nonzero
+    central multiple r * Sigma_K or by an exact pair of ranks: rC /\\ C = 0
+    exactly when rank(rC) equals the rank of its residues, which is
+    rank(rC + C) - d.
+    """
+    F, n, d = alg.field, alg.dim, alg.center_basis.dim
+    q = F.order
+    prods = _class_products(alg)
     for lo in range(1, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         digits = _enumeration_digits(lo, hi, q, n)
@@ -193,15 +229,14 @@ def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
         mask &= F.vsum(digits, 1) == 0
         if not mask.any():
             continue
-        cand = digits[mask]
-        idx = np.nonzero(mask)[0] + lo
-        a = F.vmatmul(cand, rms).reshape(-1, len(sums), n)  # rows r * Sigma_K
-        red = F.vsub(a, F.vmatmul(a[:, :, piv], zmat.data))
-        r_full = rank_batched(F, a)
-        r_red = rank_batched(F, red[:, :, nonpiv] if nonpiv else red)
-        bad = r_full == r_red  # empty intersection rC /\ C
+        a = F.vmatmul(digits[mask], prods).reshape(-1, d, n)  # rows r * Sigma_K
+        open_ = ~_central_multiple(a)
+        if not open_.any():
+            continue
+        a = a[open_]
+        bad = rank_batched(F, a) == rank_batched(F, a[:, :, : n - d])
         if bad.any():
-            return int(idx[np.argmax(bad)])
+            return int(lo + np.nonzero(mask)[0][open_][np.argmax(bad)])
     return None
 
 

@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cealg import catalog
+from cealg import catalog, decision
 from cealg.algebra import GroupAlgebra, subgroup_idempotent
 from cealg.decision import (
+    DEFAULT_BUDGET,
     ESSENTIAL,
     NOT_ESSENTIAL,
     BudgetError,
     StructuralUndecidedError,
+    _central_multiple,
+    _class_products,
+    _enumeration_digits,
+    _oracle_scan_generic,
     _p_part,
+    _projective_mask,
     candidate_admits_central_multiple,
     decide,
     decompose_p,
@@ -20,7 +26,7 @@ from cealg.decision import (
     witness_ce,
     witness_not_ce,
 )
-from cealg.fields import field_make
+from cealg.fields import field_make, rank_batched
 from cealg.groups import FiniteGroup
 
 
@@ -80,6 +86,114 @@ class TestOracle:
         b = oracle_centrally_essential(catalog.sym3(), f2)
         assert a.counterexample == b.counterexample
         assert a.artifact["candidate_index"] == b.artifact["candidate_index"]
+
+
+# -- the oracle scan against its rank-only form ----------------------------------
+
+
+def _rank_only_scan(alg: GroupAlgebra, total: int) -> int | None:
+    """The oracle scan without class coordinates or certificates: every
+    augmentation-zero projective candidate r gets two ranks, of rC and of
+    rC reduced modulo the RREF class-sum matrix, and fails when they agree."""
+    F, n, q = alg.field, alg.dim, alg.field.order
+    sums = alg.center_basis.class_sums
+    rms = np.stack([alg.right_mult_matrix(s.coeffs).data for s in sums], axis=1)
+    rms = rms.reshape(n, len(sums) * n)
+    zmat, piv = alg.center_matrix
+    nonpiv = [c for c in range(n) if c not in piv]
+    for lo in range(1, total, decision._CHUNK):
+        digits = _enumeration_digits(lo, min(lo + decision._CHUNK, total), q, n)
+        mask = _projective_mask(digits) & (F.vsum(digits, 1) == 0)
+        if not mask.any():
+            continue
+        a = F.vmatmul(digits[mask], rms).reshape(-1, len(sums), n)
+        red = F.vsub(a, F.vmatmul(a[:, :, piv], zmat.data))
+        bad = rank_batched(F, a) == rank_batched(F, red[:, :, nonpiv] if nonpiv else red)
+        if bad.any():
+            return int(lo + np.nonzero(mask)[0][np.argmax(bad)])
+    return None
+
+
+SCAN_CASES = [
+    (name, p, k)
+    for name, g in catalog.standard_entries()
+    if g.n <= 12
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1)]
+    if (p**k) ** g.n <= DEFAULT_BUDGET
+] + [("order16:6", 2, 1), ("order16:9", 2, 1)]
+
+
+@pytest.mark.parametrize("name,p,k", SCAN_CASES)
+def test_scan_matches_rank_only_scan(name, p, k):
+    g, fld = catalog.get(name), field_make(p, k)
+    alg = GroupAlgebra(g, fld)
+    total = fld.order**g.n
+    assert _oracle_scan_generic(alg, total) == _rank_only_scan(alg, total)
+
+
+def _certified(alg: GroupAlgebra, r: np.ndarray) -> bool:
+    a = alg.field.vmatmul(r[None, :], _class_products(alg))
+    return bool(_central_multiple(a.reshape(1, -1, alg.dim))[0])
+
+
+@st.composite
+def _candidates(draw):
+    name = draw(st.sampled_from(["S3", "D8", "Q8", "order16:9"]))
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    g, q = catalog.get(name), p**k
+    # dense vectors mostly have no central multiple, sparse ones often do
+    coeffs = draw(st.lists(st.integers(0, q - 1), min_size=g.n, max_size=g.n))
+    if draw(st.booleans()):
+        support = draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        coeffs = [c if i in support else 0 for i, c in enumerate(coeffs)]
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, g.n - 1))] = 1
+    return GroupAlgebra(g, field_make(p, k)), np.array(coeffs, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_candidates())
+def test_certificate_is_a_nonzero_central_multiple(case):
+    alg, r = case
+    x = alg.element(r)
+    multiples = [x * s for s in alg.center_basis.class_sums]
+    want = any(not m.is_zero() and alg.is_central(m) for m in multiples)
+    assert _certified(alg, r) == want
+
+
+def test_certificate_fires_both_ways(f2):
+    g = catalog.quaternion8()
+    alg = GroupAlgebra(g, f2)
+    z = next(i for i in g.center if i != 0)
+    one_plus_z = alg.from_support([(0, 1), (z, 1)]).coeffs
+    assert _certified(alg, one_plus_z)  # (1 + z) Sigma_K is central
+    s3 = GroupAlgebra(catalog.sym3(), f2)
+    bad = oracle_centrally_essential(catalog.sym3(), f2).counterexample.coeffs
+    assert not _certified(s3, bad)
+
+
+def _rank_batched_matrices(monkeypatch, group, fld) -> int:
+    """Matrices the oracle passes to rank_batched while deciding FG."""
+    seen = []
+
+    def counting(field, mats):
+        seen.append(mats.shape[0])
+        return rank_batched(field, mats)
+
+    monkeypatch.setattr(decision, "rank_batched", counting)
+    oracle_centrally_essential(group, fld)
+    return sum(seen)
+
+
+def test_certified_candidates_skip_ranks(monkeypatch, f2, f3):
+    assert _rank_batched_matrices(monkeypatch, catalog.get("order16:9"), f2) == 0
+    # D12 over GF(3) fails at candidate 19, inside the first chunk: compare
+    # with that chunk's augmentation-zero projective candidates
+    g = catalog.get("D12")
+    digits = _enumeration_digits(1, 1 + decision._CHUNK, 3, g.n)
+    scanned = int((_projective_mask(digits) & (f3.vsum(digits, 1) == 0)).sum())
+    assert oracle_centrally_essential(g, f3).artifact["candidate_index"] == 19
+    assert _rank_batched_matrices(monkeypatch, g, f3) < scanned / 10
 
 
 class TestRadicalBasis:
