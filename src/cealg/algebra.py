@@ -136,9 +136,7 @@ class GroupAlgebra:
             if not (xg == gx).all():
                 commutes = False
                 break
-        constant = all(
-            (c[list(cls)] == c[cls[0]]).all() for cls in self.group.conjugacy.classes
-        )
+        constant = bool((c == c[self.group.conjugacy.rep]).all())
         if commutes != constant:
             raise RuntimeError("center membership routes disagree; this is a bug")
         return commutes

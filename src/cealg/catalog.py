@@ -356,10 +356,9 @@ def get(spec: str) -> FiniteGroup:
     if not parts:
         raise ValueError("empty group spec")
     g = _atomic(parts[0])
-    for extra in parts[1:]:
-        g = direct_product(g, _atomic(extra), name=None)
-    if len(parts) > 1:
-        g = FiniteGroup(g.table, spec.strip(), g.labels, validate=False)
+    for i in range(1, len(parts)):
+        # the last product carries the spec as its name
+        g = direct_product(g, _atomic(parts[i]), spec.strip() if i == len(parts) - 1 else None)
     return g
 
 

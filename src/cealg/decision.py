@@ -9,7 +9,7 @@ other:
   rest;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
-  center -- one nullspace chain plus one rank;
+  center -- one nullspace chain plus a class-constancy test;
 * the structural route applies the Sylow-decomposition reduction, the
   class <= 2 shortcut, and for class > 2 groups with the central-coset
   property a constructive non-essentiality witness g * (sum of the center),
@@ -185,11 +185,10 @@ def _class_products(alg: GroupAlgebra) -> np.ndarray:
     whose residues vanish.
     """
     n, F = alg.dim, alg.field
-    classes = alg.group.conjugacy.classes
-    d = len(classes)
-    reps = [cls[0] for cls in classes]
-    others = [j for cls in classes for j in cls[1:]]
-    rep_of = [cls[0] for cls in classes for _ in cls[1:]]
+    rep = alg.group.conjugacy.rep
+    leading = rep == np.arange(n)
+    reps, others = np.flatnonzero(leading), np.flatnonzero(~leading)
+    rep_of, d = rep[others], reps.size
     out = np.empty((n, d, n), dtype=np.int64)
     for k, s in enumerate(alg.center_basis.class_sums):
         rm = alg.right_mult_matrix(s.coeffs).data  # r * Sigma_K = r @ rm
@@ -278,12 +277,8 @@ def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
         c[z] = 1
         c[0] = neg_one
         out.append(alg.element(c))
-    for cls in group.conjugacy.classes:
-        if len(cls) > 1:
-            c = np.zeros(group.n, dtype=np.int64)
-            c[list(cls)] = 1
-            out.append(alg.element(c))
-    return out
+    sums = zip(group.conjugacy.classes, alg.center_basis.class_sums)
+    return out + [s for cls, s in sums if len(cls) > 1]
 
 
 @dataclass
@@ -299,9 +294,9 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     annihilated by the radical of C already lies in C.
 
     The socle is computed as the intersection of the kernels of left
-    multiplication by the radical basis, and the containment test is a
-    single rank comparison against the class-sum basis.  A socle vector
-    outside C is returned as a certified counterexample (its central
+    multiplication by the radical basis, and the containment test asks
+    each socle basis row to be constant on conjugacy classes.  A socle
+    vector outside C is returned as a certified counterexample (its central
     multiples form the line it spans, which misses C).
     """
     _require_p_group(group, fld)
@@ -332,24 +327,17 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
         # ker rows are coordinates w.r.t. the current basis
         basis = ker.data.T if first else Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
         first = False
-    socle_rows = Matrix(F, basis.T).rref()[0].data
-    socle_rows = socle_rows[~(socle_rows == 0).all(axis=1)]
+    red, pivots = Matrix(F, basis.T).rref()
+    socle_rows = red.data[: len(pivots)]
     socle_dim = socle_rows.shape[0]
-    zmat, _ = alg.center_matrix
-    d = alg.center_basis.dim
-    stacked = Matrix(F, np.vstack([zmat.data, socle_rows]) if socle_dim else zmat.data)
-    combined_rank = stacked.rank()
-    if combined_rank == d:
-        return SocleOutcome(ESSENTIAL, socle_dim, None, {"center_dim": d})
-    # first socle basis vector outside the center is the counterexample
-    excess = None
-    for row in socle_rows:
-        x = alg.element(row)
-        if not alg.is_central(x):
-            excess = x
-            break
-    if excess is None:
-        raise CrossValidationError("socle exceeded the center but no excess vector found")
+    # a row lies in C exactly when it is constant on classes
+    outside = (socle_rows != socle_rows[:, group.conjugacy.rep]).any(axis=1)
+    if not outside.any():
+        return SocleOutcome(ESSENTIAL, socle_dim, None, {"center_dim": len(group.conjugacy.classes)})
+    # the first socle basis vector outside the center is the counterexample
+    excess = alg.element(socle_rows[np.argmax(outside)])
+    if alg.is_central(excess):
+        raise CrossValidationError("socle excess vector is central")
     for b in rad:
         if not (b * excess).is_zero():
             raise CrossValidationError("socle vector not annihilated by the radical")
@@ -395,12 +383,12 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _p_part_group(group: FiniteGroup, dec: PDecomposition) -> FiniteGroup:
-    """The p-part of a direct decomposition as a group of its own; a p-group
-    is its own p-part and keeps its already validated table."""
-    name = f"{group.name}|P"
+    """The p-part of a direct decomposition as a group of its own.  A p-group
+    is its own p-part: the group itself comes back, with its inverses,
+    generators and cached analyses."""
     if len(dec.p_part) == group.n:
-        return FiniteGroup(group.table, name, group.labels, validate=False)
-    return group.subgroup(dec.p_part, name=name)
+        return group
+    return group.subgroup(dec.p_part, name=f"{group.name}|P")
 
 
 def witness_ce(

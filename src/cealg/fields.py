@@ -7,12 +7,12 @@ multiplicative identity.  A GF object owns the arithmetic; there is no
 per-element wrapper class.
 
 Vectorized operations work on numpy int64 arrays of encodings.  Every field
-carries negation and inverse tables; fields of order <= 256 also carry full
-add/mul tables, and larger extension fields use digit tables for addition
-and log/exp tables for multiplication, so every field up to the 2^16 order
-cap stays vectorizable.  Only this module knows the encoding: the matrix
-kernels below and every caller use the GF vector operations, one code path
-for every GF(p^k).
+carries negation and inverse tables; prime fields add and multiply mod p,
+extension fields of order <= 256 carry full add/mul tables, and larger ones
+use digit tables for addition and log/exp tables for multiplication, so
+every field up to the 2^16 order cap stays vectorizable.  Only this module
+knows the encoding: the matrix kernels below and every caller use the GF
+vector operations, one code path for every GF(p^k).
 """
 
 from __future__ import annotations
@@ -137,9 +137,6 @@ class GF:
         if k == 1:
             self._neg_t = (-a) % p
             self._inv_t = np.array([pow(x, -1, p) if x else 0 for x in range(q)], dtype=np.int64)
-            if q <= TABLE_ORDER:
-                self._add_t = (a[:, None] + a[None, :]) % p
-                self._mul_t = (a[:, None] * a[None, :]) % p
             return
         dig = self._dig = (a[:, None] // self._pmat) % p
         # the float64 digit planes for vmatmul: _fplanes[i, x] is digit i of x

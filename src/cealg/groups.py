@@ -17,7 +17,7 @@ object serializes identically across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -32,10 +32,15 @@ class GroupValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Conjugacy classes, ordered by least member, each class sorted."""
+    """Conjugacy classes, ordered by least member, each class sorted.
+
+    rep[g] is the least member of g's class (a read-only int array), so a
+    vector c is constant on classes, i.e. central, exactly when c == c[rep].
+    """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
+    rep: np.ndarray = field(compare=False)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -61,7 +66,6 @@ class FiniteGroup:
         table: np.ndarray | Sequence[Sequence[int]],
         name: str = "G",
         labels: Sequence[str] | None = None,
-        validate: bool = True,
     ):
         table = np.asarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -74,21 +78,11 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.n:
             raise GroupValidationError("label count does not match order")
-        if validate:
-            self._validate()
-        else:
-            self.inv = self._compute_inverses()
+        self._validate()
         self.table.setflags(write=False)
         self.inv.setflags(write=False)
 
     # -- construction checks -------------------------------------------------
-
-    def _compute_inverses(self) -> np.ndarray:
-        hits = self.table == 0
-        unique = np.count_nonzero(hits, axis=1) == 1
-        if not unique.all():
-            raise GroupValidationError(f"element {unique.argmin()} lacks a unique right inverse")
-        return hits.argmax(axis=1).astype(np.int32)
 
     def _validate(self) -> None:
         n, t = self.n, self.table
@@ -99,7 +93,11 @@ class FiniteGroup:
         ref = np.arange(n, dtype=np.int32)
         if not (t[0] == ref).all() or not (t[:, 0] == ref).all():
             raise GroupValidationError("index 0 is not a two-sided identity")
-        self.inv = self._compute_inverses()
+        hits = t == 0
+        unique = np.count_nonzero(hits, axis=1) == 1
+        if not unique.all():
+            raise GroupValidationError(f"element {unique.argmin()} lacks a unique right inverse")
+        self.inv = hits.argmax(axis=1).astype(np.int32)
         if not (t[self.inv, ref] == 0).all():
             raise GroupValidationError("inverse law fails")
         # Light's test: the s with (xy)s = x(ys) for all x, y form a set closed
@@ -242,13 +240,14 @@ class FiniteGroup:
         # the classes are the orbits of g -> s^-1 g s over the generators; a
         # class is named by its least member, and numbered in the order of those
         least = _least_in_orbit(self.conjugators)
+        least.setflags(write=False)
         class_of = (np.cumsum(least == np.arange(self.n)) - 1)[least]
         members = np.argsort(class_of, kind="stable").tolist()
         classes, start = [], 0
         for size in np.bincount(class_of).tolist():
             classes.append(tuple(members[start : start + size]))
             start += size
-        return ClassPartition(tuple(classes), tuple(class_of.tolist()))
+        return ClassPartition(tuple(classes), tuple(class_of.tolist()), least)
 
     @cached_property
     def center(self) -> tuple[int, ...]:
@@ -379,9 +378,7 @@ class FiniteGroup:
         classes (conjugating g carries gH onto the same class), so one
         representative per class is checked.
         """
-        t = self.table
-        cp = self.conjugacy
-        class_of = np.asarray(cp.class_of)
+        t, cp = self.table, self.conjugacy
         cyclic: dict[int, np.ndarray] = {}  # central z -> the subgroup <z>
         cert: dict[int, int] = {}
         for cls in cp.classes:
@@ -392,7 +389,7 @@ class FiniteGroup:
             for zc in self.center[1:]:
                 if zc not in cyclic:
                     cyclic[zc] = np.asarray(self.subgroup_generated([zc]))
-                if (class_of[t[g, cyclic[zc]]] == class_of[g]).all():
+                if (cp.rep[t[g, cyclic[zc]]] == g).all():
                     found = zc
                     break
             if found is None:

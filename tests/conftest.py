@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cealg.fields import field_make
+from cealg.groups import FiniteGroup
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +23,17 @@ def f4():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def validated_orders(monkeypatch):
+    """The order of every table that FiniteGroup validates, in call order."""
+    orders = []
+    validate = FiniteGroup._validate
+
+    def counting(self):
+        orders.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(FiniteGroup, "_validate", counting)
+    return orders

@@ -44,6 +44,13 @@ class TestNamedGroups:
         g = catalog.get("Q8 x C3")
         assert g.n == 24 and g.name == "Q8 x C3"
 
+    def test_product_spec_validates_its_table_once(self, validated_orders):
+        d8, c3 = catalog.dihedral(8), catalog.cyclic(3)
+        validated_orders.clear()
+        g = catalog.get("D8 x C3")
+        assert validated_orders == [24]
+        assert g.name == "D8 x C3" and g.labels == direct_product(d8, c3).labels
+
     def test_unknown_specs_rejected(self):
         for bad in ["X9", "D7", "order16:15", "order16:0", "prop29:7", "prop29:4",
                     "E4^2", "Q12", "", "C0", "E2^14", "E3^20"]:

@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shlex
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cealg.cli import main, parse_field
+from cealg.groups import ORDER_CAP
 
 
 class TestFieldParsing:
@@ -314,3 +321,99 @@ def test_tracer_names_resolve():
         else:
             assert inspect.isfunction(target), (mod, qual)
     assert TRACED_CACHED <= set(wrapped)
+
+
+# -- fuzzing JSON group files -------------------------------------------------------
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(10**20), 10**20),
+                     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4))
+_ANY_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+def _perms(degree: int):
+    return st.permutations(range(degree))
+
+
+@st.composite
+def _well_formed(draw) -> str:
+    """Generators at degree <= 6, duplicates and identities included."""
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(_perms(degree) | st.just(list(range(degree))), max_size=3))
+    if gens and draw(st.booleans()):
+        gens.append(gens[0])
+    doc = {"degree": degree, "generators": gens}
+    if draw(st.booleans()):
+        doc["name"] = draw(_ANY_JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def _malformed(draw) -> str:
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(_perms(degree), max_size=2))
+    kind = draw(st.sampled_from(["not_object", "degree", "not_int_lists", "length",
+                                 "not_permutation", "deep", "truncated"]))
+    if kind == "not_object":
+        return json.dumps(draw(_ANY_JSON.filter(lambda x: not isinstance(x, dict))))
+    if kind == "degree":
+        bad = (st.booleans() | st.floats(allow_nan=True) | st.just(float("nan"))
+               | st.integers(max_value=0) | st.integers(min_value=ORDER_CAP + 1)
+               | st.text(max_size=3) | st.lists(st.integers(1, 6), max_size=2))
+        doc = {"generators": gens}
+        if draw(st.booleans()):  # else the degree is missing
+            doc["degree"] = draw(bad)
+        return json.dumps(doc)
+    if kind == "not_int_lists":
+        # a non-int entry in a generator, a generator that is not a list, or
+        # generators that are not a list
+        gen = draw(st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree))
+        gen[draw(st.integers(0, degree - 1))] = draw(
+            _SCALARS.filter(lambda x: type(x) is not int) | st.lists(st.integers(), max_size=2))
+        gens = draw(st.sampled_from([gens + [gen], gens + [draw(_SCALARS)], draw(_SCALARS)]))
+    elif kind == "length":
+        other = draw(st.integers(0, 8).filter(lambda m: m != degree))
+        gens = gens + [draw(_perms(other))]
+    elif kind == "not_permutation":
+        gens = gens + [draw(st.lists(st.integers(-3, degree + 3), min_size=degree, max_size=degree)
+                            .filter(lambda g: sorted(g) != list(range(degree))))]
+    elif kind == "deep":
+        depth = draw(st.integers(2, 10**5))
+        nested = "[" * depth + "]" * depth
+        return draw(st.sampled_from([nested, f'{{"degree": {degree}, "generators": {nested}}}']))
+    else:
+        text = json.dumps({"degree": degree, "generators": gens})
+        return text[: draw(st.integers(0, len(text) - 1))]
+    return json.dumps({"degree": degree, "generators": gens})
+
+
+def _check_group_file(text: str, field: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `check --group <file>.json`."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--group", path, "--field", field])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_malformed(), st.sampled_from(["2", "3", "0"]))
+def test_malformed_group_file_exits_2_on_one_line(text, field):
+    code, out, err = _check_group_file(text, field)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_well_formed(), st.sampled_from(["2", "3", "0"]))
+def test_well_formed_group_file_gets_a_verdict(text, field):
+    code, out, err = _check_group_file(text, field)
+    assert code in (0, 1) and err == ""
+    assert "verdict" in out

@@ -26,7 +26,7 @@ from cealg.decision import (
     witness_ce,
     witness_not_ce,
 )
-from cealg.fields import field_make, rank_batched
+from cealg.fields import Matrix, field_make, rank_batched
 from cealg.groups import FiniteGroup
 
 
@@ -244,6 +244,79 @@ class TestSocle:
             socle_centrally_essential(catalog.quaternion8(), f3)
 
 
+# -- the socle containment test against its rank form ------------------------------
+
+
+def _socle_rows(alg: GroupAlgebra) -> np.ndarray:
+    """RREF basis rows of the annihilator of the radical of the center,
+    intersecting the kernels of the dense left multiplication matrices.
+    The RREF basis of a subspace is unique, so the decider's rows match."""
+    F, n = alg.field, alg.dim
+    basis = Matrix(F, np.eye(n, dtype=np.int64))  # rows span the running space
+    for b in radical_center_basis(alg.group, F):
+        lm = alg.left_mult_matrix(b.coeffs)
+        ker = lm.matmul(Matrix(F, basis.data.T)).nullspace()
+        basis = ker.matmul(basis)
+    red, piv = basis.rref()
+    return red.data[: len(piv)]
+
+
+def _rank_containment(alg: GroupAlgebra, rows: np.ndarray):
+    """The parent's containment test: the socle lies in C when stacking its
+    rows under the class-sum matrix keeps the rank at dim C; otherwise the
+    excess is the first row that is_central rejects."""
+    zmat, _ = alg.center_matrix
+    if Matrix(alg.field, np.vstack([zmat.data, rows])).rank() == alg.center_basis.dim:
+        return ESSENTIAL, None
+    return NOT_ESSENTIAL, next(x for x in map(alg.element, rows) if not alg.is_central(x))
+
+
+def _prime_of(n: int) -> int:
+    return next((p for p in range(2, n + 1) if n % p == 0), 2)
+
+
+def _is_p_group(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+CONTAINMENT_CASES = [
+    (spec, _prime_of(g.n), k)
+    for spec, g in catalog.standard_entries()
+    + [(s, catalog.get(s)) for s in ("D16", "QD16", "Q16", "D32", "H5")]
+    if _is_p_group(g.n, _prime_of(g.n))
+    for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize("spec,p,k", CONTAINMENT_CASES)
+def test_socle_containment_matches_rank_reference(monkeypatch, spec, p, k):
+    g, fld = catalog.get(spec), field_make(p, k)
+    alg = GroupAlgebra(g, fld)
+    rows = _socle_rows(alg)
+    verdict, excess = _rank_containment(alg, rows)
+    central_calls, rank_calls = [], []
+    is_central, rank = GroupAlgebra.is_central, Matrix.rank
+    monkeypatch.setattr(GroupAlgebra, "is_central",
+                        lambda a, x: central_calls.append(x) or is_central(a, x))
+    monkeypatch.setattr(Matrix, "rank", lambda m: rank_calls.append(m) or rank(m))
+    soc = socle_centrally_essential(g, fld)
+    assert (soc.verdict, soc.socle_dim) == (verdict, rows.shape[0])
+    if excess is None:
+        assert soc.excess is None and not central_calls and not rank_calls
+    else:
+        assert soc.excess.coeffs.tolist() == excess.coeffs.tolist()
+        # the class-constancy verdict is checked once, by the commutation route
+        assert [x.coeffs.tolist() for x in central_calls] == [excess.coeffs.tolist()]
+
+
+def test_central_excess_is_refused(monkeypatch, f2):
+    monkeypatch.setattr(GroupAlgebra, "is_central", lambda a, x: True)
+    with pytest.raises(decision.CrossValidationError):
+        socle_centrally_essential(catalog.p5_class3_group(2), f2)
+
+
 class TestDecomposition:
     def test_s3_at_3(self):
         d = decompose_p(catalog.sym3(), 3)
@@ -319,6 +392,21 @@ class TestDecide:
     def test_timings_recorded(self, f2):
         r = decide(catalog.quaternion8(), f2)
         assert "decompose" in r.timings
+
+    @pytest.mark.parametrize("spec,p", [("Q8", 2), ("D16", 2), ("H3", 3), ("C9", 3),
+                                        ("prop29:2", 2), ("prop29:3", 3)])
+    def test_p_group_is_its_own_p_part(self, validated_orders, spec, p):
+        g = catalog.get(spec)
+        assert decision._p_part_group(g, decompose_p(g, p)) is g
+        validated_orders.clear()
+        decide(g, field_make(p))
+        assert validated_orders == []
+
+    def test_p_part_subgroup_is_the_one_group_built(self, validated_orders, f2):
+        g = catalog.get("Q8 x C3")
+        validated_orders.clear()
+        r = decide(g, f2)
+        assert validated_orders == [8] and r.details["p_part_order"] == 8
 
     def test_h11_socle_agrees_with_sylow_shortcut(self):
         # order 1331 is far beyond the oracle; the socle chain checks the
@@ -507,11 +595,35 @@ class TestQSubgroupsAndIdempotents:
 
 class TestVerdictsOverExtensionFields:
     def test_q8_gf4(self, f4):
-        # same machinery applies for k > 1; verdicts recorded, no
-        # field-independence claim
         r = decide(catalog.quaternion8(), f4, method="crossvalidate")
         assert r.verdict == ESSENTIAL
         assert ("oracle", ESSENTIAL) in r.cross_checks
+
+
+# -- independence from the extension degree ------------------------------------------
+#
+# J(Z(FG)) and annihilators commute with extending the perfect field GF(p) to
+# GF(p^k), so the verdict over GF(p^k) is the verdict over GF(p).
+
+K_INDEPENDENCE_SPECS = [s for s, _ in catalog.standard_entries()] + [
+    "D16", "QD16", "Q16", "H5", "S3 x C3", "Q8 x C3"]
+
+
+@pytest.mark.parametrize("spec", K_INDEPENDENCE_SPECS)
+def test_verdict_independent_of_extension_degree(spec):
+    g = catalog.get(spec)
+    for p in (2, 3, 5):
+        methods = ["auto", "socle"] if _is_p_group(g.n, p) else ["auto"]
+        for method in methods:
+            base = decide(g, field_make(p), method).verdict
+            for k in (2, 3):
+                assert decide(g, field_make(p, k), method).verdict == base, (p, k, method)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8"])
+def test_oracle_verdict_over_gf4_is_the_gf2_verdict(spec, f2, f4):
+    g = catalog.get(spec)
+    assert oracle_centrally_essential(g, f4).verdict == oracle_centrally_essential(g, f2).verdict
 
 
 # -- invariance under relabeling the group elements -----------------------------

@@ -503,6 +503,9 @@ def _right_generators_ref(g):
 def _assert_matches_scan(g):
     classes, class_of = _scan_classes(g)
     assert g.conjugacy.classes == classes and g.conjugacy.class_of == class_of
+    # rep[x] is the least member of x's class
+    rep = g.conjugacy.rep
+    assert rep.tolist() == [classes[c][0] for c in class_of] and not rep.flags.writeable
     assert g.center == _scan_center(g)
     series = g.upper_central_series
     assert (series.subgroups, series.nilpotency_class) == _scan_series(g)
