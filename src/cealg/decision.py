@@ -5,8 +5,10 @@ other:
 
 * the exhaustive oracle enumerates projective representatives r and asks,
   per candidate, whether rC meets C away from zero: a nonzero central
-  multiple r * Sigma_K certifies r, and an exact pair of ranks settles the
-  rest;
+  multiple r * Sigma_K certifies r, read off two tables of integer codes
+  for the low and the high digits of the candidate index with d compares
+  and no product, and an exact pair of ranks settles the rest; it refuses
+  above its budget and at q^|G| >= 2^63, beyond the int64 index;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
   center -- one nullspace chain plus a class-constancy test;
@@ -31,6 +33,7 @@ from .fields import GF, Matrix, rank_batched
 from .groups import FiniteGroup
 
 DEFAULT_BUDGET = 1 << 20
+INDEX_LIMIT = 1 << 63  # the oracle enumerates fewer candidates than this
 _CHUNK = 1 << 14
 
 ESSENTIAL = "centrally_essential"
@@ -121,13 +124,18 @@ def _enumeration_digits(lo: int, hi: int, q: int, n: int) -> np.ndarray:
     Candidate m has coefficients the base-q digits of m, least significant
     digit = coefficient of basis element 0.
     """
-    ms = np.arange(lo, hi, dtype=np.int64)
-    qpow = q ** np.arange(n, dtype=np.int64)
-    return (ms[:, None] // qpow[None, :]) % q
+    return _candidate_digits(np.arange(lo, hi, dtype=np.int64), q, n)
+
+
+def _candidate_digits(ms: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Coefficient rows of the candidates with indices ms."""
+    return (ms[:, None] // q ** np.arange(n, dtype=np.int64)) % q
 
 
 def _projective_mask(digits: np.ndarray) -> np.ndarray:
     """Keep rows whose first nonzero coefficient equals 1."""
+    if digits.shape[1] == 0:
+        return np.zeros(digits.shape[0], dtype=bool)  # rows of the empty half
     nz = digits != 0
     first = np.argmax(nz, axis=1)
     has = nz.any(axis=1)
@@ -149,9 +157,15 @@ def oracle_centrally_essential(
     representatives (first nonzero coefficient = 1); scaling a candidate by
     a nonzero field scalar does not change its fate.
 
-    Refuses (BudgetError) when |F|^|G| exceeds the budget.
+    Refuses (BudgetError) when |F|^|G| exceeds the budget, and at any
+    budget when it reaches 2^63, where the int64 candidate index would wrap.
     """
     n, q = group.n, fld.order
+    if q**n >= INDEX_LIMIT:
+        raise BudgetError(
+            f"oracle needs {q}^{n} candidates; its int64 candidate index stops "
+            "at 2^63 - 1, whatever the budget"
+        )
     if q**n > budget:
         raise BudgetError(
             f"oracle needs {q}^{n} candidates, over the budget of {budget}"
@@ -197,45 +211,82 @@ def _class_products(alg: GroupAlgebra) -> np.ndarray:
     return out.reshape(n, d * n)
 
 
-def _central_multiple(a: np.ndarray) -> np.ndarray:
-    """For products a[i, K] = r_i * Sigma_K in class coordinates, shaped
-    (B, d, n): whether some r_i * Sigma_K is a nonzero central element,
-    i.e. has zero residues and a nonzero rep coordinate."""
-    d, n = a.shape[1:]
-    central = ~a[:, :, : n - d].any(axis=2) & a[:, :, n - d :].any(axis=2)
-    return central.any(axis=1)
+def _half_table(
+    F: GF, prods: np.ndarray, lo: int, hi: int, d: int, negate: bool
+) -> tuple[np.ndarray, ...]:
+    """Rows lo..hi-1 of one half of the split candidate table.
+
+    Row m stands for the partial candidate whose coefficients on the rows of
+    `prods` are the base-q digits of m.  A row holds its projective mask,
+    its augmentation, and per class K the base-q codes sum_j v_j q^j of the
+    residue block and of the rep block of v = (row digits) @ prods at K,
+    negated first when `negate` is set.  Distinct blocks have distinct
+    codes, and each code is below q^n < 2^63.  The product exists only in
+    blocks of about _CHUNK * d entries.
+    """
+    q, rows = F.order, prods.shape[0]
+    n = prods.shape[1] // d
+    res_q = q ** np.arange(n - d, dtype=np.int64)
+    rep_q = q ** np.arange(d, dtype=np.int64)
+    step = max(1, _CHUNK // n)
+    parts = []
+    for b in range(lo, hi, step):
+        digits = _enumeration_digits(b, min(b + step, hi), q, rows)
+        a = F.vmatmul(digits, prods).reshape(-1, d, n)
+        if negate:
+            a = F.vneg(a)
+        parts.append((_projective_mask(digits), F.vsum(digits, 1),
+                      a[:, :, : n - d] @ res_q, a[:, :, n - d :] @ rep_q))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
     """Index of the first candidate r with rC /\\ C = 0, or None.
 
-    One product per chunk gives every r * Sigma_K in class coordinates (see
-    _class_products).  Each candidate is certified either by a nonzero
-    central multiple r * Sigma_K or by an exact pair of ranks: rC /\\ C = 0
-    exactly when rank(rC) equals the rank of its residues, which is
-    rank(rC + C) - d.
+    The scan splits every candidate m = m_hi * q^L + m_lo, with the low
+    digits the coefficients of elements 0..L-1, so that each r * Sigma_K
+    in class coordinates (see _class_products) is lo[m_lo] + hi[m_hi].  A
+    candidate is certified by a nonzero central multiple r * Sigma_K, that
+    is lo + hi with zero residues and a nonzero rep part: the residue codes
+    of lo and of -hi agree and their rep codes differ, d integer compares
+    per candidate and no product.  The low table (q^L <= _CHUNK rows,
+    L <= ceil(n / 2)) is built once, the high rows each chunk reads are built
+    with the chunk.  Only uncertified candidates get their product and an
+    exact pair of ranks: rC /\\ C = 0 exactly when rank(rC) equals the rank
+    of its residues, which is rank(rC + C) - d.
     """
     F, n, d = alg.field, alg.dim, alg.center_basis.dim
     q = F.order
     prods = _class_products(alg)
+    L = 1
+    while L < -(-n // 2) and q ** (L + 1) <= _CHUNK:
+        L += 1
+    low = q**L
+    proj_lo, aug_lo, res_lo, rep_lo = _half_table(F, prods[:L], 0, low, d, False)
     for lo in range(1, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        digits = _enumeration_digits(lo, hi, q, n)
-        mask = _projective_mask(digits)
+        ms = np.arange(lo, hi, dtype=np.int64)
+        h0 = lo // low
+        proj_hi, aug_hi, res_hi, rep_hi = _half_table(
+            F, prods[L:], h0, (hi - 1) // low + 1, d, True)
+        ml, mh = ms % low, ms // low - h0
+        # projective: the first nonzero digit is 1, read from the low half
+        # unless it is zero
+        mask = np.where(ml != 0, proj_lo[ml], proj_hi[mh])
         # r with nonzero augmentation admits c = Sigma_G: r Sigma_G is the
         # nonzero central element aug(r) * Sigma_G, so only augmentation-zero
         # candidates can fail
-        mask &= F.vsum(digits, 1) == 0
-        if not mask.any():
+        mask &= F.vadd(aug_lo[ml], aug_hi[mh]) == 0
+        ms, ml, mh = ms[mask], ml[mask], mh[mask]
+        certified = (res_lo[ml] == res_hi[mh]) & (rep_lo[ml] != rep_hi[mh])
+        ms = ms[~certified.any(axis=1)]
+        if ms.size == 0:
             continue
-        a = F.vmatmul(digits[mask], prods).reshape(-1, d, n)  # rows r * Sigma_K
-        open_ = ~_central_multiple(a)
-        if not open_.any():
-            continue
-        a = a[open_]
+        # the uncertified candidates' rows r * Sigma_K
+        a = F.vmatmul(_candidate_digits(ms, q, n), prods).reshape(-1, d, n)
         bad = rank_batched(F, a) == rank_batched(F, a[:, :, : n - d])
         if bad.any():
-            return int(lo + np.nonzero(mask)[0][open_][np.argmax(bad)])
+            return int(ms[np.argmax(bad)])
     return None
 
 
@@ -267,9 +318,14 @@ def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
     zero is nilpotency.
     """
     _require_p_group(group, fld)
-    alg = GroupAlgebra(group, fld)
+    return _radical_basis(GroupAlgebra(group, fld))
+
+
+def _radical_basis(alg: GroupAlgebra) -> list[AlgebraElement]:
+    """radical_center_basis over an algebra the caller already holds."""
+    group = alg.group
     out: list[AlgebraElement] = []
-    neg_one = fld.neg(1)
+    neg_one = alg.field.neg(1)
     for z in group.center:
         if z == 0:
             continue
@@ -302,7 +358,7 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     _require_p_group(group, fld)
     alg = GroupAlgebra(group, fld)
     F, n = fld, group.n
-    rad = radical_center_basis(group, fld)
+    rad = _radical_basis(alg)
     for b in rad:
         # the radical description rests on these being nilpotent; guard it.
         # b is nilpotent iff b^n = 0 iff b^(2^m) = 0 for 2^m >= n, and
@@ -563,7 +619,7 @@ def decide(
         checks = []
         if report.reason == "nc_le_2":
             checks.append(("socle", lambda: socle_centrally_essential(p_group, fld)))
-        if fld.order**group.n <= budget:
+        if fld.order**group.n <= min(budget, INDEX_LIMIT - 1):
             checks.append(("oracle", lambda: oracle_centrally_essential(group, fld, budget)))
         for name, run in checks:
             t0 = time.perf_counter()

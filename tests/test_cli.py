@@ -85,6 +85,14 @@ class TestCheckCommand:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_index_limit_refusal(self, capsys):
+        # 2^64 candidates: refused at once whatever the budget
+        code = main(["check", "--group", "D64", "--field", "2", "--method", "oracle",
+                     "--budget", str(2**128)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "2^63" in err[0]
+
     def test_socle_on_non_p_group_refused(self, capsys):
         assert main(["check", "--group", "S3", "--field", "2", "--method", "socle"]) == 2
 

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,9 @@ from cealg.decision import (
     NOT_ESSENTIAL,
     BudgetError,
     StructuralUndecidedError,
-    _central_multiple,
     _class_products,
     _enumeration_digits,
+    _half_table,
     _oracle_scan_generic,
     _p_part,
     _projective_mask,
@@ -53,6 +55,14 @@ class TestOracle:
     def test_budget_refusal(self, f2):
         with pytest.raises(BudgetError):
             oracle_centrally_essential(catalog.p5_class3_group(2), f2)
+
+    def test_index_limit_refusal(self, f2):
+        # 2^64 candidates overflow the int64 candidate index at any budget
+        with pytest.raises(BudgetError, match="2\\^63"):
+            oracle_centrally_essential(catalog.get("D64"), f2, budget=2**128)
+        # and crossvalidate leaves the oracle out instead of refusing
+        rep = decide(catalog.get("D64"), f2, "crossvalidate", budget=2**128)
+        assert [name for name, _ in rep.cross_checks] == []
 
     def test_extension_field_scan(self, f4):
         # char 2 sees S3 fail its Sylow decomposition; the oracle agrees
@@ -120,7 +130,11 @@ SCAN_CASES = [
     if g.n <= 12
     for p, k in [(2, 1), (3, 1), (2, 2), (5, 1)]
     if (p**k) ** g.n <= DEFAULT_BUDGET
-] + [("order16:6", 2, 1), ("order16:9", 2, 1)]
+] + [
+    ("order16:6", 2, 1), ("order16:7", 2, 1), ("order16:9", 2, 1), ("order16:13", 2, 1),
+    # 2^27 candidates, split into halves of 14 and 13 digits; both scans stop at 24
+    ("H3", 2, 1),
+]
 
 
 @pytest.mark.parametrize("name,p,k", SCAN_CASES)
@@ -129,6 +143,15 @@ def test_scan_matches_rank_only_scan(name, p, k):
     alg = GroupAlgebra(g, fld)
     total = fld.order**g.n
     assert _oracle_scan_generic(alg, total) == _rank_only_scan(alg, total)
+
+
+def _central_multiple(a: np.ndarray) -> np.ndarray:
+    """For products a[i, K] = r_i * Sigma_K in class coordinates, shaped
+    (B, d, n): whether some r_i * Sigma_K is a nonzero central element,
+    i.e. has zero residues and a nonzero rep coordinate."""
+    d, n = a.shape[1:]
+    central = ~a[:, :, : n - d].any(axis=2) & a[:, :, n - d :].any(axis=2)
+    return central.any(axis=1)
 
 
 def _certified(alg: GroupAlgebra, r: np.ndarray) -> bool:
@@ -149,6 +172,36 @@ def _candidates(draw):
     if not any(coeffs):
         coeffs[draw(st.integers(0, g.n - 1))] = 1
     return GroupAlgebra(g, field_make(p, k)), np.array(coeffs, dtype=np.int64)
+
+
+@st.composite
+def _split_candidates(draw):
+    alg, r = draw(_candidates())
+    F, n = alg.field, alg.dim
+    if draw(st.booleans()):
+        # augmentation zero, so that r * Sigma_G certifies nothing
+        r[0] = 0
+        r[0] = F.neg(F.vsum(r))
+        if not r.any():
+            r[1], r[0] = 1, F.neg(1)
+    m = sum(int(c) * F.order**i for i, c in enumerate(r))
+    return alg, m, draw(st.integers(0, n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_split_candidates())
+def test_split_codes_certify_as_the_full_product(case):
+    # candidate m = m_hi * q^L + m_lo: the codes of the low half against the
+    # codes of the negated high half decide the dense certificate
+    alg, m, L = case
+    F, n, d = alg.field, alg.dim, alg.center_basis.dim
+    prods = _class_products(alg)
+    m_hi, m_lo = divmod(m, F.order**L)
+    *_, res_lo, rep_lo = _half_table(F, prods[:L], m_lo, m_lo + 1, d, False)
+    *_, res_hi, rep_hi = _half_table(F, prods[L:], m_hi, m_hi + 1, d, True)
+    split = ((res_lo == res_hi) & (rep_lo != rep_hi)).any()
+    a = F.vmatmul(_enumeration_digits(m, m + 1, F.order, n), prods)
+    assert split == _central_multiple(a.reshape(1, d, n))[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -242,6 +295,24 @@ class TestSocle:
     def test_rejects_wrong_characteristic(self, f3):
         with pytest.raises(ValueError):
             socle_centrally_essential(catalog.quaternion8(), f3)
+
+    @pytest.mark.parametrize("spec,p,verdict", [
+        ("prop29:3", 3, NOT_ESSENTIAL), ("Q8", 2, ESSENTIAL)])
+    def test_class_sums_built_once(self, monkeypatch, spec, p, verdict):
+        # the radical basis and the re-verification share one GroupAlgebra
+        built = []
+        center_basis = GroupAlgebra.center_basis.func
+
+        def counting(self):
+            built.append(self)
+            return center_basis(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(GroupAlgebra, "center_basis")
+        monkeypatch.setattr(GroupAlgebra, "center_basis", prop)
+        soc = socle_centrally_essential(catalog.get(spec), field_make(p, 1))
+        assert soc.verdict == verdict
+        assert len(built) == 1
 
 
 # -- the socle containment test against its rank form ------------------------------
