@@ -11,7 +11,8 @@ other:
   above its budget and at q^|G| >= 2^63, beyond the int64 index;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
-  center -- one nullspace chain plus a class-constancy test;
+  center -- one nullspace chain, run in F[G/Z] for the center Z, plus a
+  class-constancy test;
 * the structural route applies the Sylow-decomposition reduction, the
   class <= 2 shortcut, and for class > 2 groups with the central-coset
   property a constructive non-essentiality witness g * (sum of the center),
@@ -337,6 +338,51 @@ def _radical_basis(alg: GroupAlgebra) -> list[AlgebraElement]:
     return out + [s for cls, s in sums if len(cls) > 1]
 
 
+def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
+    """RREF basis rows of the socle ann_FG(J), J the radical of C(FG), for
+    a p-group G over characteristic p, computed in F[G/Z], Z the center.
+
+    The links z - 1 (z in Z) of the radical basis annihilate x exactly when
+    x is constant on the cosets gZ, that is x = y Sigma_Z for y in FG; and
+    y -> y Sigma_Z maps F[G/Z] one-to-one onto those x, as the image ybar
+    of y in F[G/Z] is the coefficient of g in y Sigma_Z on the coset gZ.
+    So a class sum K annihilates x exactly when Kbar ybar = 0, where
+    Kbar[gZ] = |K /\\ gZ|, an integer mod p and so its own encoding in any
+    GF(p^k).  The kernels of the Kbar are intersected in F[G/Z], a link
+    with Kbar = 0 costs no product, and the rows lift to FG constant on
+    cosets.
+    """
+    group, F = alg.group, alg.field
+    quo, coset_of = group.quotient_map(group.center)
+    m = quo.n
+    # Kbar for every class K in one pass; the non-singleton K are the links
+    cp = group.conjugacy
+    keys = np.asarray(cp.class_of, dtype=np.int64) * m + coset_of
+    images = np.bincount(keys, minlength=len(cp.classes) * m).reshape(-1, m)
+    images = images[np.array(cp.sizes) > 1]
+    images %= F.p
+    qalg = GroupAlgebra(quo, F)
+    # intersect kernels incrementally; columns of basis span the running
+    # space, which starts as the whole of F[G/Z] (the identity basis, so the
+    # first kernel needs no change of coordinates)
+    basis, first = np.eye(m, dtype=np.int64), True
+    for kbar in images:
+        if not kbar.any():
+            continue
+        restricted = qalg._mul_arrays(kbar, basis)
+        if not restricted.any():
+            continue  # Kbar already annihilates the running space
+        ker = Matrix(F, restricted).nullspace()
+        if ker.rows == 0:
+            basis = np.zeros((m, 0), dtype=np.int64)
+            break
+        # ker rows are coordinates w.r.t. the current basis
+        basis = ker.data.T if first else Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
+        first = False
+    red, pivots = Matrix(F, basis[coset_of].T).rref()
+    return red.data[: len(pivots)]
+
+
 @dataclass
 class SocleOutcome:
     verdict: str
@@ -349,15 +395,15 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     """Essentiality via the socle: C is essential in FG iff every element
     annihilated by the radical of C already lies in C.
 
-    The socle is computed as the intersection of the kernels of left
-    multiplication by the radical basis, and the containment test asks
+    The socle is the intersection of the kernels of multiplication by the
+    radical basis (see _radical_annihilator), and the containment test asks
     each socle basis row to be constant on conjugacy classes.  A socle
     vector outside C is returned as a certified counterexample (its central
     multiples form the line it spans, which misses C).
     """
     _require_p_group(group, fld)
     alg = GroupAlgebra(group, fld)
-    F, n = fld, group.n
+    n = group.n
     rad = _radical_basis(alg)
     for b in rad:
         # the radical description rests on these being nilpotent; guard it.
@@ -368,23 +414,7 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
             x, e = x * x, 2 * e
         if not x.is_zero():
             raise CrossValidationError("radical basis element is not nilpotent")
-    # intersect kernels incrementally; columns of basis span the running
-    # space, which starts as the whole algebra (the identity basis, so the
-    # first kernel needs no change of coordinates)
-    basis, first = np.eye(n, dtype=np.int64), True
-    for b in rad:
-        restricted = alg._mul_arrays(b.coeffs, basis)
-        if not restricted.any():
-            continue  # b already annihilates the running space
-        ker = Matrix(F, restricted).nullspace()
-        if ker.rows == 0:
-            basis = np.zeros((n, 0), dtype=np.int64)
-            break
-        # ker rows are coordinates w.r.t. the current basis
-        basis = ker.data.T if first else Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
-        first = False
-    red, pivots = Matrix(F, basis.T).rref()
-    socle_rows = red.data[: len(pivots)]
+    socle_rows = _radical_annihilator(alg)
     socle_dim = socle_rows.shape[0]
     # a row lies in C exactly when it is constant on classes
     outside = (socle_rows != socle_rows[:, group.conjugacy.rep]).any(axis=1)

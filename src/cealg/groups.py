@@ -5,10 +5,12 @@ deciders rest.
 
 Everything works from one small right generating set S of the table.
 Validation is exhaustive at every order: Light's associativity test over S
-checks every triple, in O(n^2 |S|).  Classes are orbits of conjugation by S,
-the center commutes with S, Z_{i+1} is read off the n x |S| table of the
-commutators [x, s], and G' is the normal closure of the [s, u]; each is
-O(n |S|) up to logarithmic factors, and none forms an n x n array.
+checks every triple, in O(n^2 |S|); a quotient G/N inherits the axioms from
+G, and only N is checked to be a normal subgroup.  Classes are orbits of
+conjugation by S, the center commutes with S, Z_{i+1} is read off the
+n x |S| table of the commutators [x, s], and G' is the normal closure of the
+[s, u]; each is O(n |S|) up to logarithmic factors, and none forms an n x n
+array.
 
 Elements are canonical indices 0..n-1 with index 0 the identity.  Subsets of
 a group are passed around as sorted tuples of indices so that every derived
@@ -285,7 +287,8 @@ class FiniteGroup:
         # G' is the normal closure of the commutators of the generators.  Each
         # round adds the least conjugate that escapes, so the subgroup at
         # least doubles, and stops once conjugating by the generators keeps it
-        gens = np.unique(self._commutators(self.right_generators)).tolist()
+        gens = np.flatnonzero(self._member_mask(
+            self._commutators(self.right_generators).ravel())).tolist()
         inside = np.arange(self.n) == 0
         while True:
             members = np.flatnonzero(self._close(inside, gens))
@@ -321,8 +324,7 @@ class FiniteGroup:
 
     def subgroup(self, members: Iterable[int], name: str | None = None) -> "FiniteGroup":
         """The subgroup on the given closed member set, reindexed canonically."""
-        inside = np.zeros(self.n, dtype=bool)
-        inside[np.fromiter(members, dtype=np.int64)] = True
+        inside = self._member_mask(members)
         if not inside[0]:
             raise ValueError("subgroup must contain the identity")
         mem = np.flatnonzero(inside)
@@ -334,21 +336,51 @@ class FiniteGroup:
         labels = [self.labels[g] for g in mem.tolist()] if self.labels else None
         return FiniteGroup(table, name or f"{self.name}|sub{mem.size}", labels)
 
+    def _member_mask(self, members: Iterable[int]) -> np.ndarray:
+        """The bool mask of a set of elements given in any order, repeats
+        allowed; np.flatnonzero reads it back as the sorted set."""
+        inside = np.zeros(self.n, dtype=bool)
+        inside[np.fromiter(members, dtype=np.int64)] = True
+        return inside
+
     def is_normal(self, members: Iterable[int]) -> bool:
         # the g with g^-1 N g = N form a subgroup, so the generators decide
-        arr = np.unique(np.fromiter(members, dtype=np.int64))
-        inside = np.zeros(self.n, dtype=bool)
-        inside[arr] = True
-        return bool(inside[self.conjugators[:, arr]].all())
+        inside = self._member_mask(members)
+        return bool(inside[self.conjugators[:, inside]].all())
 
     def quotient(self, normal: Iterable[int], name: str | None = None) -> "FiniteGroup":
-        arr = np.unique(np.fromiter(normal, dtype=np.int64))
-        if not self.is_normal(arr):
+        """G/N; see quotient_map."""
+        return self.quotient_map(normal, name)[0]
+
+    def quotient_map(
+        self, normal: Iterable[int], name: str | None = None
+    ) -> tuple["FiniteGroup", np.ndarray]:
+        """G/N for a normal subgroup N, and the coset of every element of G.
+
+        Cosets gN are named by their least member, and numbered in that
+        order.  G/N inherits the group axioms from G, so its table is not
+        validated again; what is checked is that N is a normal subgroup.
+        """
+        inside = self._member_mask(normal)
+        t = self.table
+        cosets = t[:, inside]  # row g holds gN
+        least = cosets.min(axis=1)
+        # the least member is constant on every coset, so the cosets
+        # partition G, exactly when N, holding the identity, is closed
+        if not (inside[0] and self.is_normal(np.flatnonzero(inside))
+                and (least[cosets] == least[:, None]).all()):
             raise ValueError("quotient requires a normal subgroup")
-        # cosets gN are named by their least member, and numbered in that order
-        reps, coset_of = np.unique(self.table[:, arr].min(axis=1), return_inverse=True)
-        table = coset_of[self.table[reps[:, None], reps]]
-        return FiniteGroup(table, name or f"{self.name}/N{arr.size}")
+        is_rep = least == np.arange(self.n)
+        reps = np.flatnonzero(is_rep)
+        coset_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+        quo = FiniteGroup.__new__(FiniteGroup)
+        quo.n, quo.labels = reps.size, None
+        quo.name = name or f"{self.name}/N{np.count_nonzero(inside)}"
+        quo.table = coset_of[t[reps[:, None], reps]]
+        quo.inv = coset_of[self.inv[reps]]  # (gN)^-1 = g^-1 N
+        quo.table.setflags(write=False)
+        quo.inv.setflags(write=False)
+        return quo, coset_of
 
     # -- invariants used as construction fingerprints -------------------------
 

@@ -4,12 +4,15 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cealg
 from cealg.cli import main, parse_field
 from cealg.groups import ORDER_CAP
 
@@ -425,3 +428,28 @@ def test_well_formed_group_file_gets_a_verdict(text, field):
     code, out, err = _check_group_file(text, field)
     assert code in (0, 1) and err == ""
     assert "verdict" in out
+
+
+def test_socle_and_crossvalidate_runs_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, tens of milliseconds;
+    # the quotients, normality tests and commutator subgroups avoid it
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from cealg.cli import main",
+        "for argv in sys.argv[1:]:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv.split(',')) in (0, 1)",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    runs = ["check,--group,prop29:3,--field,3,--method,socle",
+            "check,--group,H3 x C3,--field,3^2,--method,socle",
+            "check,--group,D8,--field,2,--crossvalidate",
+            "check,--group,prop29:2,--field,2,--crossvalidate",
+            "groups,info,H11"]
+    src = os.path.dirname(os.path.dirname(cealg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script, *runs], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\n"

@@ -382,6 +382,52 @@ def test_socle_containment_matches_rank_reference(monkeypatch, spec, p, k):
         assert [x.coeffs.tolist() for x in central_calls] == [excess.coeffs.tolist()]
 
 
+def _fg_chain_rows(alg: GroupAlgebra) -> np.ndarray:
+    """The socle rows by the chain run at full dimension in FG, link by link
+    over the whole radical basis, z - 1 for central z included: the
+    decider's chain before it moved to F[G/Z], kept as its reference."""
+    F, n = alg.field, alg.dim
+    rad = decision._radical_basis(alg)
+    basis, first = np.eye(n, dtype=np.int64), True
+    for b in rad:
+        restricted = alg._mul_arrays(b.coeffs, basis)
+        if not restricted.any():
+            continue  # b already annihilates the running space
+        ker = Matrix(F, restricted).nullspace()
+        if ker.rows == 0:
+            basis = np.zeros((n, 0), dtype=np.int64)
+            break
+        # ker rows are coordinates w.r.t. the current basis
+        basis = ker.data.T if first else Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
+        first = False
+    red, pivots = Matrix(F, basis.T).rref()
+    return red.data[: len(pivots)]
+
+
+@pytest.mark.parametrize("spec,p,k", [
+    ("H3 x C3", 3, 1), ("H3 x C3", 3, 2), ("D8 x C4", 2, 1), ("D8 x C4", 2, 2),
+    ("Q8 x C2 x C2", 2, 1), ("H5", 5, 1), ("H5", 5, 2), ("H7", 7, 1),
+    ("prop29:2", 2, 2), ("prop29:3", 3, 1),
+    # class >= 3, where the links in F[G/Z] are not all zero, and more than
+    # the first non-singleton class is needed
+    ("QD16 x C4", 2, 1), ("QD16 x C4", 2, 2), ("D16 x D8", 2, 1), ("prop29:3", 3, 2),
+])
+def test_quotient_chain_matches_fg_chain(spec, p, k):
+    g, fld = catalog.get(spec), field_make(p, k)
+    assert len(g.center) >= 3 or k > 1  # links skipped, or an extension field
+    alg = GroupAlgebra(g, fld)
+    rows = _fg_chain_rows(alg)
+    assert decision._radical_annihilator(alg).tolist() == rows.tolist()
+    outside = (rows != rows[:, g.conjugacy.rep]).any(axis=1)
+    soc = socle_centrally_essential(g, fld)
+    assert soc.socle_dim == rows.shape[0]
+    if outside.any():
+        assert soc.verdict == NOT_ESSENTIAL
+        assert soc.excess.coeffs.tolist() == rows[np.argmax(outside)].tolist()
+    else:
+        assert soc.verdict == ESSENTIAL and soc.excess is None
+
+
 def test_central_excess_is_refused(monkeypatch, f2):
     monkeypatch.setattr(GroupAlgebra, "is_central", lambda a, x: True)
     with pytest.raises(decision.CrossValidationError):

@@ -550,3 +550,44 @@ def test_elem_abelian_table_is_digitwise_sum(p, r):
     g = catalog.elem_abelian(p, r)
     assert g.table.tolist() == ref.tolist()
     assert g.name == f"E{p}^{r}" and g.labels is None
+
+
+def _unique_quotient(g, normal):
+    """The quotient as np.unique names it: cosets by least member, numbered
+    in that order; returns the coset of every element and the table."""
+    arr = np.unique(np.asarray(normal))
+    reps, coset_of = np.unique(g.table[:, arr].min(axis=1), return_inverse=True)
+    return coset_of, coset_of[g.table[reps[:, None], reps]]
+
+
+@pytest.mark.parametrize("spec, normal", [
+    ("S3", "commutator_subgroup"), ("H5", "center"), ("D16", "center"),
+    ("D16", "commutator_subgroup"),
+])
+def test_quotient_map_matches_unique_reference(spec, normal):
+    g = catalog.get(spec)
+    members = getattr(g, normal)
+    coset_of, table = _unique_quotient(g, members)
+    # the same set in another order, with a repeat, names the same cosets
+    for given in (members, list(reversed(members)) + [0]):
+        q, got = g.quotient_map(given)
+        assert got.tolist() == coset_of.tolist()
+        assert q.table.tolist() == table.tolist() and q.n == g.n // len(members)
+        assert g.quotient(given).table.tolist() == table.tolist()
+    # the derived table is a group with the derived inverses: it passes the
+    # full validation of a fresh FiniteGroup
+    fresh = FiniteGroup(q.table)
+    assert fresh.inv.tolist() == q.inv.tolist() and not q.table.flags.writeable
+
+
+def test_quotient_refuses_normal_sets_that_are_not_subgroups():
+    s3 = catalog.sym3()
+    # {1} with the three transpositions is a union of classes, not a subgroup
+    transpositions = [c for c in s3.conjugacy.classes if len(c) == 3][0]
+    members = (0, *transpositions)
+    assert s3.is_normal(members)
+    with pytest.raises(ValueError, match="normal"):
+        s3.quotient_map(members)
+    d16 = catalog.dihedral(16)
+    with pytest.raises(ValueError, match="normal"):
+        d16.quotient(d16.center[1:])  # the center without the identity
