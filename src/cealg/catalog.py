@@ -24,6 +24,7 @@ from .groups import (
     FiniteGroup,
     direct_product,
     group_from_generators,
+    row_blocks,
     semidirect_product,
 )
 
@@ -34,11 +35,16 @@ def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=N
     Element i has the digits of i in the given radices, most significant
     first.  The law receives the digit arrays of the left factor as columns
     and of the right factor as rows, and returns the product's digits
-    unreduced; each is reduced mod its radix here.
+    unreduced; each is reduced mod its radix here.  The law runs on one row
+    block of the table at a time, so no n x n temporary is formed.
     """
-    digits = _mixed_radix(np.arange(math.prod(radices), dtype=np.int32), radices)
-    prod = law([d[:, None] for d in digits], [d[None, :] for d in digits])
-    return FiniteGroup(_encode(prod, radices), name, labels)
+    n = math.prod(radices)
+    digits = _mixed_radix(np.arange(n, dtype=np.int32), radices)
+    right = [d[None, :] for d in digits]
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in row_blocks(n):
+        table[rows] = _encode(law([d[rows, None] for d in digits], right), radices)
+    return FiniteGroup(table, name, labels)
 
 
 def _mixed_radix(idx: np.ndarray, radices: tuple[int, ...]) -> list[np.ndarray]:
@@ -137,7 +143,7 @@ def quaternion8() -> FiniteGroup:
     """Q8 with the classical +/- i j k labels (a = i, b = j)."""
     g = gen_quaternion(8)
     labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-    return FiniteGroup(g.table, "Q8", labels)
+    return FiniteGroup._inherited(g.table, g.inv, "Q8", labels)
 
 
 @lru_cache(maxsize=None)

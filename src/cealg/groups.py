@@ -4,9 +4,14 @@ central series, and the coset/centralizer predicates on which the structural
 deciders rest.
 
 Everything works from one small right generating set S of the table.
-Validation is exhaustive at every order: Light's associativity test over S
-checks every triple, in O(n^2 |S|); a quotient G/N inherits the axioms from
-G, and only N is checked to be a normal subgroup.  Classes are orbits of
+A table is validated once, where it enters: a table given from outside (a
+closed-form law, a permutation closure, a file) gets the exhaustive check,
+whose Light's associativity test over S covers every triple in O(n^2 |S|).
+Direct products, semidirect products, subgroups and quotients of validated
+groups inherit the axioms, and take their inverses from the parts; what is
+checked for them is their own premise: that the action is a homomorphism
+into Aut(N), that the member set holds 1 and is closed, that N is a normal
+subgroup.  Classes are orbits of
 conjugation by S, the center commutes with S, Z_{i+1} is read off the
 n x |S| table of the commutators [x, s], and G' is the normal closure of the
 [s, u]; each is O(n |S|) up to logarithmic factors, and none forms an n x n
@@ -21,11 +26,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 ORDER_CAP = 1 << 13
+# the n^2 passes over a table go by row blocks of about this many entries
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Row slices of an n-column table, each of about BLOCK_ENTRIES entries
+    and at least one row."""
+    rows = max(1, BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        yield slice(lo, lo + rows)
 
 
 class GroupValidationError(ValueError):
@@ -72,6 +87,32 @@ class FiniteGroup:
         table = np.asarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupValidationError("multiplication table must be square")
+        self._adopt(table, name, labels)
+        self._validate()
+        self.table.setflags(write=False)
+        self.inv.setflags(write=False)
+
+    @classmethod
+    def _inherited(
+        cls,
+        table: np.ndarray,
+        inv: np.ndarray,
+        name: str,
+        labels: Sequence[str] | None = None,
+    ) -> "FiniteGroup":
+        """A group built by a theorem from validated groups, with the
+        inverses taken from the parts.  The table is not validated again;
+        the order cap and the label count are still checked."""
+        g = cls.__new__(cls)
+        g._adopt(table, name, labels)
+        g.inv = np.asarray(inv, dtype=np.int32)
+        g.table.setflags(write=False)
+        g.inv.setflags(write=False)
+        return g
+
+    # -- construction checks -------------------------------------------------
+
+    def _adopt(self, table: np.ndarray, name: str, labels: Sequence[str] | None) -> None:
         self.n = int(table.shape[0])
         if self.n == 0 or self.n > ORDER_CAP:
             raise GroupValidationError(f"group order {self.n} outside (0, {ORDER_CAP}]")
@@ -80,11 +121,6 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.n:
             raise GroupValidationError("label count does not match order")
-        self._validate()
-        self.table.setflags(write=False)
-        self.inv.setflags(write=False)
-
-    # -- construction checks -------------------------------------------------
 
     def _validate(self) -> None:
         n, t = self.n, self.table
@@ -95,22 +131,24 @@ class FiniteGroup:
         ref = np.arange(n, dtype=np.int32)
         if not (t[0] == ref).all() or not (t[:, 0] == ref).all():
             raise GroupValidationError("index 0 is not a two-sided identity")
-        hits = t == 0
-        unique = np.count_nonzero(hits, axis=1) == 1
-        if not unique.all():
-            raise GroupValidationError(f"element {unique.argmin()} lacks a unique right inverse")
-        self.inv = hits.argmax(axis=1).astype(np.int32)
+        self.inv = np.empty(n, dtype=np.int32)
+        for rows in row_blocks(n):
+            hits = t[rows] == 0
+            unique = np.count_nonzero(hits, axis=1) == 1
+            if not unique.all():
+                raise GroupValidationError(
+                    f"element {rows.start + unique.argmin()} lacks a unique right inverse")
+            self.inv[rows] = hits.argmax(axis=1)
         if not (t[self.inv, ref] == 0).all():
             raise GroupValidationError("inverse law fails")
         # Light's test: the s with (xy)s = x(ys) for all x, y form a set closed
         # under the product, so checking a generating set checks every element.
         # An associative table with a two-sided identity and right inverses is
         # a group, and so a Latin square.
-        rows = max(1, (1 << 16) // n)
         for s in self.right_generators.tolist():
             col = np.ascontiguousarray(t[:, s])  # y -> ys
-            for lo in range(0, n, rows):
-                blk = t[lo : lo + rows]
+            for rows in row_blocks(n):
+                blk = t[rows]
                 if not (col.take(blk) == blk.take(col, axis=1)).all():
                     raise GroupValidationError(f"associativity fails at element {s}")
 
@@ -331,10 +369,11 @@ class FiniteGroup:
         prod = self.table[mem[:, None], mem]
         if not inside[prod].all():
             raise ValueError("member set is not closed under multiplication")
-        # the position of each member in the sorted member list
-        table = (np.cumsum(inside, dtype=np.int32) - 1)[prod]
+        # a closed finite set holding 1 is a subgroup, and inherits the axioms
+        pos = np.cumsum(inside, dtype=np.int32) - 1  # position in the member list
         labels = [self.labels[g] for g in mem.tolist()] if self.labels else None
-        return FiniteGroup(table, name or f"{self.name}|sub{mem.size}", labels)
+        return FiniteGroup._inherited(
+            pos[prod], pos[self.inv[mem]], name or f"{self.name}|sub{mem.size}", labels)
 
     def _member_mask(self, members: Iterable[int]) -> np.ndarray:
         """The bool mask of a set of elements given in any order, repeats
@@ -373,13 +412,11 @@ class FiniteGroup:
         is_rep = least == np.arange(self.n)
         reps = np.flatnonzero(is_rep)
         coset_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
-        quo = FiniteGroup.__new__(FiniteGroup)
-        quo.n, quo.labels = reps.size, None
-        quo.name = name or f"{self.name}/N{np.count_nonzero(inside)}"
-        quo.table = coset_of[t[reps[:, None], reps]]
-        quo.inv = coset_of[self.inv[reps]]  # (gN)^-1 = g^-1 N
-        quo.table.setflags(write=False)
-        quo.inv.setflags(write=False)
+        quo = FiniteGroup._inherited(
+            coset_of[t[reps[:, None], reps]],
+            coset_of[self.inv[reps]],  # (gN)^-1 = g^-1 N
+            name or f"{self.name}/N{np.count_nonzero(inside)}",
+        )
         return quo, coset_of
 
     # -- invariants used as construction fingerprints -------------------------
@@ -565,7 +602,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) ->
         labels = [
             f"({g1.label(x)},{g2.label(y)})" for x in range(n1) for y in range(n2)
         ]
-    return FiniteGroup(table.reshape(n1 * n2, n1 * n2), name or f"{g1.name} x {g2.name}", labels)
+    inv = g1.inv[:, None] * np.int32(n2) + g2.inv[None, :]  # (x, y)^-1 = (x^-1, y^-1)
+    return FiniteGroup._inherited(
+        table.reshape(n1 * n2, n1 * n2), inv.ravel(), name or f"{g1.name} x {g2.name}", labels)
 
 
 def semidirect_product(
@@ -578,7 +617,8 @@ def semidirect_product(
     """Pairs (x, c) with (x, c)(x', c') = (x * action[c](x'), c c').
 
     Every action[c] must be an automorphism of n_grp and the assignment
-    c -> action[c] a homomorphism; both are checked exhaustively.
+    c -> action[c] a homomorphism; both are checked exhaustively, and the
+    product then inherits the group axioms from n_grp and gamma.
     """
     nn, ng = n_grp.n, gamma.n
     if nn * ng > ORDER_CAP:
@@ -610,9 +650,15 @@ def semidirect_product(
             raise ValueError(
                 f"action is not a homomorphism: fails at pair ({c1}, {int(np.argmin(hom))})"
             )
-    # pair (x, c) -> x * ng + c; moved[x, c, x'] = x * action[c](x')
-    moved = n_grp.table[:, acts].astype(np.int32)
-    table = moved[:, :, :, None] * np.int32(ng) + tg[None, :, None, :]
-    return FiniteGroup(
-        table.reshape(nn * ng, nn * ng), name or f"{n_grp.name} : {gamma.name}", labels
+    # pair (x, c) -> x * ng + c; moved[x, c, x'] = x * action[c](x'), times ng.
+    # The sum goes into a C-ordered table, so the reshape below copies nothing
+    moved = n_grp.table[:, acts] * np.int32(ng)
+    table = np.empty((nn, ng, nn, ng), dtype=np.int32)
+    np.add(moved[:, :, :, None], tg[None, :, None, :], out=table)
+    # (x, c)^-1 = (action[c^-1](x^-1), c^-1)
+    cinv = gamma.inv[None, :]
+    inv = acts[cinv, n_grp.inv[:, None]] * ng + cinv
+    return FiniteGroup._inherited(
+        table.reshape(nn * ng, nn * ng), inv.ravel(),
+        name or f"{n_grp.name} : {gamma.name}", labels,
     )

@@ -37,3 +37,18 @@ def validated_orders(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "_validate", counting)
     return orders
+
+
+@pytest.fixture
+def inherited_orders(monkeypatch):
+    """The order of every group that FiniteGroup._inherited builds, in call
+    order: the constructor path that skips validation."""
+    orders = []
+    inherited = FiniteGroup._inherited.__func__
+
+    def counting(cls, table, *args, **kwargs):
+        orders.append(int(table.shape[0]))
+        return inherited(cls, table, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "_inherited", classmethod(counting))
+    return orders

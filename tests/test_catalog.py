@@ -1,11 +1,13 @@
 import itertools
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
-from cealg import catalog
-from cealg.groups import direct_product
+from cealg import catalog, groups
+from cealg.catalog import _encode, _mixed_radix
+from cealg.groups import FiniteGroup, direct_product
 
 
 class TestNamedGroups:
@@ -44,11 +46,15 @@ class TestNamedGroups:
         g = catalog.get("Q8 x C3")
         assert g.n == 24 and g.name == "Q8 x C3"
 
-    def test_product_spec_validates_its_table_once(self, validated_orders):
+    def test_product_spec_inherits_the_group_axioms(self, validated_orders, inherited_orders):
+        # the factors were validated where they entered; the product is
+        # built once, by the inherited path, and its table is not checked
+        # again (tests/test_groups.py checks the inherited tables in full)
         d8, c3 = catalog.dihedral(8), catalog.cyclic(3)
         validated_orders.clear()
+        inherited_orders.clear()
         g = catalog.get("D8 x C3")
-        assert validated_orders == [24]
+        assert validated_orders == [] and inherited_orders == [24]
         assert g.name == "D8 x C3" and g.labels == direct_product(d8, c3).labels
 
     def test_unknown_specs_rejected(self):
@@ -211,6 +217,57 @@ def test_normal_form_base_matches_per_pair_loop():
     g = catalog.p5_class3_group(3)
     base = g.subgroup(range(0, g.n, 3))
     assert (base.table == _normal_form_p4_ref(3)).all()
+
+
+# -- the row-blocked law build against the whole-array build --------------------
+
+
+def _table_from_law(radices: tuple[int, ...], law, name: str, labels=None) -> FiniteGroup:
+    """Cayley table of a closed-form law on mixed-radix normal forms.
+
+    Element i has the digits of i in the given radices, most significant
+    first.  The law receives the digit arrays of the left factor as columns
+    and of the right factor as rows, and returns the product's digits
+    unreduced; each is reduced mod its radix here.
+    """
+    digits = _mixed_radix(np.arange(math.prod(radices), dtype=np.int32), radices)
+    prod = law([d[:, None] for d in digits], [d[None, :] for d in digits])
+    return FiniteGroup(_encode(prod, radices), name, labels)
+
+
+# every law of the catalog, at orders the default block of rows does not
+# divide where the law allows one (a block of 2^16 entries always divides
+# a power of 2)
+_BLOCKED_LAWS = {
+    "C1024": partial(catalog.cyclic.__wrapped__, 1024),
+    "C1000": partial(catalog.cyclic.__wrapped__, 1000),
+    "D512": partial(catalog.dihedral.__wrapped__, 512),
+    "D1000": partial(catalog.dihedral.__wrapped__, 1000),
+    "Q64": partial(catalog.gen_quaternion.__wrapped__, 64),
+    "H11": partial(catalog.heisenberg.__wrapped__, 11),
+    "P16": catalog.pauli16.__wrapped__,
+    "N3^4": partial(catalog._p5_odd.__wrapped__, 3),  # the base N of prop29:3
+    "N5^4": partial(catalog._p5_odd.__wrapped__, 5),
+}
+
+
+@pytest.mark.parametrize("build", _BLOCKED_LAWS.values(), ids=_BLOCKED_LAWS.keys())
+def test_blocked_law_matches_whole_array_build(monkeypatch, build):
+    calls = []
+    blocked = catalog._table_from_law
+    monkeypatch.setattr(catalog, "_table_from_law", lambda *a: calls.append(a) or blocked(*a))
+    build()
+    default = groups.BLOCK_ENTRIES
+    # every law the builder used (the builder of N_p^4 also builds C_p)
+    for radices, law, name, labels in calls:
+        ref = _table_from_law(radices, law, name, labels)
+        # the default block, one row per block, and seven rows (a block
+        # that divides no order above)
+        for entries in (default, 1, 7 * ref.n):
+            monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+            g = blocked(radices, law, name, labels)
+            assert g.table.tolist() == ref.table.tolist() and g.inv.tolist() == ref.inv.tolist()
+            assert g.labels == ref.labels and g.name == name
 
 
 @pytest.mark.parametrize("a, b", [("Q8", "C3"), ("S3", "D8"), ("C1", "H3"), ("C4", "C1")])

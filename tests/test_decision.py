@@ -512,18 +512,24 @@ class TestDecide:
 
     @pytest.mark.parametrize("spec,p", [("Q8", 2), ("D16", 2), ("H3", 3), ("C9", 3),
                                         ("prop29:2", 2), ("prop29:3", 3)])
-    def test_p_group_is_its_own_p_part(self, validated_orders, spec, p):
+    def test_p_group_is_its_own_p_part(self, validated_orders, inherited_orders, spec, p):
         g = catalog.get(spec)
         assert decision._p_part_group(g, decompose_p(g, p)) is g
         validated_orders.clear()
+        inherited_orders.clear()
         decide(g, field_make(p))
+        # no copy of g as its own p-part; at most the socle chain's G/Z
         assert validated_orders == []
+        assert inherited_orders in ([], [g.n // len(g.center)])
 
-    def test_p_part_subgroup_is_the_one_group_built(self, validated_orders, f2):
+    def test_p_part_subgroup_is_the_one_group_built(self, validated_orders, inherited_orders, f2):
         g = catalog.get("Q8 x C3")
         validated_orders.clear()
+        inherited_orders.clear()
         r = decide(g, f2)
-        assert validated_orders == [8] and r.details["p_part_order"] == 8
+        # counted on both constructor paths: the subgroup inherits the axioms
+        assert validated_orders == [] and inherited_orders == [8]
+        assert r.details["p_part_order"] == 8
 
     def test_h11_socle_agrees_with_sylow_shortcut(self):
         # order 1331 is far beyond the oracle; the socle chain checks the

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from cealg import catalog
+from cealg import catalog, groups
+from cealg.decision import decompose_p
+from cealg.fields import is_prime
 from cealg.groups import (
+    ORDER_CAP,
     FiniteGroup,
     GroupValidationError,
     _closure,
@@ -69,6 +72,14 @@ class TestValidation:
         # the reference n^3 check agrees that the result is not associative
         assert any(not (t[t[x], :] == t[x, t]).all() for x in range(n))
         with pytest.raises(GroupValidationError, match="associativity"):
+            FiniteGroup(t)
+
+    @pytest.mark.parametrize("entries", [1, 1 << 16])
+    def test_inverse_pass_names_the_element_in_a_later_block(self, monkeypatch, entries):
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+        t = catalog.cyclic(1000).table.copy()
+        t[900, 100] = 5  # row 900 no longer holds the identity
+        with pytest.raises(GroupValidationError, match="element 900 lacks"):
             FiniteGroup(t)
 
     def test_rejects_non_square(self):
@@ -591,3 +602,88 @@ def test_quotient_refuses_normal_sets_that_are_not_subgroups():
     d16 = catalog.dihedral(16)
     with pytest.raises(ValueError, match="normal"):
         d16.quotient(d16.center[1:])  # the center without the identity
+
+
+# -- groups that inherit the axioms, checked by full validation ---------------
+
+_INHERITING_SPECS = [
+    # the products of the large-groups and socle-chain workloads
+    "H7 x C9", "Q8 x C125", "S3 x C64", "H5 x C5",
+    "prop29:2", "prop29:3", "prop29:5", "Q8 x C3", "E3^7",
+]
+
+
+def _derived(g, rng):
+    """g, some of its subgroups and quotients: the center, G', a random
+    cyclic subgroup, every p-part that is a subgroup, G/Z and G/G'."""
+    yield g
+    x = int(rng.integers(g.n))
+    for members in (g.center, g.commutator_subgroup, g.subgroup_generated([x])):
+        yield g.subgroup(members)
+    for p in range(2, g.n + 1):
+        if g.n % p == 0 and is_prime(p):
+            dec = decompose_p(g, p)
+            if dec.p_part_is_subgroup:
+                yield g.subgroup(dec.p_part)
+    yield g.quotient(g.center)
+    yield g.quotient(g.commutator_subgroup)
+
+
+def _assert_passes_full_validation(g):
+    fresh = FiniteGroup(g.table.copy(), g.name, g.labels)
+    assert fresh.inv.tolist() == g.inv.tolist(), g.name
+    assert not g.table.flags.writeable and not g.inv.flags.writeable
+
+
+def _random_products(rng, count):
+    """Direct products of two small groups, cyclic-by-cyclic semidirect
+    products with a random unit of the right order, and N : N by
+    conjugation, so the inverse formula meets a nontrivial action."""
+    small = [catalog.cyclic(k) for k in (1, 2, 3, 4, 5, 6)] + [
+        catalog.sym3(), catalog.quaternion8(), catalog.dihedral(8), catalog.dihedral(10)]
+    for _ in range(count):
+        a, b = rng.choice(len(small), size=2)
+        yield direct_product(small[a], small[b])
+        m, k = (int(v) for v in rng.integers(2, 13, size=2))
+        units = [u for u in range(1, m) if np.gcd(u, m) == 1 and pow(u, k, m) == 1]
+        u = units[int(rng.integers(len(units)))]
+        action = [[(x * pow(u, c, m)) % m for x in range(m)] for c in range(k)]
+        yield semidirect_product(catalog.cyclic(m), catalog.cyclic(k), action)
+        nn = small[int(rng.integers(6, len(small)))]
+        t, inv = nn.table, nn.inv
+        yield semidirect_product(nn, nn, [t[t[c], inv[c]].tolist() for c in range(nn.n)])
+
+
+def test_inherited_groups_pass_full_validation(rng):
+    bases = list(catalog.order16_all()) + [g for _, g in catalog.standard_entries()]
+    bases += [catalog.get(spec) for spec in _INHERITING_SPECS]
+    bases += list(_random_products(rng, 8))
+    for g in bases:
+        for h in _derived(g, rng):
+            _assert_passes_full_validation(h)
+
+
+def test_products_and_subgroups_skip_validation(validated_orders, inherited_orders):
+    c4, s3, c3, c2 = catalog.cyclic(4), catalog.sym3(), catalog.cyclic(3), catalog.cyclic(2)
+    validated_orders.clear()
+    g = direct_product(c4, s3)
+    h = semidirect_product(c3, c2, [[0, 1, 2], [0, 2, 1]])
+    g.subgroup(g.center)
+    g.quotient(g.center)
+    assert validated_orders == [] and inherited_orders == [24, 6, 4, 6]
+    assert h.inv.tolist() == [0, 1, 4, 3, 2, 5]
+
+
+def test_inherited_path_keeps_its_refusals():
+    c3, c2 = catalog.cyclic(3), catalog.cyclic(2)
+    with pytest.raises(GroupValidationError, match="label count"):
+        semidirect_product(c3, c2, [[0, 1, 2], [0, 2, 1]], labels=["a"] * 5)
+    with pytest.raises(GroupValidationError, match="label count"):
+        FiniteGroup._inherited(c3.table, c3.inv, "C3", ["a", "b"])
+    # an order above the cap is refused before the table is read; a
+    # broadcast view stands in for the table without allocating it
+    big = np.broadcast_to(np.zeros(1, dtype=np.int32), (ORDER_CAP + 1, ORDER_CAP + 1))
+    with pytest.raises(GroupValidationError, match="outside"):
+        FiniteGroup._inherited(big, np.zeros(ORDER_CAP + 1, dtype=np.int32), "big")
+    with pytest.raises(ValueError, match="cap"):
+        direct_product(catalog.cyclic(91), catalog.cyclic(91))  # 8281 > 8192
