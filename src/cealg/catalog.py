@@ -170,20 +170,22 @@ def sym3() -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def heisenberg(p: int) -> FiniteGroup:
-    """Unitriangular 3x3 matrices over GF(p): nonabelian of order p^3, class 2."""
+    """Unitriangular 3x3 matrices over GF(p): nonabelian of order p^3, class 2.
+
+    Element (i, j, k), index (i * p + j) * p + k, is x^i y^j z^k, and
+    (i, j, k)(x, y, z) = (i + x, j + y, k + z + i y): the split extension
+    of C_p x C_p by C_p acting by (j, k) -> (j, k + i j), acting group first.
+    """
     if not is_prime(p):
         raise ValueError("heisenberg group needs a prime")
-
-    def law(a, b):
-        i, j, k = a
-        x, y, z = b
-        return (i + x, j + y, k + z + i * y)
-
+    cp = cyclic(p)
+    j, k = np.divmod(np.arange(p * p), p)
+    action = [j * p + (k + i * j) % p for i in range(p)]
     labels = [
         _join_labels([_pow_label("x", i), _pow_label("y", j), _pow_label("z", k)])
         for i in range(p) for j in range(p) for k in range(p)
     ]
-    return _table_from_law((p, p, p), law, f"H{p}", labels)
+    return semidirect_product(direct_product(cp, cp), cp, action, f"H{p}", labels, acting_first=True)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,10 +35,10 @@ ORDER_CAP = 1 << 13
 BLOCK_ENTRIES = 1 << 16
 
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Row slices of an n-column table, each of about BLOCK_ENTRIES entries
-    and at least one row."""
-    rows = max(1, BLOCK_ENTRIES // n)
+def row_blocks(n: int, width: int | None = None) -> Iterator[slice]:
+    """Slices of the n rows of a table with `width` entries a row (n if not
+    given), each of about BLOCK_ENTRIES entries and at least one row."""
+    rows = max(1, BLOCK_ENTRIES // (width or n))
     for lo in range(0, n, rows):
         yield slice(lo, lo + rows)
 
@@ -147,7 +147,8 @@ class FiniteGroup:
         # a group, and so a Latin square.
         for s in self.right_generators.tolist():
             col = np.ascontiguousarray(t[:, s])  # y -> ys
-            for rows in row_blocks(n):
+            # half blocks of rows: take copies an int32 index block to int64
+            for rows in row_blocks(n, 2 * n):
                 blk = t[rows]
                 if not (col.take(blk) == blk.take(col, axis=1)).all():
                     raise GroupValidationError(f"associativity fails at element {s}")
@@ -518,13 +519,14 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 def _closure(
     degree: int, gens: Sequence[Sequence[int]]
-) -> tuple[list[tuple[int, ...]], np.ndarray, list[int], list[int]]:
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
     """Breadth-first closure of permutations under composition.
 
     Returns the elements (identity first, then words by length, ties broken
-    by generator index), the right-multiplication maps right[k, i] = index of
-    element i . gens[k], and for every element but the identity the element
-    and generator whose product first reached it.
+    by generator index), the left-multiplication maps left[k, i] = index of
+    gens[k] . element i, and for every element but the identity the parent
+    element and the generator whose product parent . generator first
+    reached it.
     """
     gen_ts = []
     for g in gens:
@@ -535,7 +537,6 @@ def _closure(
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    right: list[list[int]] = [[] for _ in gen_ts]
     parent: list[int] = [0]
     via: list[int] = [0]
     frontier = [0]
@@ -552,9 +553,10 @@ def _closure(
                     parent.append(w)
                     via.append(k)
                     nxt.append(index[c])
-                right[k].append(index[c])
         frontier = nxt
-    return elems, np.array(right, dtype=np.int32).reshape(len(gen_ts), len(elems)), parent, via
+    left = np.array([[index[_compose(g, e)] for e in elems] for g in gen_ts], dtype=np.int32)
+    left = left.reshape(len(gen_ts), len(elems))
+    return elems, left, np.array(parent, dtype=np.int32), np.array(via, dtype=np.int32)
 
 
 def cycle_notation(perm: Sequence[int]) -> str:
@@ -579,32 +581,58 @@ def group_from_generators(
     name: str = "G",
 ) -> FiniteGroup:
     """The permutation group generated by gens, as a Cayley table."""
-    elems, right, parent, via = _closure(degree, gens)
+    elems, left, parent, via = _closure(degree, gens)
     n = len(elems)
-    # column j of the table from its parent's: a . (w . g) = (a . w) . g.
-    # Parents are listed before their children, so columns fill in order.
-    cols = np.empty((n, n), dtype=np.int32)
-    cols[0] = np.arange(n)
-    for j in range(1, n):
-        cols[j] = right[via[j], cols[parent[j]]]
     labels = [cycle_notation(e) for e in elems]
-    return FiniteGroup(np.ascontiguousarray(cols.T), name, labels)
+    del elems  # labelled, the permutations are freed before the table is filled
+    # row j of the table from its parent's: (w . g) . a = w . (g . a).
+    # Parents are listed before their children, so rows fill in order.
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    for j in range(1, n):
+        table[j] = table[parent[j]].take(left[via[j]])
+    return FiniteGroup(table, name, labels)
+
+
+def _fill_pairs(table: np.ndarray, moved: Callable[[slice], np.ndarray], tg: np.ndarray) -> None:
+    """Fill the table of pairs (x, c) -> x * m + c, m = |tg|, whose entry in
+    row (x, c) and column (x', c') is moved[x, c, x'] * m + tg[c, c'].
+
+    moved(xs) gives moved[xs], with an axis c of length 1 where it does not
+    depend on c.  The table fills by row blocks, and no temporary holds more
+    than a block."""
+    n, m = table.shape[0], tg.shape[0]
+    k = n // m
+    if m * n <= BLOCK_ENTRIES:
+        # blocks of whole x: row (x, c) is moved[x, c], each entry times m
+        # and repeated m times, plus tg's row c tiled k times
+        right = tg[:, None, :].repeat(k, axis=1).reshape(m, n)
+        by_x = table.reshape(k, m, n)
+        for xs in row_blocks(k, m * n):
+            np.add((moved(xs) * m).repeat(m, axis=2), right, out=by_x[xs])
+    else:
+        # the m rows of one x exceed a block, so m > BLOCK_ENTRIES / n >= 8:
+        # tg's rows are added straight into the table, m entries at a time
+        by_pair = table.reshape(k, m, k, m)
+        for x in range(k):
+            np.add((moved(slice(x, x + 1))[0] * m)[:, :, None], tg[:, None, :], out=by_pair[x])
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
     n1, n2 = g1.n, g2.n
-    if n1 * n2 > ORDER_CAP:
-        raise ValueError(f"product order {n1 * n2} exceeds the cap {ORDER_CAP}")
+    n = n1 * n2
+    if n > ORDER_CAP:
+        raise ValueError(f"product order {n} exceeds the cap {ORDER_CAP}")
     # pair (x, y) -> x * n2 + y
-    table = g1.table[:, None, :, None] * np.int32(n2) + g2.table[None, :, None, :]
+    table = np.empty((n, n), dtype=np.int32)
+    _fill_pairs(table, lambda xs: g1.table[xs, None, :], g2.table)
     labels = None
     if g1.labels or g2.labels:
         labels = [
             f"({g1.label(x)},{g2.label(y)})" for x in range(n1) for y in range(n2)
         ]
     inv = g1.inv[:, None] * np.int32(n2) + g2.inv[None, :]  # (x, y)^-1 = (x^-1, y^-1)
-    return FiniteGroup._inherited(
-        table.reshape(n1 * n2, n1 * n2), inv.ravel(), name or f"{g1.name} x {g2.name}", labels)
+    return FiniteGroup._inherited(table, inv.ravel(), name or f"{g1.name} x {g2.name}", labels)
 
 
 def semidirect_product(
@@ -613,52 +641,59 @@ def semidirect_product(
     action: Sequence[Sequence[int]],
     name: str | None = None,
     labels: Sequence[str] | None = None,
+    acting_first: bool = False,
 ) -> FiniteGroup:
-    """Pairs (x, c) with (x, c)(x', c') = (x * action[c](x'), c c').
+    """Pairs of x in n_grp and c in gamma with (x, c)(x', c') =
+    (x * action[c](x'), c c'), indexed x * |gamma| + c, or, with
+    acting_first, written (c, x) and indexed c * |n_grp| + x.
 
     Every action[c] must be an automorphism of n_grp and the assignment
     c -> action[c] a homomorphism; both are checked exhaustively, and the
     product then inherits the group axioms from n_grp and gamma.
     """
     nn, ng = n_grp.n, gamma.n
-    if nn * ng > ORDER_CAP:
-        raise ValueError(f"product order {nn * ng} exceeds the cap {ORDER_CAP}")
+    n = nn * ng
+    if n > ORDER_CAP:
+        raise ValueError(f"product order {n} exceeds the cap {ORDER_CAP}")
     if len(action) != ng:
         raise ValueError("need one action permutation per acting element")
-    acts = np.array([[int(x) for x in a] for a in action], dtype=np.int64)
-    ident = np.arange(nn, dtype=np.int64)
-    if not (acts[0] == ident).all():
+    perms = [[int(x) for x in a] for a in action]
+    ident = list(range(nn))
+    if perms[0] != ident:
         raise ValueError("action of the identity must be trivial")
-    tn = n_grp.table.astype(np.int64)
-    for c in range(ng):
-        a = acts[c]
-        if sorted(a.tolist()) != list(range(nn)):
+    for c, a in enumerate(perms):
+        if sorted(a) != ident:
             raise ValueError(f"action of element {c} is not a permutation")
-        img = a[tn]
-        ref = tn[a[:, None], a[None, :]]
-        if not (img == ref).all():
-            bad = np.argwhere(img != ref)[0]
-            raise ValueError(
-                f"action of element {c} is not an automorphism: fails at pair "
-                f"({int(bad[0])}, {int(bad[1])})"
-            )
-    tg = gamma.table
+    acts = np.array(perms, dtype=np.int32)
+    tn, tg = n_grp.table, gamma.table
+    for c in range(1, ng):
+        a = acts[c]
+        for rows in row_blocks(nn):
+            # a(x y) = a(x) a(y) for the x of this block and every y
+            same = a.take(tn[rows]) == tn[a[rows, None], a]
+            if not same.all():
+                x, y = np.argwhere(~same)[0]
+                raise ValueError(
+                    f"action of element {c} is not an automorphism: fails at pair "
+                    f"({rows.start + int(x)}, {int(y)})"
+                )
     for c1 in range(ng):
-        # hom[c2, x] says action[c1 c2](x) = action[c1](action[c2](x))
-        hom = (acts[tg[c1]] == acts[c1][acts]).all(axis=1)
+        # hom[c2] says action[c1 c2](x) = action[c1](action[c2](x)) for every x
+        hom = (acts[tg[c1]] == acts[c1].take(acts)).all(axis=1)
         if not hom.all():
             raise ValueError(
                 f"action is not a homomorphism: fails at pair ({c1}, {int(np.argmin(hom))})"
             )
-    # pair (x, c) -> x * ng + c; moved[x, c, x'] = x * action[c](x'), times ng.
-    # The sum goes into a C-ordered table, so the reshape below copies nothing
-    moved = n_grp.table[:, acts] * np.int32(ng)
-    table = np.empty((nn, ng, nn, ng), dtype=np.int32)
-    np.add(moved[:, :, :, None], tg[None, :, None, :], out=table)
+    table = np.empty((n, n), dtype=np.int32)
+    if acting_first:
+        for c in range(ng):
+            # row (c, x) holds (c c') * nn + x * action[c](x') at column (c', x')
+            np.add(tn[:, acts[c]][:, None, :], tg[c][:, None] * nn,
+                   out=table[c * nn : (c + 1) * nn].reshape(nn, ng, nn))
+    else:
+        _fill_pairs(table, lambda xs: tn[xs][:, acts], tg)
     # (x, c)^-1 = (action[c^-1](x^-1), c^-1)
-    cinv = gamma.inv[None, :]
-    inv = acts[cinv, n_grp.inv[:, None]] * ng + cinv
-    return FiniteGroup._inherited(
-        table.reshape(nn * ng, nn * ng), inv.ravel(),
-        name or f"{n_grp.name} : {gamma.name}", labels,
-    )
+    cinv = gamma.inv[:, None]
+    xinv = acts[cinv, n_grp.inv]
+    inv = (cinv * nn + xinv).ravel() if acting_first else (xinv * ng + cinv).T.ravel()
+    return FiniteGroup._inherited(table, inv, name or f"{n_grp.name} : {gamma.name}", labels)

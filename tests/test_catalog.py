@@ -244,7 +244,6 @@ _BLOCKED_LAWS = {
     "D512": partial(catalog.dihedral.__wrapped__, 512),
     "D1000": partial(catalog.dihedral.__wrapped__, 1000),
     "Q64": partial(catalog.gen_quaternion.__wrapped__, 64),
-    "H11": partial(catalog.heisenberg.__wrapped__, 11),
     "P16": catalog.pauli16.__wrapped__,
     "N3^4": partial(catalog._p5_odd.__wrapped__, 3),  # the base N of prop29:3
     "N5^4": partial(catalog._p5_odd.__wrapped__, 5),
@@ -270,9 +269,45 @@ def test_blocked_law_matches_whole_array_build(monkeypatch, build):
             assert g.labels == ref.labels and g.name == name
 
 
-@pytest.mark.parametrize("a, b", [("Q8", "C3"), ("S3", "D8"), ("C1", "H3"), ("C4", "C1")])
-def test_direct_product_matches_per_pair_loop(a, b):
+# the Heisenberg law the catalog built H_p from before it became a product
+def _heisenberg_law(a, b):
+    i, j, k = a
+    x, y, z = b
+    return (i + x, j + y, k + z + i * y)
+
+
+@pytest.mark.parametrize("p", [7, 11], ids=["H7", "H11"])
+def test_heisenberg_matches_whole_array_law(p):
+    labels = [
+        catalog._join_labels([catalog._pow_label("x", i), catalog._pow_label("y", j),
+                              catalog._pow_label("z", k)])
+        for i, j, k in itertools.product(range(p), repeat=3)
+    ]
+    ref = _table_from_law((p, p, p), _heisenberg_law, f"H{p}", labels)
+    g = catalog.heisenberg.__wrapped__(p)
+    assert g.table.tolist() == ref.table.tolist() and g.inv.tolist() == ref.inv.tolist()
+    assert g.labels == ref.labels and g.name == ref.name
+
+
+def test_heisenberg_validates_no_table_larger_than_cp(validated_orders, inherited_orders):
+    # C_p is a law table; C_p x C_p and the split extension inherit the axioms
+    catalog.heisenberg.cache_clear()
+    catalog.cyclic.cache_clear()
+    validated_orders.clear()
+    inherited_orders.clear()
+    catalog.heisenberg(7)
+    assert validated_orders == [7] and inherited_orders == [49, 343]
+
+
+@pytest.mark.parametrize("a, b", [("Q8", "C3"), ("S3", "D8"), ("C1", "H3"), ("C4", "C1"),
+                                  ("C7", "D30"), ("H3", "C5")])
+def test_direct_product_matches_per_pair_loop(monkeypatch, a, b):
     g1, g2 = catalog.get(a), catalog.get(b)
     pairs = [(x, y) for x in range(g1.n) for y in range(g2.n)]
     ref = _law_table(pairs, lambda u, v: (g1.mul(u[0], v[0]), g2.mul(u[1], v[1])))
-    assert (direct_product(g1, g2).table == ref).all()
+    n = g1.n * g2.n
+    # the default block, blocks of two x (a partial last block where g1's
+    # order is odd), and one row, where g2's rows of one x fill no block
+    for entries in (groups.BLOCK_ENTRIES, 2 * g2.n * n, n):
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+        assert (direct_product(g1, g2).table == ref).all()

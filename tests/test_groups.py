@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -609,6 +611,8 @@ def test_quotient_refuses_normal_sets_that_are_not_subgroups():
 _INHERITING_SPECS = [
     # the products of the large-groups and socle-chain workloads
     "H7 x C9", "Q8 x C125", "S3 x C64", "H5 x C5",
+    # split extensions of C_p x C_p by C_p, acting group first
+    "H2", "H3", "H5", "H7", "H11",
     "prop29:2", "prop29:3", "prop29:5", "Q8 x C3", "E3^7",
 ]
 
@@ -635,23 +639,33 @@ def _assert_passes_full_validation(g):
     assert not g.table.flags.writeable and not g.inv.flags.writeable
 
 
+def _metacyclic(rng):
+    """C_m : C_k with c acting by x -> u^c x for a random unit u of order
+    dividing k."""
+    m, k = (int(v) for v in rng.integers(2, 13, size=2))
+    units = [u for u in range(1, m) if np.gcd(u, m) == 1 and pow(u, k, m) == 1]
+    u = units[int(rng.integers(len(units)))]
+    return m, k, [[(x * pow(u, c, m)) % m for x in range(m)] for c in range(k)]
+
+
 def _random_products(rng, count):
     """Direct products of two small groups, cyclic-by-cyclic semidirect
     products with a random unit of the right order, and N : N by
-    conjugation, so the inverse formula meets a nontrivial action."""
+    conjugation, so the inverse formula meets a nontrivial action; the
+    semidirect products in both pair orders."""
     small = [catalog.cyclic(k) for k in (1, 2, 3, 4, 5, 6)] + [
         catalog.sym3(), catalog.quaternion8(), catalog.dihedral(8), catalog.dihedral(10)]
     for _ in range(count):
         a, b = rng.choice(len(small), size=2)
         yield direct_product(small[a], small[b])
-        m, k = (int(v) for v in rng.integers(2, 13, size=2))
-        units = [u for u in range(1, m) if np.gcd(u, m) == 1 and pow(u, k, m) == 1]
-        u = units[int(rng.integers(len(units)))]
-        action = [[(x * pow(u, c, m)) % m for x in range(m)] for c in range(k)]
-        yield semidirect_product(catalog.cyclic(m), catalog.cyclic(k), action)
+        m, k, action = _metacyclic(rng)
+        acting_first = bool(rng.integers(2))
+        yield semidirect_product(
+            catalog.cyclic(m), catalog.cyclic(k), action, acting_first=acting_first)
         nn = small[int(rng.integers(6, len(small)))]
         t, inv = nn.table, nn.inv
-        yield semidirect_product(nn, nn, [t[t[c], inv[c]].tolist() for c in range(nn.n)])
+        yield semidirect_product(nn, nn, [t[t[c], inv[c]].tolist() for c in range(nn.n)],
+                                 acting_first=not acting_first)
 
 
 def test_inherited_groups_pass_full_validation(rng):
@@ -687,3 +701,101 @@ def test_inherited_path_keeps_its_refusals():
         FiniteGroup._inherited(big, np.zeros(ORDER_CAP + 1, dtype=np.int32), "big")
     with pytest.raises(ValueError, match="cap"):
         direct_product(catalog.cyclic(91), catalog.cyclic(91))  # 8281 > 8192
+
+
+# -- semidirect products in both pair orders ------------------------------------
+
+_PAIR_ORDERS = pytest.mark.parametrize(
+    "acting_first", [False, True], ids=["n-first", "acting-first"])
+
+
+@_PAIR_ORDERS
+def test_action_refusals_in_both_pair_orders(acting_first):
+    c3, c2, c4 = catalog.cyclic(3), catalog.cyclic(2), catalog.cyclic(4)
+    ident, inv = [0, 1, 2], [0, 2, 1]
+    for gamma, action, reason in [
+        (c2, [[1, 2, 0], ident], "identity must be trivial"),
+        (c2, [ident, [0, 1, 1]], "element 1 is not a permutation"),
+        (c2, [ident, [1, 0, 2]], "element 1 is not an automorphism"),
+        (c4, [ident, inv, inv, ident], r"not a homomorphism: fails at pair \(1, 1\)"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            semidirect_product(c3, gamma, action, acting_first=acting_first)
+
+
+@_PAIR_ORDERS
+@pytest.mark.parametrize("rows", [None, 1, 5])
+def test_automorphism_refusal_names_the_first_failing_pair(monkeypatch, acting_first, rows):
+    # swapping 5 and 7 in C12 fixes 0 but is no automorphism: the first
+    # failing pair in row order is (1, 4), a(5) = 7 against 1 + a(4) = 5
+    c12 = catalog.cyclic(12)
+    swap = [{5: 7, 7: 5}.get(x, x) for x in range(12)]
+    if rows:
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", rows * 12)
+    action = [list(range(12)), swap]
+    with pytest.raises(ValueError, match=r"element 1 is not an automorphism: fails at pair \(1, 4\)"):
+        semidirect_product(c12, catalog.cyclic(2), action, acting_first=acting_first)
+
+
+def test_acting_first_is_the_pair_swap_of_n_first(rng):
+    for _ in range(12):
+        m, k, action = _metacyclic(rng)
+        cm, ck = catalog.cyclic(m), catalog.cyclic(k)
+        a = semidirect_product(cm, ck, action)  # (x, c) -> x * k + c
+        b = semidirect_product(cm, ck, action, acting_first=True)  # (c, x) -> c * m + x
+        x, c = np.divmod(np.arange(m * k), k)
+        swap = c * m + x  # a's index of (x, c) -> b's index of (c, x)
+        assert (b.table[swap[:, None], swap] == swap[a.table]).all()
+        assert (b.inv[swap] == swap[a.inv]).all()
+
+
+@_PAIR_ORDERS
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_semidirect_product_matches_per_pair_loop(monkeypatch, acting_first, rows):
+    # C9 : C3 with c acting by x -> 4^c x; blocks of 7 rows leave a partial
+    # last block
+    action = [[(x * 4**c) % 9 for x in range(9)] for c in range(3)]
+
+    def law(u, v):
+        (x, c), (y, d) = u, v
+        return ((x + action[c][y]) % 9, (c + d) % 3)
+
+    pairs = [(x, c) for x in range(9) for c in range(3)]
+    if acting_first:
+        pairs.sort(key=lambda u: u[::-1])
+    index = {u: i for i, u in enumerate(pairs)}
+    ref = [[index[law(u, v)] for v in pairs] for u in pairs]
+    if rows:
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", rows * 27)
+    g = semidirect_product(catalog.cyclic(9), catalog.cyclic(3), action, acting_first=acting_first)
+    assert g.table.tolist() == ref
+    assert g.inv.tolist() == [index[((-action[(-c) % 3][x]) % 9, (-c) % 3)] for x, c in pairs]
+
+
+# -- the builders hold at most two row blocks beyond what they return ----------
+
+_SYM6_GENERATORS = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+_BOUNDED_BUILDS = {
+    "H7 x C9": lambda: direct_product(catalog.heisenberg(7), catalog.cyclic(9)),
+    # g2's rows of one x no longer fit a block
+    "C2 x C512": lambda: direct_product(catalog.cyclic(2), catalog.cyclic(512)),
+    "H11": lambda: catalog.heisenberg.__wrapped__(11),
+    "S6": lambda: group_from_generators(6, _SYM6_GENERATORS, "S6"),
+}
+
+
+@pytest.mark.parametrize("build", _BOUNDED_BUILDS.values(), ids=_BOUNDED_BUILDS.keys())
+def test_build_peak_is_the_result_plus_two_row_blocks(build):
+    # a first build fills the caches (the factors, numpy's own), so what
+    # the traced build retains is its result: table, inverses and labels
+    build()
+    tracemalloc.start()
+    try:
+        g = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    two_blocks = 2 * groups.BLOCK_ENTRIES * g.table.itemsize
+    # a whole n x n temporary would not fit into the bound
+    assert g.table.nbytes > two_blocks
+    assert peak - retained <= two_blocks, (peak - retained, two_blocks)
