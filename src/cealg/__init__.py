@@ -1,7 +1,7 @@
 """Finite groups, their modular group algebras, and deciders for the
 centrally essential property."""
 
-from .algebra import AlgebraElement, GroupAlgebra, commutator, omega_ideal_basis, subgroup_idempotent
+from .algebra import AlgebraElement, GroupAlgebra
 from .catalog import get as catalog_get
 from .decision import (
     ESSENTIAL,
@@ -11,7 +11,6 @@ from .decision import (
     decide,
     oracle_centrally_essential,
     socle_centrally_essential,
-    witness_ce,
     witness_not_ce,
 )
 from .fields import GF, Matrix, field_make

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,23 +47,6 @@ class GroupAlgebra:
         c = np.zeros(self.dim, dtype=np.int64)
         c[0] = 1
         return self.element(c)
-
-    def basis(self, i: int) -> "AlgebraElement":
-        c = np.zeros(self.dim, dtype=np.int64)
-        c[i] = 1
-        return self.element(c)
-
-    def from_support(self, pairs: Iterable[tuple[int, int]]) -> "AlgebraElement":
-        c = np.zeros(self.dim, dtype=np.int64)
-        for i, v in pairs:
-            c[i] = v
-        return self.element(c)
-
-    def random_nonzero(self, rng: np.random.Generator) -> "AlgebraElement":
-        while True:
-            c = rng.integers(0, self.field.order, size=self.dim)
-            if c.any():
-                return self.element(c.astype(np.int64))
 
     # -- multiplication kernels ------------------------------------------------
 
@@ -218,60 +201,3 @@ class AlgebraElement:
         parts = [f"{v}*{g.label(i)}" for i, v in self.support()]
         return " + ".join(parts) if parts else "0"
 
-
-def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """[x, y] = xy - yx."""
-    return x * y - y * x
-
-
-def omega_ideal_basis(
-    alg: GroupAlgebra, h: Iterable[int]
-) -> list[AlgebraElement]:
-    """Basis of the right ideal generated by {1 - h : h in H}.
-
-    H must be a subgroup.  For normal H the dimension is |G| - |G|/|H|,
-    asserted here.
-    """
-    g, F = alg.group, alg.field
-    members = sorted(set(h))
-    if tuple(members) != g.subgroup_generated(members):
-        raise ValueError("H is not a subgroup")
-    n = alg.dim
-    rows = []
-    neg_one = F.neg(1)
-    for hh in members:
-        if hh == 0:
-            continue
-        # (1 - h) x has support {x, h x}; h != identity keeps them distinct
-        for x in range(n):
-            r = np.zeros(n, dtype=np.int64)
-            r[x] = 1
-            r[g.mul(hh, x)] = neg_one
-            rows.append(r)
-    if not rows:
-        return []
-    red, piv = Matrix(F, np.stack(rows)).rref()
-    basis = [alg.element(red.data[i]) for i in range(len(piv))]
-    if g.is_normal(members):
-        expected = n - n // len(members)
-        if len(basis) != expected:
-            raise RuntimeError("augmentation ideal dimension mismatch for normal H")
-    return basis
-
-
-def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
-    """e = |H|^-1 * (sum of H); requires char(F) coprime to |H|."""
-    g, F = alg.group, alg.field
-    members = sorted(set(h))
-    if tuple(members) != g.subgroup_generated(members):
-        raise ValueError("H is not a subgroup")
-    m = len(members) % F.p
-    if m == 0:
-        raise ZeroDivisionError("characteristic divides |H|; no idempotent")
-    scale = F.inv(m)  # prime-subfield constants encode as themselves
-    c = np.zeros(alg.dim, dtype=np.int64)
-    c[members] = 1
-    e = alg.element(c).scale(scale)
-    if not (e * e == e):
-        raise RuntimeError("subgroup averaging element failed idempotency")
-    return e

@@ -151,10 +151,6 @@ def cmd_check(args) -> int:
     fld = parse_field(args.field)
     group = load_group(args.group)
     method = args.method
-    if fld is None and method not in ("auto", "char0"):
-        raise ValueError("characteristic 0 admits only the structural decider")
-    if fld is not None and method == "char0":
-        raise ValueError("char0 method requires --field 0")
     if args.crossvalidate:
         if fld is None or method != "auto":
             raise ValueError("--crossvalidate needs --method auto and a finite field")

@@ -119,17 +119,12 @@ def candidate_admits_central_multiple(
     return inter > 0, {"rank_rC": r1, "rank_sum": r2, "center_dim": d, "intersection_dim": inter}
 
 
-def _enumeration_digits(lo: int, hi: int, q: int, n: int) -> np.ndarray:
-    """Coefficient rows of candidates lo..hi-1 in the canonical order.
+def _candidate_digits(ms: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Coefficient rows of the candidates with int64 indices ms.
 
     Candidate m has coefficients the base-q digits of m, least significant
     digit = coefficient of basis element 0.
     """
-    return _candidate_digits(np.arange(lo, hi, dtype=np.int64), q, n)
-
-
-def _candidate_digits(ms: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Coefficient rows of the candidates with indices ms."""
     return (ms[:, None] // q ** np.arange(n, dtype=np.int64)) % q
 
 
@@ -181,8 +176,7 @@ def oracle_centrally_essential(
         # count projective representatives for the record
         checked = (total - 1) // (q - 1)
         return OracleOutcome(ESSENTIAL, None, {"candidates": checked})
-    digits = _enumeration_digits(bad, bad + 1, q, n)[0]
-    witness = alg.element(digits)
+    witness = alg.element(_candidate_digits(np.array([bad], dtype=np.int64), q, n)[0])
     ok, artifact = candidate_admits_central_multiple(alg, witness.coeffs)
     if ok:
         raise CrossValidationError("oracle counterexample failed re-verification")
@@ -232,7 +226,7 @@ def _half_table(
     step = max(1, _CHUNK // n)
     parts = []
     for b in range(lo, hi, step):
-        digits = _enumeration_digits(b, min(b + step, hi), q, rows)
+        digits = _candidate_digits(np.arange(b, min(b + step, hi), dtype=np.int64), q, rows)
         a = F.vmatmul(digits, prods).reshape(-1, d, n)
         if negate:
             a = F.vneg(a)
@@ -310,7 +304,7 @@ def _require_p_group(group: FiniteGroup, fld: GF) -> None:
         )
 
 
-def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
+def _radical_basis(alg: GroupAlgebra) -> list[AlgebraElement]:
     """Basis of the radical of C(FG) for a p-group over characteristic p:
     {z - 1 : z central, z != 1} plus the class sums of non-singleton classes.
 
@@ -318,12 +312,6 @@ def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
     class sizes are powers of p), and in this local setting augmentation
     zero is nilpotency.
     """
-    _require_p_group(group, fld)
-    return _radical_basis(GroupAlgebra(group, fld))
-
-
-def _radical_basis(alg: GroupAlgebra) -> list[AlgebraElement]:
-    """radical_center_basis over an algebra the caller already holds."""
     group = alg.group
     out: list[AlgebraElement] = []
     neg_one = alg.field.neg(1)
@@ -477,50 +465,6 @@ def _p_part_group(group: FiniteGroup, dec: PDecomposition) -> FiniteGroup:
     return group.subgroup(dec.p_part, name=f"{group.name}|P")
 
 
-def witness_ce(
-    group: FiniteGroup, fld: GF, x: AlgebraElement
-) -> AlgebraElement:
-    """For a p-group of class <= 2 over characteristic p, build central c
-    with 0 != x c central, by greedily multiplying by (1 - z) for central
-    group elements z while the product stays nonzero.
-
-    Terminates because each factor sits in the nilpotent augmentation
-    ideal; succeeds because once x_k annihilates every (1 - z) it is a
-    multiple of the center sum, which is central when the commutator
-    subgroup lies in the center.
-    """
-    nc = group.nilpotency_class
-    if nc is None or nc > 2:
-        raise ValueError("the constructive witness requires nilpotency class <= 2")
-    _require_p_group(group, fld)
-    if x.is_zero():
-        raise ValueError("witness construction needs a nonzero element")
-    alg = x.algebra
-    if alg.is_central(x):
-        return alg.one()
-    c = alg.one()
-    cur = x
-    center = [z for z in group.center if z != 0]
-    neg_one = fld.neg(1)
-    progress = True
-    while progress:
-        progress = False
-        for z in center:
-            fac = np.zeros(group.n, dtype=np.int64)
-            fac[0] = 1
-            fac[z] = neg_one
-            factor = alg.element(fac)
-            nxt = cur * factor
-            if not nxt.is_zero():
-                cur = nxt
-                c = c * factor
-                progress = True
-                break
-    if cur.is_zero() or not alg.is_central(c) or not alg.is_central(cur):
-        raise CrossValidationError("constructive witness failed its postcondition")
-    return c
-
-
 def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[AlgebraElement, dict]:
     """For a class > 2 p-group satisfying the central-coset condition over
     characteristic p, the element x = g * (sum of the center), g the least
@@ -642,6 +586,8 @@ def decide(
             if soc.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
                 x, artifact = witness_not_ce(p_group, fld)
                 report.witnesses.append(_witness_dict("center_sum_translate", x, artifact))
+    elif method == "char0":
+        raise ValueError(f"method 'char0' needs characteristic zero, not {fld}")
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -200,9 +200,6 @@ class GF:
         self._check(a)
         return int(self._neg_t[a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def _mul_scalar(self, a: int, b: int) -> int:
         da = _decode_base(a, self.p, self.k)
         db = _decode_base(b, self.p, self.k)
@@ -218,9 +215,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return int(self._inv_t[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def _pow_scalar(self, a: int, e: int) -> int:
         out, base = 1, a
@@ -242,13 +236,6 @@ class GF:
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def encode(self, coeffs: Iterable[int]) -> int:
-        return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
-
-    def decode(self, x: int) -> tuple[int, ...]:
-        self._check(x)
-        return tuple(_decode_base(x, self.p, self.k))
 
     # -- vectorized arithmetic on int64 arrays of encodings -----------------
 

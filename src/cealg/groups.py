@@ -210,20 +210,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(self.inverse(a), -e)
-        out, base = 0, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def element_order(self, x: int) -> int:
         return int(self.element_orders[x])
 
@@ -256,20 +242,8 @@ class FiniteGroup:
         orders.setflags(write=False)
         return orders
 
-    def commutator(self, x: int, y: int) -> int:
-        """(x, y) = x^-1 y^-1 x y."""
-        return self.mul(self.mul(self.inverse(x), self.inverse(y)), self.mul(x, y))
-
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-    def index_of_label(self, lab: str) -> int:
-        if not self.labels:
-            raise KeyError("group carries no labels")
-        try:
-            return self.labels.index(lab)
-        except ValueError:
-            raise KeyError(f"no element labelled {lab!r} in {self.name}") from None
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} of order {self.n}>"
@@ -388,10 +362,6 @@ class FiniteGroup:
         inside = self._member_mask(members)
         return bool(inside[self.conjugators[:, inside]].all())
 
-    def quotient(self, normal: Iterable[int], name: str | None = None) -> "FiniteGroup":
-        """G/N; see quotient_map."""
-        return self.quotient_map(normal, name)[0]
-
     def quotient_map(
         self, normal: Iterable[int], name: str | None = None
     ) -> tuple["FiniteGroup", np.ndarray]:
@@ -419,22 +389,6 @@ class FiniteGroup:
             name or f"{self.name}/N{np.count_nonzero(inside)}",
         )
         return quo, coset_of
-
-    # -- invariants used as construction fingerprints -------------------------
-
-    def fingerprint(self) -> tuple:
-        """Cheap isomorphism-invariant signature.
-
-        (order, element-order counts, class-size counts, |Z_i| chain, |G'|,
-        abelianization element-order counts).
-        """
-        order_counts = _counts(sorted(self.element_orders.tolist()))
-        class_counts = _counts(sorted(self.conjugacy.sizes))
-        chain = tuple(len(s) for s in self.upper_central_series.subgroups)
-        gprime = self.commutator_subgroup
-        ab = self.quotient(gprime)
-        ab_counts = _counts(sorted(ab.element_orders.tolist()))
-        return (self.n, order_counts, class_counts, chain, len(gprime), ab_counts)
 
     # -- predicates feeding the structural deciders ---------------------------
 
@@ -497,16 +451,6 @@ def _least_in_orbit(perms: np.ndarray) -> np.ndarray:
             label = jumped
         if (label == before).all():
             return label
-
-
-def _counts(sorted_vals: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    out: list[tuple[int, int]] = []
-    for v in sorted_vals:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return tuple(out)
 
 
 # -- constructors -------------------------------------------------------------

@@ -1,0 +1,235 @@
+"""Independent references that only the tests use.
+
+The decision pipeline never calls these: each is a second route that a test
+holds the package to (the class <= 2 witness construction of Theorem 2, the
+radical basis of the center, augmentation ideals, subgroup idempotents, the
+frozen catalog fingerprints, the factor-at-a-time elementary abelian
+build), or a small helper for building algebra elements by hand.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from cealg import catalog
+from cealg.algebra import AlgebraElement, GroupAlgebra
+from cealg.decision import CrossValidationError, _radical_basis, _require_p_group
+from cealg.fields import GF, Matrix
+from cealg.groups import FiniteGroup, direct_product
+
+# -- elements by hand -----------------------------------------------------------
+
+
+def basis(alg: GroupAlgebra, i: int) -> AlgebraElement:
+    c = np.zeros(alg.dim, dtype=np.int64)
+    c[i] = 1
+    return alg.element(c)
+
+
+def from_support(alg: GroupAlgebra, pairs: Iterable[tuple[int, int]]) -> AlgebraElement:
+    c = np.zeros(alg.dim, dtype=np.int64)
+    for i, v in pairs:
+        c[i] = v
+    return alg.element(c)
+
+
+def random_nonzero(alg: GroupAlgebra, rng: np.random.Generator) -> AlgebraElement:
+    while True:
+        c = rng.integers(0, alg.field.order, size=alg.dim)
+        if c.any():
+            return alg.element(c.astype(np.int64))
+
+
+def index_of_label(g: FiniteGroup, lab: str) -> int:
+    if not g.labels:
+        raise KeyError("group carries no labels")
+    try:
+        return g.labels.index(lab)
+    except ValueError:
+        raise KeyError(f"no element labelled {lab!r} in {g.name}") from None
+
+
+# -- algebra references ------------------------------------------------------------
+
+
+def omega_ideal_basis(
+    alg: GroupAlgebra, h: Iterable[int]
+) -> list[AlgebraElement]:
+    """Basis of the right ideal generated by {1 - h : h in H}.
+
+    H must be a subgroup.  For normal H the dimension is |G| - |G|/|H|,
+    asserted here.
+    """
+    g, F = alg.group, alg.field
+    members = sorted(set(h))
+    if tuple(members) != g.subgroup_generated(members):
+        raise ValueError("H is not a subgroup")
+    n = alg.dim
+    rows = []
+    neg_one = F.neg(1)
+    for hh in members:
+        if hh == 0:
+            continue
+        # (1 - h) x has support {x, h x}; h != identity keeps them distinct
+        for x in range(n):
+            r = np.zeros(n, dtype=np.int64)
+            r[x] = 1
+            r[g.mul(hh, x)] = neg_one
+            rows.append(r)
+    if not rows:
+        return []
+    red, piv = Matrix(F, np.stack(rows)).rref()
+    basis = [alg.element(red.data[i]) for i in range(len(piv))]
+    if g.is_normal(members):
+        expected = n - n // len(members)
+        if len(basis) != expected:
+            raise RuntimeError("augmentation ideal dimension mismatch for normal H")
+    return basis
+
+
+def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
+    """e = |H|^-1 * (sum of H); requires char(F) coprime to |H|."""
+    g, F = alg.group, alg.field
+    members = sorted(set(h))
+    if tuple(members) != g.subgroup_generated(members):
+        raise ValueError("H is not a subgroup")
+    m = len(members) % F.p
+    if m == 0:
+        raise ZeroDivisionError("characteristic divides |H|; no idempotent")
+    scale = F.inv(m)  # prime-subfield constants encode as themselves
+    c = np.zeros(alg.dim, dtype=np.int64)
+    c[members] = 1
+    e = alg.element(c).scale(scale)
+    if not (e * e == e):
+        raise RuntimeError("subgroup averaging element failed idempotency")
+    return e
+
+
+# -- decision references ------------------------------------------------------------
+
+
+def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
+    """The socle decider's radical basis of C(FG), after its p-group check."""
+    _require_p_group(group, fld)
+    return _radical_basis(GroupAlgebra(group, fld))
+
+
+def witness_ce(
+    group: FiniteGroup, fld: GF, x: AlgebraElement
+) -> AlgebraElement:
+    """For a p-group of class <= 2 over characteristic p, build central c
+    with 0 != x c central, by greedily multiplying by (1 - z) for central
+    group elements z while the product stays nonzero.
+
+    Terminates because each factor sits in the nilpotent augmentation
+    ideal; succeeds because once x_k annihilates every (1 - z) it is a
+    multiple of the center sum, which is central when the commutator
+    subgroup lies in the center.
+    """
+    nc = group.nilpotency_class
+    if nc is None or nc > 2:
+        raise ValueError("the constructive witness requires nilpotency class <= 2")
+    _require_p_group(group, fld)
+    if x.is_zero():
+        raise ValueError("witness construction needs a nonzero element")
+    alg = x.algebra
+    if alg.is_central(x):
+        return alg.one()
+    c = alg.one()
+    cur = x
+    center = [z for z in group.center if z != 0]
+    neg_one = fld.neg(1)
+    progress = True
+    while progress:
+        progress = False
+        for z in center:
+            fac = np.zeros(group.n, dtype=np.int64)
+            fac[0] = 1
+            fac[z] = neg_one
+            factor = alg.element(fac)
+            nxt = cur * factor
+            if not nxt.is_zero():
+                cur = nxt
+                c = c * factor
+                progress = True
+                break
+    if cur.is_zero() or not alg.is_central(c) or not alg.is_central(cur):
+        raise CrossValidationError("constructive witness failed its postcondition")
+    return c
+
+
+# -- catalog references ---------------------------------------------------------------
+
+
+def elem_abelian_by_factors(p: int, r: int) -> FiniteGroup:
+    """C_p x ... x C_p, one factor at a time: the catalog's former build."""
+    idx = np.arange(p, dtype=np.int32)
+    cp = FiniteGroup((idx[:, None] + idx) % p, f"E{p}^1")
+    g = cp
+    for k in range(2, r + 1):
+        g = direct_product(g, cp, f"E{p}^{k}")
+    return g
+
+
+def fingerprint(g: FiniteGroup) -> tuple:
+    """Cheap isomorphism-invariant signature.
+
+    (order, element-order counts, class-size counts, |Z_i| chain, |G'|,
+    abelianization element-order counts).
+    """
+    order_counts = _counts(sorted(g.element_orders.tolist()))
+    class_counts = _counts(sorted(g.conjugacy.sizes))
+    chain = tuple(len(s) for s in g.upper_central_series.subgroups)
+    gprime = g.commutator_subgroup
+    ab = g.quotient_map(gprime)[0]
+    ab_counts = _counts(sorted(ab.element_orders.tolist()))
+    return (g.n, order_counts, class_counts, chain, len(gprime), ab_counts)
+
+
+def _counts(sorted_vals: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    out: list[tuple[int, int]] = []
+    for v in sorted_vals:
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + 1)
+        else:
+            out.append((v, 1))
+    return tuple(out)
+
+
+# frozen construction fingerprints for the fixed-name entries; a mismatch
+# means the builder drifted
+EXPECTED_FINGERPRINTS: dict[str, tuple] = {
+    "Q8": (8, ((1, 1), (2, 1), (4, 6)), ((1, 2), (2, 3)), (1, 2, 8), 2, ((1, 1), (2, 3))),
+    "S3": (6, ((1, 1), (2, 3), (3, 2)), ((1, 1), (2, 1), (3, 1)), (1,), 3, ((1, 1), (2, 1))),
+    "QD16": (16, ((1, 1), (2, 5), (4, 6), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "M16": (16, ((1, 1), (2, 3), (4, 4), (8, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+    "H3": (27, ((1, 1), (3, 26)), ((1, 3), (3, 8)), (1, 3, 27), 3, ((1, 1), (3, 8))),
+    "prop29:2": (32, ((1, 1), (2, 7), (4, 16), (8, 8)), ((1, 2), (2, 3), (4, 6)), (1, 2, 8, 32), 4, ((1, 1), (2, 7))),
+    "prop29:3": (243, ((1, 1), (3, 134), (9, 108)), ((1, 9), (9, 26)), (1, 9, 27, 243), 27, ((1, 1), (3, 8))),
+    "order16:1": (16, ((1, 1), (2, 1), (4, 2), (8, 4), (16, 8)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 1), (4, 2), (8, 4), (16, 8))),
+    "order16:2": (16, ((1, 1), (2, 3), (4, 12)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 3), (4, 12))),
+    "order16:3": (16, ((1, 1), (2, 3), (4, 4), (8, 8)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 3), (4, 4), (8, 8))),
+    "order16:4": (16, ((1, 1), (2, 7), (4, 8)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 7), (4, 8))),
+    "order16:5": (16, ((1, 1), (2, 15)), ((1, 16),), (1, 16), 1, ((1, 1), (2, 15))),
+    "order16:6": (16, ((1, 1), (2, 9), (4, 2), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "order16:7": (16, ((1, 1), (2, 5), (4, 6), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "order16:8": (16, ((1, 1), (2, 1), (4, 10), (8, 4)), ((1, 2), (2, 3), (4, 2)), (1, 2, 4, 16), 4, ((1, 1), (2, 3))),
+    "order16:9": (16, ((1, 1), (2, 3), (4, 4), (8, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+    "order16:10": (16, ((1, 1), (2, 11), (4, 4)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 7))),
+    "order16:11": (16, ((1, 1), (2, 3), (4, 12)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 7))),
+    "order16:12": (16, ((1, 1), (2, 7), (4, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 7))),
+    "order16:13": (16, ((1, 1), (2, 3), (4, 12)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+    "order16:14": (16, ((1, 1), (2, 7), (4, 8)), ((1, 4), (2, 6)), (1, 4, 16), 2, ((1, 1), (2, 3), (4, 4))),
+}
+
+
+def verify_fixed_entries() -> list[str]:
+    """Rebuild every fixed-name entry and compare fingerprints; returns the
+    names that drifted (empty list = all good)."""
+    bad = []
+    for name, expected in EXPECTED_FINGERPRINTS.items():
+        if fingerprint(catalog.get(name)) != expected:
+            bad.append(name)
+    return bad

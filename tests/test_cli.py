@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,9 +101,15 @@ class TestCheckCommand:
     def test_socle_on_non_p_group_refused(self, capsys):
         assert main(["check", "--group", "S3", "--field", "2", "--method", "socle"]) == 2
 
-    def test_method_field_compatibility(self):
-        assert main(["check", "--group", "Q8", "--field", "2", "--method", "char0"]) == 2
-        assert main(["check", "--group", "Q8", "--field", "0", "--method", "oracle"]) == 2
+    def test_method_field_compatibility(self, capsys):
+        # decide refuses both pairs; the CLI adds no check of its own
+        for field, method, message in [
+            ("2", "char0", "method 'char0' needs characteristic zero, not GF(2)"),
+            ("0", "oracle", "method 'oracle' needs a finite field"),
+        ]:
+            assert main(["check", "--group", "Q8", "--field", field, "--method", method]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_unknown_group(self):
         assert main(["check", "--group", "nope:1", "--field", "2"]) == 2
@@ -301,16 +309,10 @@ TRACED_CACHED = {
 }
 
 
-def test_tracer_names_resolve():
-    """Every (module, qualname) that perfbench/tracing.py wraps still exists
-    in cealg: a callable, and a method of a class a plain function or, where
-    it was one, a cached_property.
-    The tracer module is loaded by path and not installed."""
-    import functools
-    import importlib
+def _tracer_wrapped() -> list[tuple[str, str]]:
+    """Every (module, qualname) that perfbench/tracing.py wraps.  The tracer
+    module is loaded by path and not installed."""
     import importlib.util
-    import inspect
-    from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
@@ -320,6 +322,18 @@ def test_tracer_names_resolve():
     wrapped = [(mod, qual) for _, mod, qual in tracing.SPANS + tracing.COUNTERS]
     wrapped += [("decision", qual) for qual in tracing.ORACLE_SCANS]
     wrapped.append(("decision", "_projective_mask"))
+    return wrapped
+
+
+def test_tracer_names_resolve():
+    """Every (module, qualname) that perfbench/tracing.py wraps still exists
+    in cealg: a callable, and a method of a class a plain function or, where
+    it was one, a cached_property."""
+    import functools
+    import importlib
+    import inspect
+
+    wrapped = _tracer_wrapped()
     for mod, qual in wrapped:
         owner = importlib.import_module(f"cealg.{mod}")
         if "." not in qual:
@@ -332,6 +346,82 @@ def test_tracer_names_resolve():
         else:
             assert inspect.isfunction(target), (mod, qual)
     assert TRACED_CACHED <= set(wrapped)
+
+
+# -- the package surface ----------------------------------------------------------
+
+# public names that nothing in src calls, each kept for the reason given
+SURFACE_ALLOWLIST = {
+    ("algebra", "GroupAlgebra.zero"): "ring interface: the additive identity",
+    ("algebra", "AlgebraElement.scale"): "ring interface: scalar multiples",
+    ("algebra", "AlgebraElement.power"): "ring interface: powers, as in nilpotence checks",
+    ("algebra", "AlgebraElement.augmentation"): "ring interface: the morphism onto F",
+}
+
+
+def _package_sources() -> dict[str, str]:
+    """Module name -> source text of every module of the cealg package."""
+    return {p.stem: p.read_text() for p in Path(cealg.__file__).parent.glob("*.py")}
+
+
+def _unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualname) of every public top-level function or class, and
+    every public method of a top-level class, in `sources` that nothing in
+    any of the modules reads outside the definition itself: a method by an
+    attribute of its spelling, a top-level name by a name or an attribute.
+    Matching goes by spelling alone, so a read of another object's
+    attribute of the same name counts."""
+    defs, reads = [], []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((mod, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(mod, f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.id, node.lineno, False))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.attr, node.lineno, True))
+    out = set()
+    for mod, qual, node in defs:
+        if node.name.startswith("_"):
+            continue
+        method, own = "." in qual, range(node.lineno, node.end_lineno + 1)
+        if not any(name == node.name and (attr or not method) and not (m == mod and line in own)
+                   for m, name, line, attr in reads):
+            out.add((mod, qual))
+    return out
+
+
+def test_package_surface_has_no_uncalled_names():
+    """Every public function, method and class in src/cealg is referred to
+    elsewhere in src, is wrapped by perfbench's tracer, or is on the
+    allowlist; no allowlist entry has gained a caller; every name that
+    __init__.py exports resolves."""
+    sources = _package_sources()
+    unreferenced = _unreferenced(sources)
+    assert unreferenced - set(_tracer_wrapped()) - set(SURFACE_ALLOWLIST) == set()
+    assert set(SURFACE_ALLOWLIST) <= unreferenced
+    exports = [alias.asname or alias.name for node in ast.parse(sources["__init__"]).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert exports and all(hasattr(cealg, name) for name in exports)
+
+
+def test_surface_guard_flags_an_uncalled_def():
+    extra = {
+        "orphan": "def uncalled(x):\n    return uncalled(x - 1) if x else 0\n\n\n"
+                  "class Holder:\n    def used(self):\n        return 1\n\n"
+                  "    def shadowed(self):\n        return 2\n",
+        "caller": "def run(h):\n    return h.used(), shadowed\n\n\nrun(None)\n",
+    }
+    found = _unreferenced(dict(_package_sources(), **extra))
+    # a recursive call is no caller, nor is a bare name for a method; a
+    # call from another module is
+    assert found - _unreferenced(_package_sources()) == {
+        ("orphan", "uncalled"), ("orphan", "Holder"), ("orphan", "Holder.shadowed")}
 
 
 # -- fuzzing JSON group files -------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cealg import catalog, decision
-from cealg.algebra import GroupAlgebra, subgroup_idempotent
+from cealg.algebra import GroupAlgebra
 from cealg.decision import (
     DEFAULT_BUDGET,
     ESSENTIAL,
@@ -14,7 +14,7 @@ from cealg.decision import (
     BudgetError,
     StructuralUndecidedError,
     _class_products,
-    _enumeration_digits,
+    _candidate_digits,
     _half_table,
     _oracle_scan_generic,
     _p_part,
@@ -23,13 +23,21 @@ from cealg.decision import (
     decide,
     decompose_p,
     oracle_centrally_essential,
-    radical_center_basis,
     socle_centrally_essential,
-    witness_ce,
     witness_not_ce,
 )
 from cealg.fields import Matrix, field_make, rank_batched
 from cealg.groups import FiniteGroup
+from reference import (
+    basis,
+    fingerprint,
+    from_support,
+    index_of_label,
+    radical_center_basis,
+    random_nonzero,
+    subgroup_idempotent,
+    witness_ce,
+)
 
 
 class TestOracle:
@@ -112,7 +120,7 @@ def _rank_only_scan(alg: GroupAlgebra, total: int) -> int | None:
     zmat, piv = alg.center_matrix
     nonpiv = [c for c in range(n) if c not in piv]
     for lo in range(1, total, decision._CHUNK):
-        digits = _enumeration_digits(lo, min(lo + decision._CHUNK, total), q, n)
+        digits = _candidate_digits(np.arange(lo, min(lo + decision._CHUNK, total)), q, n)
         mask = _projective_mask(digits) & (F.vsum(digits, 1) == 0)
         if not mask.any():
             continue
@@ -200,7 +208,7 @@ def test_split_codes_certify_as_the_full_product(case):
     *_, res_lo, rep_lo = _half_table(F, prods[:L], m_lo, m_lo + 1, d, False)
     *_, res_hi, rep_hi = _half_table(F, prods[L:], m_hi, m_hi + 1, d, True)
     split = ((res_lo == res_hi) & (rep_lo != rep_hi)).any()
-    a = F.vmatmul(_enumeration_digits(m, m + 1, F.order, n), prods)
+    a = F.vmatmul(_candidate_digits(np.array([m]), F.order, n), prods)
     assert split == _central_multiple(a.reshape(1, d, n))[0]
 
 
@@ -218,7 +226,7 @@ def test_certificate_fires_both_ways(f2):
     g = catalog.quaternion8()
     alg = GroupAlgebra(g, f2)
     z = next(i for i in g.center if i != 0)
-    one_plus_z = alg.from_support([(0, 1), (z, 1)]).coeffs
+    one_plus_z = from_support(alg, [(0, 1), (z, 1)]).coeffs
     assert _certified(alg, one_plus_z)  # (1 + z) Sigma_K is central
     s3 = GroupAlgebra(catalog.sym3(), f2)
     bad = oracle_centrally_essential(catalog.sym3(), f2).counterexample.coeffs
@@ -243,7 +251,7 @@ def test_certified_candidates_skip_ranks(monkeypatch, f2, f3):
     # D12 over GF(3) fails at candidate 19, inside the first chunk: compare
     # with that chunk's augmentation-zero projective candidates
     g = catalog.get("D12")
-    digits = _enumeration_digits(1, 1 + decision._CHUNK, 3, g.n)
+    digits = _candidate_digits(np.arange(1, 1 + decision._CHUNK), 3, g.n)
     scanned = int((_projective_mask(digits) & (f3.vsum(digits, 1) == 0)).sum())
     assert oracle_centrally_essential(g, f3).artifact["candidate_index"] == 19
     assert _rank_batched_matrices(monkeypatch, g, f3) < scanned / 10
@@ -253,7 +261,7 @@ class TestRadicalBasis:
     def test_c2(self, f2):
         basis = radical_center_basis(catalog.cyclic(2), f2)
         alg = GroupAlgebra(catalog.cyclic(2), f2)
-        assert basis == [alg.from_support([(0, 1), (1, 1)])]
+        assert basis == [from_support(alg, [(0, 1), (1, 1)])]
 
     def test_q8_size_and_nilpotence(self, f2):
         basis = radical_center_basis(catalog.quaternion8(), f2)
@@ -456,7 +464,7 @@ class TestDecomposition:
         d = decompose_p(g, 2)
         assert d.is_direct
         assert len(d.p_part) == 8 and len(d.p_prime_part) == 3
-        assert g.subgroup(d.p_part).fingerprint() == catalog.quaternion8().fingerprint()
+        assert fingerprint(g.subgroup(d.p_part)) == fingerprint(catalog.quaternion8())
 
     def test_direct_implies_factorization(self):
         for spec, p in [("C6", 3), ("C12", 2), ("Q8 x C3", 2), ("C6", 2)]:
@@ -578,10 +586,10 @@ class TestWitnessCE:
     def test_quaternion_i(self, f2):
         q8 = catalog.quaternion8()
         alg = GroupAlgebra(q8, f2)
-        x = alg.basis(q8.index_of_label("i"))
+        x = basis(alg, index_of_label(q8, "i"))
         c = witness_ce(q8, f2, x)
-        minus_one = q8.index_of_label("-1")
-        assert c == alg.from_support([(0, 1), (minus_one, 1)])
+        minus_one = index_of_label(q8, "-1")
+        assert c == from_support(alg, [(0, 1), (minus_one, 1)])
         xc = x * c
         assert not xc.is_zero() and alg.is_central(xc)
         assert {q8.label(i) for i, _ in xc.support()} == {"i", "-i"}
@@ -590,7 +598,7 @@ class TestWitnessCE:
         h = catalog.heisenberg(3)
         alg = GroupAlgebra(h, f3)
         for _ in range(25):
-            x = alg.random_nonzero(rng)
+            x = random_nonzero(alg, rng)
             c = witness_ce(h, f3, x)
             xc = x * c
             assert alg.is_central(c)
@@ -621,7 +629,7 @@ class TestWitnessNotCE:
         # x is the least non-Z2 element times the center sum
         z2 = set(g.upper_central_series.subgroups[2])
         least = next(i for i in range(g.n) if i not in z2)
-        want = alg.from_support([(g.mul(least, z), 1) for z in g.center])
+        want = from_support(alg, [(g.mul(least, z), 1) for z in g.center])
         assert x == want
 
     def test_rejects_low_class(self, f2):
@@ -793,7 +801,7 @@ def test_relabeling_invariance(case):
     assert len(rh.witnesses) == len(rg.witnesses)
     alg = GroupAlgebra(h, fld)
     for w in rh.witnesses:
-        x = alg.from_support((h.index_of_label(lab), v) for lab, v in w["element"])
+        x = from_support(alg, [(index_of_label(h, lab), v) for lab, v in w["element"]])
         assert not alg.is_central(x)
         admits, _ = candidate_admits_central_multiple(alg, x.coeffs)
         assert not admits

@@ -22,8 +22,8 @@ class TestConstruction:
 
     def test_gf3_arithmetic(self, f3):
         assert f3.add(2, 2) == 1
-        assert f3.sub(1, 2) == 2
-        assert f3.div(1, 2) == 2
+        assert f3.add(1, f3.neg(2)) == 2
+        assert f3.mul(1, f3.inv(2)) == 2
         assert f3.inv(2) == 2
         assert f3.neg(1) == 2
 
@@ -61,8 +61,6 @@ class TestConstruction:
     def test_inverse_of_zero(self, f3):
         with pytest.raises(ZeroDivisionError):
             f3.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            f3.div(1, 0)
 
     def test_large_extension_field(self):
         # above the table threshold: log/exp route
@@ -83,7 +81,7 @@ class TestConstruction:
             x = F._mul_scalar(x, g)
         assert x == 1
         assert F._exp.tolist() == exp and F._log.tolist() == log.tolist()
-        assert F._dig.tolist() == [list(F.decode(x)) for x in range(F.order)]
+        assert F._dig.tolist() == [_decode_base(x, p, k) for x in range(F.order)]
 
     def test_largest_field_builds_fast(self):
         t0 = time.process_time()
@@ -93,8 +91,9 @@ class TestConstruction:
         assert F.mul(F.inv(40000), 40000) == 1
 
     def test_encode_decode_roundtrip(self, f4):
+        # the base-p digits of an encoding, low first, encode it again
         for x in range(4):
-            assert f4.encode(f4.decode(x)) == x
+            assert sum(c * 2**i for i, c in enumerate(_decode_base(x, 2, 2))) == x
 
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
