@@ -1,9 +1,10 @@
 """Arithmetic in the group algebra FG.
 
 Elements are dense coefficient vectors indexed by group element; the product
-is the convolution induced by the Cayley table.  Class sums span the center,
-and both center-membership tests (commuting with every basis element, and
-constancy on conjugacy classes) are kept side by side as mutual checks.
+is the convolution induced by the Cayley table.  The class sums, which span
+the center, are one read-only array of coefficient rows, and both
+center-membership tests (commuting with every basis element, and constancy
+on conjugacy classes) are kept side by side as mutual checks.
 """
 
 from __future__ import annotations
@@ -86,19 +87,18 @@ class GroupAlgebra:
     # -- the center --------------------------------------------------------------
 
     @cached_property
-    def center_basis(self) -> "CenterBasis":
-        sums = []
-        for cls in self.group.conjugacy.classes:
-            c = np.zeros(self.dim, dtype=np.int64)
-            c[list(cls)] = 1
-            sums.append(self.element(c))
-        return CenterBasis(tuple(sums), len(sums))
+    def center_basis(self) -> np.ndarray:
+        """The class sums, which span the center: a read-only (d, n) array
+        whose row K is 1 on the members of class K, in class order."""
+        sums = np.zeros((len(self.group.conjugacy.classes), self.dim), dtype=np.int64)
+        sums[self.group.conjugacy.class_of, np.arange(self.dim)] = 1
+        sums.setflags(write=False)
+        return sums
 
     @cached_property
     def center_matrix(self) -> tuple[Matrix, list[int]]:
         """Class-sum row matrix in RREF plus its pivot columns."""
-        rows = np.stack([e.coeffs for e in self.center_basis.class_sums])
-        return Matrix(self.field, rows).rref()
+        return Matrix(self.field, self.center_basis).rref()
 
     def is_central(self, x: "AlgebraElement") -> bool:
         """Center membership, computed two independent ways.
@@ -123,12 +123,6 @@ class GroupAlgebra:
         if commutes != constant:
             raise RuntimeError("center membership routes disagree; this is a bug")
         return commutes
-
-
-@dataclass(frozen=True)
-class CenterBasis:
-    class_sums: tuple["AlgebraElement", ...]
-    dim: int
 
 
 @dataclass(frozen=True, eq=False)

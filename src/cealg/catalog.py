@@ -17,10 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import is_prime
+from .fields import is_prime, power_exceeds
 from .groups import (
     ORDER_CAP,
     FiniteGroup,
+    GroupValidationError,
     direct_product,
     group_from_generators,
     row_blocks,
@@ -35,9 +36,13 @@ def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=N
     first.  The law receives the digit arrays of the left factor as columns
     and of the right factor as rows, and returns the product's digits
     unreduced; each is reduced mod its radix here.  The law runs on one row
-    block of the table at a time, so no n x n temporary is formed.
+    block of the table at a time, so no n x n temporary is formed.  An order
+    over the cap is refused before any table is allocated or any label read,
+    so the families of any order pass their labels as lazy generators.
     """
     n = math.prod(radices)
+    if not 0 < n <= ORDER_CAP:
+        raise GroupValidationError(f"group order {n} outside (0, {ORDER_CAP}]")
     digits = _mixed_radix(np.arange(n, dtype=np.int32), radices)
     right = [d[None, :] for d in digits]
     table = np.empty((n, n), dtype=np.int32)
@@ -86,15 +91,15 @@ def _join_labels(parts: list[str]) -> str:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    labels = [_join_labels([_pow_label("g", i)]) for i in range(n)]
+    labels = (_join_labels([_pow_label("g", i)]) for i in range(n))
     return _table_from_law((n,), lambda a, b: (a[0] + b[0],), f"C{n}", labels)
 
 
 @lru_cache(maxsize=None)
 def elem_abelian(p: int, r: int) -> FiniteGroup:
-    if not is_prime(p) or r < 1:
+    if r < 1 or (p <= ORDER_CAP and not is_prime(p)):
         raise ValueError("elementary abelian group needs a prime and positive rank")
-    if p**r > ORDER_CAP:
+    if power_exceeds(p, r, ORDER_CAP):
         raise ValueError(f"group order {p}^{r} exceeds the cap {ORDER_CAP}")
     if r == 1:
         idx = np.arange(p, dtype=np.int32)
@@ -116,7 +121,7 @@ def dihedral(order: int) -> FiniteGroup:
         t, j = y
         return (s + t, i + j * (1 - 2 * s))
 
-    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for s in range(2) for i in range(m)]
+    labels = (_join_labels([_pow_label("r", i), _pow_label("s", s)]) for s in range(2) for i in range(m))
     return _table_from_law((2, m), law, f"D{order}", labels)
 
 
@@ -132,7 +137,7 @@ def gen_quaternion(order: int) -> FiniteGroup:
         v, y = b
         return (u + v, x + y * (1 - 2 * u) + half * u * v)
 
-    labels = [_join_labels([_pow_label("a", x), _pow_label("b", u)]) for u in range(2) for x in range(m)]
+    labels = (_join_labels([_pow_label("a", x), _pow_label("b", u)]) for u in range(2) for x in range(m))
     return _table_from_law((2, m), law, f"Q{order}", labels)
 
 
@@ -174,6 +179,8 @@ def heisenberg(p: int) -> FiniteGroup:
     (i, j, k)(x, y, z) = (i + x, j + y, k + z + i y): the split extension
     of C_p x C_p by C_p acting by (j, k) -> (j, k + i j), acting group first.
     """
+    if p**3 > ORDER_CAP:
+        raise ValueError(f"group order {p}^3 exceeds the cap {ORDER_CAP}")
     if not is_prime(p):
         raise ValueError("heisenberg group needs a prime")
     cp = cyclic(p)
@@ -312,10 +319,10 @@ def _p5_odd(p: int) -> FiniteGroup:
 def p5_class3_group(p: int) -> FiniteGroup:
     """A group of order p^5 and nilpotency class 3 whose modular group
     algebra over characteristic p is not centrally essential."""
-    if not is_prime(p):
-        raise ValueError("parameter must be prime")
     if p > 5:
         raise ValueError("order p^5 exceeds the supported cap for p > 5")
+    if not is_prime(p):
+        raise ValueError("parameter must be prime")
     return _p5_even() if p == 2 else _p5_odd(p)
 
 

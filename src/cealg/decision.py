@@ -104,17 +104,16 @@ def candidate_admits_central_multiple(
 ) -> tuple[bool, dict]:
     """Whether some central c makes (r c) a nonzero central element.
 
-    Works on the subspace rC spanned by r times each class sum:
+    Works on the subspace rC spanned by the rows r * Sigma_K, formed as
+    one product of r with the class sums of alg.center_basis as columns:
     dim(rC /\\ C) = rank(rC) + dim C - rank(rC + C).
     """
     F = alg.field
-    sums = alg.center_basis.class_sums
-    rows = np.stack([alg._mul_arrays(coeffs, s.coeffs) for s in sums])
-    m1 = Matrix(F, rows)
+    m1 = Matrix(F, alg._mul_arrays(coeffs, alg.center_basis.T).T)
     r1 = m1.rank()
     zmat, _ = alg.center_matrix
     r2 = m1.vstack(zmat).rank()
-    d = alg.center_basis.dim
+    d = len(alg.center_basis)
     inter = r1 + d - r2
     return inter > 0, {"rank_rC": r1, "rank_sum": r2, "center_dim": d, "intersection_dim": inter}
 
@@ -199,8 +198,8 @@ def _class_products(alg: GroupAlgebra) -> np.ndarray:
     reps, others = np.flatnonzero(leading), np.flatnonzero(~leading)
     rep_of, d = rep[others], reps.size
     out = np.empty((n, d, n), dtype=np.int64)
-    for k, s in enumerate(alg.center_basis.class_sums):
-        rm = alg.right_mult_matrix(s.coeffs).data  # r * Sigma_K = r @ rm
+    for k, s in enumerate(alg.center_basis):
+        rm = alg.right_mult_matrix(s).data  # r * Sigma_K = r @ rm
         out[:, k, : n - d] = F.vsub(rm[:, others], rm[:, rep_of])
         out[:, k, n - d :] = rm[:, reps]
     return out.reshape(n, d * n)
@@ -250,7 +249,7 @@ def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
     exact pair of ranks: rC /\\ C = 0 exactly when rank(rC) equals the rank
     of its residues, which is rank(rC + C) - d.
     """
-    F, n, d = alg.field, alg.dim, alg.center_basis.dim
+    F, n, d = alg.field, alg.dim, len(alg.center_basis)
     q = F.order
     prods = _class_products(alg)
     L = 1
@@ -294,36 +293,27 @@ _oracle_scan_prime = _oracle_scan_generic
 
 
 def _require_p_group(group: FiniteGroup, fld: GF) -> None:
-    n, p = group.n, fld.p
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if _p_part(group.n, fld.p) != group.n:
         raise ValueError(
-            f"{group.name} is not a {p}-group; the socle route only applies to "
+            f"{group.name} is not a {fld.p}-group; the socle route only applies to "
             "p-groups over characteristic p"
         )
 
 
-def _radical_basis(alg: GroupAlgebra) -> list[AlgebraElement]:
-    """Basis of the radical of C(FG) for a p-group over characteristic p:
-    {z - 1 : z central, z != 1} plus the class sums of non-singleton classes.
+def _radical_basis(alg: GroupAlgebra) -> list[np.ndarray]:
+    """Coefficient rows spanning the radical of C(FG) for a p-group over
+    characteristic p: z - 1 for each central z != 1, then the class sums of
+    the non-singleton classes, as views of the rows of alg.center_basis.
 
     These are exactly the augmentation-zero central elements (non-singleton
     class sizes are powers of p), and in this local setting augmentation
     zero is nilpotency.
     """
-    group = alg.group
-    out: list[AlgebraElement] = []
-    neg_one = alg.field.neg(1)
-    for z in group.center:
-        if z == 0:
-            continue
-        c = np.zeros(group.n, dtype=np.int64)
-        c[z] = 1
-        c[0] = neg_one
-        out.append(alg.element(c))
-    sums = zip(group.conjugacy.classes, alg.center_basis.class_sums)
-    return out + [s for cls, s in sums if len(cls) > 1]
+    z = [c for c in alg.group.center if c]
+    links = np.zeros((len(z), alg.dim), dtype=np.int64)
+    links[np.arange(len(z)), z], links[:, 0] = 1, alg.field.neg(1)
+    sizes = alg.group.conjugacy.sizes
+    return list(links) + [s for s, size in zip(alg.center_basis, sizes) if size > 1]
 
 
 def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
@@ -387,7 +377,8 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     radical basis (see _radical_annihilator), and the containment test asks
     each socle basis row to be constant on conjugacy classes.  A socle
     vector outside C is returned as a certified counterexample (its central
-    multiples form the line it spans, which misses C).
+    multiples form the line it spans, which misses C).  The nilpotency guard
+    and the re-checks of that vector multiply radical basis rows in FG.
     """
     _require_p_group(group, fld)
     alg = GroupAlgebra(group, fld)
@@ -398,9 +389,9 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
         # b is nilpotent iff b^n = 0 iff b^(2^m) = 0 for 2^m >= n, and
         # repeated squaring can stop at the first zero
         x, e = b, 1
-        while e < n and not x.is_zero():
-            x, e = x * x, 2 * e
-        if not x.is_zero():
+        while e < n and x.any():
+            x, e = alg._mul_arrays(x, x), 2 * e
+        if x.any():
             raise CrossValidationError("radical basis element is not nilpotent")
     socle_rows = _radical_annihilator(alg)
     socle_dim = socle_rows.shape[0]
@@ -412,9 +403,8 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     excess = alg.element(socle_rows[np.argmax(outside)])
     if alg.is_central(excess):
         raise CrossValidationError("socle excess vector is central")
-    for b in rad:
-        if not (b * excess).is_zero():
-            raise CrossValidationError("socle vector not annihilated by the radical")
+    if any(alg._mul_arrays(b, excess.coeffs).any() for b in rad):
+        raise CrossValidationError("socle vector not annihilated by the radical")
     ok, artifact = candidate_admits_central_multiple(alg, excess.coeffs)
     if ok:
         raise CrossValidationError("socle excess vector failed the rank re-verification")

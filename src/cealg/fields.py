@@ -44,6 +44,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_exceeds(p: int, k: int, cap: int) -> bool:
+    """Whether p^k > cap, for p >= 2 and k >= 1, without forming p^k when
+    it is far over the cap."""
+    return p > cap or k >= cap.bit_length() or p**k > cap
+
+
 # -- polynomial helpers over GF(p), coefficients low-degree-first -----------
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -114,16 +120,16 @@ class GF:
     """The finite field GF(p^k), elements encoded as ints in [0, p^k)."""
 
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
+        # primality is tested by trial division, so only below the cap
+        if p <= MAX_ORDER and not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         if k < 1:
             raise ValueError(f"extension degree must be positive, got {k}")
-        order = p**k
-        if order > MAX_ORDER:
+        if power_exceeds(p, k, MAX_ORDER):
             raise ValueError(f"field order {p}^{k} exceeds cap {MAX_ORDER}")
         self.p = p
         self.k = k
-        self.order = order
+        self.order = p**k
         # modulus convention for prime fields: the polynomial t, i.e. (0, 1)
         self.modulus: tuple[int, ...] = (0, 1) if k == 1 else _least_irreducible(p, k)
         self._pmat = np.array([p**i for i in range(k)], dtype=np.int64)

@@ -111,9 +111,11 @@ def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
 
 
 def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
-    """The socle decider's radical basis of C(FG), after its p-group check."""
+    """The socle decider's radical basis of C(FG) as elements, after its
+    p-group check."""
     _require_p_group(group, fld)
-    return _radical_basis(GroupAlgebra(group, fld))
+    alg = GroupAlgebra(group, fld)
+    return [alg.element(b) for b in _radical_basis(alg)]
 
 
 def witness_ce(

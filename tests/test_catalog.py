@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from cealg import catalog, groups
 from cealg.catalog import _encode, _mixed_radix
-from cealg.groups import FiniteGroup, direct_product
+from cealg.groups import ORDER_CAP, FiniteGroup, GroupValidationError, direct_product
 from reference import fingerprint, index_of_label, verify_fixed_entries
 
 
@@ -222,6 +223,19 @@ def test_normal_form_base_matches_per_pair_loop():
     assert (base.table == _normal_form_p4_ref(3)).all()
 
 
+@pytest.mark.parametrize("spec", ["C100000", "D20000", "Q16384"])
+def test_law_order_over_the_cap_refused_before_the_table(spec):
+    # the table would take 1 GB or more; the refusal allocates next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupValidationError, match=rf"outside \(0, {ORDER_CAP}\]"):
+            catalog.get(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 # -- the row-blocked law build against the whole-array build --------------------
 
 
@@ -257,7 +271,14 @@ _BLOCKED_LAWS = {
 def test_blocked_law_matches_whole_array_build(monkeypatch, build):
     calls = []
     blocked = catalog._table_from_law
-    monkeypatch.setattr(catalog, "_table_from_law", lambda *a: calls.append(a) or blocked(*a))
+
+    def recording(radices, law, name, labels=None):
+        # the families of any order pass their labels as one-shot generators
+        labels = None if labels is None else list(labels)
+        calls.append((radices, law, name, labels))
+        return blocked(radices, law, name, labels)
+
+    monkeypatch.setattr(catalog, "_table_from_law", recording)
     build()
     default = groups.BLOCK_ENTRIES
     # every law the builder used (the builder of N_p^4 also builds C_p)

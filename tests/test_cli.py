@@ -520,6 +520,13 @@ def test_well_formed_group_file_gets_a_verdict(text, field):
     assert "verdict" in out
 
 
+def _child_env() -> dict:
+    """The environment with this package's src first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cealg.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_socle_and_crossvalidate_runs_leave_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, tens of milliseconds;
     # the quotients, normality tests and commutator subgroups avoid it
@@ -536,10 +543,45 @@ def test_socle_and_crossvalidate_runs_leave_numpy_ma_unimported():
             "check,--group,D8,--field,2,--crossvalidate",
             "check,--group,prop29:2,--field,2,--crossvalidate",
             "groups,info,H11"]
-    src = os.path.dirname(os.path.dirname(cealg.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", script, *runs], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *runs], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "False\n"
+
+
+# inputs whose caps were checked only after trial division of a huge p or
+# after forming a huge p^k; each ran past 15 s
+FAR_OVER_THE_CAPS = [
+    "check,--group,C2,--field,1000000000000000003",
+    "check,--group,C2,--field,3^1000000000",
+    "groups,info,E1000000000000000003^1",
+    "groups,info,E3^1000000000",
+    "groups,info,H1000000000000000003",
+    "groups,info,prop29:1000000000000000003",
+]
+
+
+def test_inputs_far_over_the_caps_exit_2_at_once():
+    # one child runs them all, so that a regression times out instead of
+    # hanging the suite; it reports each run's CPU time and its peak RSS
+    # (VmHWM: ru_maxrss would keep the forking parent's peak across exec)
+    script = "\n".join([
+        "import contextlib, io, json, sys, time",
+        "from cealg.cli import main",
+        "runs = []",
+        "for argv in sys.argv[1:]:",
+        "    err, t0 = io.StringIO(), time.process_time()",
+        "    with contextlib.redirect_stderr(err):",
+        "        code = main(argv.split(','))",
+        "    runs.append([code, time.process_time() - t0, err.getvalue()])",
+        "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]",
+        "print(json.dumps([runs, int(hwm[0].split()[1])]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script, *FAR_OVER_THE_CAPS], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    runs, peak_kb = json.loads(done.stdout)
+    for argv, (code, cpu, err) in zip(FAR_OVER_THE_CAPS, runs):
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "exceeds" in err and cpu < 1.0, (argv, err, cpu)
+    assert peak_kb < 100 * 1024

@@ -52,7 +52,7 @@ class TestOracle:
         assert out.counterexample is not None
         # the center of F2 S3 is spanned by 3 class sums: 8 elements
         alg = GroupAlgebra(catalog.sym3(), f2)
-        assert alg.center_basis.dim == 3
+        assert len(alg.center_basis) == 3
         ok, art = candidate_admits_central_multiple(alg, out.counterexample.coeffs)
         assert not ok and art["intersection_dim"] == 0
 
@@ -114,8 +114,8 @@ def _rank_only_scan(alg: GroupAlgebra, total: int) -> int | None:
     augmentation-zero projective candidate r gets two ranks, of rC and of
     rC reduced modulo the RREF class-sum matrix, and fails when they agree."""
     F, n, q = alg.field, alg.dim, alg.field.order
-    sums = alg.center_basis.class_sums
-    rms = np.stack([alg.right_mult_matrix(s.coeffs).data for s in sums], axis=1)
+    sums = alg.center_basis
+    rms = np.stack([alg.right_mult_matrix(s).data for s in sums], axis=1)
     rms = rms.reshape(n, len(sums) * n)
     zmat, piv = alg.center_matrix
     nonpiv = [c for c in range(n) if c not in piv]
@@ -202,7 +202,7 @@ def test_split_codes_certify_as_the_full_product(case):
     # candidate m = m_hi * q^L + m_lo: the codes of the low half against the
     # codes of the negated high half decide the dense certificate
     alg, m, L = case
-    F, n, d = alg.field, alg.dim, alg.center_basis.dim
+    F, n, d = alg.field, alg.dim, len(alg.center_basis)
     prods = _class_products(alg)
     m_hi, m_lo = divmod(m, F.order**L)
     *_, res_lo, rep_lo = _half_table(F, prods[:L], m_lo, m_lo + 1, d, False)
@@ -217,9 +217,28 @@ def test_split_codes_certify_as_the_full_product(case):
 def test_certificate_is_a_nonzero_central_multiple(case):
     alg, r = case
     x = alg.element(r)
-    multiples = [x * s for s in alg.center_basis.class_sums]
+    multiples = [x * alg.element(s) for s in alg.center_basis]
     want = any(not m.is_zero() and alg.is_central(m) for m in multiples)
     assert _certified(alg, r) == want
+
+
+@pytest.mark.parametrize("spec,p,k", [
+    ("prop29:2", 2, 1), ("S3", 3, 1), ("D8", 2, 2), ("S3", 2, 2), ("H5", 5, 2)])
+def test_verifier_rows_are_the_per_class_products(monkeypatch, spec, p, k):
+    # the verifier's rows r * Sigma_K, formed as one product with the
+    # class-sum array, against one _mul_arrays product per class sum; the
+    # first rank it takes is that of those rows
+    alg = GroupAlgebra(catalog.get(spec), field_make(p, k))
+    F, rng = alg.field, np.random.default_rng(7)
+    ranked, rank = [], Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append(m.data) or rank(m))
+    for density in (0.05, 0.5, 1.0):
+        r = rng.integers(0, F.order, alg.dim) * (rng.random(alg.dim) < density)
+        ranked.clear()
+        _, art = candidate_admits_central_multiple(alg, r)
+        want = np.stack([alg._mul_arrays(r, s) for s in alg.center_basis])
+        assert ranked[0].tolist() == want.tolist()
+        assert art["rank_rC"] == rank(Matrix(F, want))
 
 
 def test_certificate_fires_both_ways(f2):
@@ -271,6 +290,14 @@ class TestRadicalBasis:
     def test_augmentation_zero(self, f3):
         for b in radical_center_basis(catalog.heisenberg(3), f3):
             assert b.augmentation() == 0
+
+    def test_class_sum_rows_are_views(self, f3):
+        # the z - 1 rows come first; the class sums are not copied
+        alg = GroupAlgebra(catalog.get("prop29:3"), f3)
+        rad = decision._radical_basis(alg)
+        z = len(alg.group.center) - 1
+        assert len(rad) - z == sum(size > 1 for size in alg.group.conjugacy.sizes)
+        assert all(b.base is alg.center_basis for b in rad[z:])
 
     def test_rejects_non_p_group(self, f2, f3):
         with pytest.raises(ValueError):
@@ -345,7 +372,7 @@ def _rank_containment(alg: GroupAlgebra, rows: np.ndarray):
     rows under the class-sum matrix keeps the rank at dim C; otherwise the
     excess is the first row that is_central rejects."""
     zmat, _ = alg.center_matrix
-    if Matrix(alg.field, np.vstack([zmat.data, rows])).rank() == alg.center_basis.dim:
+    if Matrix(alg.field, np.vstack([zmat.data, rows])).rank() == len(alg.center_basis):
         return ESSENTIAL, None
     return NOT_ESSENTIAL, next(x for x in map(alg.element, rows) if not alg.is_central(x))
 
@@ -398,7 +425,7 @@ def _fg_chain_rows(alg: GroupAlgebra) -> np.ndarray:
     rad = decision._radical_basis(alg)
     basis, first = np.eye(n, dtype=np.int64), True
     for b in rad:
-        restricted = alg._mul_arrays(b.coeffs, basis)
+        restricted = alg._mul_arrays(b, basis)
         if not restricted.any():
             continue  # b already annihilates the running space
         ker = Matrix(F, restricted).nullspace()
@@ -436,9 +463,44 @@ def test_quotient_chain_matches_fg_chain(spec, p, k):
         assert soc.verdict == ESSENTIAL and soc.excess is None
 
 
+def _basis_row(n: int, i: int) -> np.ndarray:
+    row = np.zeros(n, dtype=np.int64)
+    row[i] = 1
+    return row
+
+
+def _noncentral(g: FiniteGroup) -> int:
+    return next(i for i in range(g.n) if i not in g.center)
+
+
+# faults injected into the socle decider on prop29:2 over GF(2), and the
+# check that must catch each
+_radical_basis = decision._radical_basis
+SOCLE_FAULTS = {
+    # the identity 1 joins the radical basis: it is not nilpotent
+    "non-nilpotent radical row": (
+        "_radical_basis",
+        lambda alg: [_basis_row(alg.dim, 0)] + _radical_basis(alg),
+        "not nilpotent"),
+    # a group element g outside the center as the socle: b g != 0 for b != 0
+    "socle row the radical does not annihilate": (
+        "_radical_annihilator",
+        lambda alg: _basis_row(alg.dim, _noncentral(alg.group))[None, :],
+        "not annihilated by the radical"),
+}
+
+
+@pytest.mark.parametrize("name", SOCLE_FAULTS)
+def test_socle_checks_catch_injected_faults(monkeypatch, f2, name):
+    target, fault, message = SOCLE_FAULTS[name]
+    monkeypatch.setattr(decision, target, fault)
+    with pytest.raises(decision.CrossValidationError, match=message):
+        socle_centrally_essential(catalog.p5_class3_group(2), f2)
+
+
 def test_central_excess_is_refused(monkeypatch, f2):
     monkeypatch.setattr(GroupAlgebra, "is_central", lambda a, x: True)
-    with pytest.raises(decision.CrossValidationError):
+    with pytest.raises(decision.CrossValidationError, match="socle excess vector is central"):
         socle_centrally_essential(catalog.p5_class3_group(2), f2)
 
 
