@@ -1,7 +1,7 @@
 """Finite groups, their modular group algebras, and deciders for the
 centrally essential property."""
 
-from .algebra import AlgebraElement, GroupAlgebra
+from .algebra import GroupAlgebra
 from .catalog import get as catalog_get
 from .decision import (
     ESSENTIAL,

@@ -1,7 +1,8 @@
 """Arithmetic in the group algebra FG.
 
-Elements are dense coefficient vectors indexed by group element; the product
-is the convolution induced by the Cayley table.  The class sums, which span
+Elements are dense int64 coefficient rows indexed by group element, with no
+class of their own; the product is the convolution induced by the Cayley
+table, formed by the one kernel `_mul_arrays`.  The class sums, which span
 the center, are one read-only array of coefficient rows, and both
 center-membership tests (commuting with every basis element, and constancy
 on conjugacy classes) are kept side by side as mutual checks.
@@ -9,9 +10,7 @@ on conjugacy classes) are kept side by side as mutual checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -26,28 +25,6 @@ class GroupAlgebra:
         self.group = group
         self.field = field
         self.dim = group.n
-
-    def element(self, coeffs: Sequence[int] | np.ndarray) -> "AlgebraElement":
-        arr = np.asarray(coeffs, dtype=np.int64)
-        if arr.shape != (self.dim,):
-            raise ValueError(f"coefficient vector must have length {self.dim}")
-        if (arr < 0).any() or (arr >= self.field.order).any():
-            raise ValueError("coefficients must be canonical field encodings")
-        return self._wrap(arr.copy())
-
-    def _wrap(self, arr: np.ndarray) -> "AlgebraElement":
-        """An element on a fresh int64 array of canonical encodings, which
-        it takes over without a copy or a check: the arithmetic results."""
-        arr.setflags(write=False)
-        return AlgebraElement(self, arr)
-
-    def zero(self) -> "AlgebraElement":
-        return self.element(np.zeros(self.dim, dtype=np.int64))
-
-    def one(self) -> "AlgebraElement":
-        c = np.zeros(self.dim, dtype=np.int64)
-        c[0] = 1
-        return self.element(c)
 
     # -- multiplication kernels ------------------------------------------------
 
@@ -100,16 +77,16 @@ class GroupAlgebra:
         """Class-sum row matrix in RREF plus its pivot columns."""
         return Matrix(self.field, self.center_basis).rref()
 
-    def is_central(self, x: "AlgebraElement") -> bool:
-        """Center membership, computed two independent ways.
+    def is_central(self, c: np.ndarray) -> bool:
+        """Center membership of the coefficient row c, computed two
+        independent ways.
 
-        Route 1: x commutes with every group basis element.  Route 2: the
+        Route 1: c commutes with every group basis element.  Route 2: the
         coefficients are constant on conjugacy classes (class sums have
         disjoint supports, so this is exactly span membership).  The two
         must agree; a mismatch would be an implementation bug.
         """
         t = self.group.table
-        c = x.coeffs
         commutes = True
         for g in range(self.dim):
             xg = np.zeros(self.dim, dtype=np.int64)
@@ -123,75 +100,4 @@ class GroupAlgebra:
         if commutes != constant:
             raise RuntimeError("center membership routes disagree; this is a bug")
         return commutes
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    algebra: GroupAlgebra
-    coeffs: np.ndarray
-
-    def _require_same(self, other: "AlgebraElement") -> None:
-        if self.algebra.group is not other.algebra.group or self.algebra.field != other.algebra.field:
-            raise ValueError("elements live in different group algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(other)
-        F = self.algebra.field
-        return self.algebra._wrap(F.vadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(other)
-        F = self.algebra.field
-        return self.algebra._wrap(F.vsub(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.algebra._wrap(self.algebra.field.vneg(self.coeffs))
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(other)
-        return self.algebra._wrap(self.algebra._mul_arrays(self.coeffs, other.coeffs))
-
-    def scale(self, s: int) -> "AlgebraElement":
-        self.algebra.field._check(s)
-        return self.algebra._wrap(self.algebra.field.vscale(s, self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra.group is other.algebra.group
-            and self.algebra.field == other.algebra.field
-            and (self.coeffs == other.coeffs).all()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs.tobytes())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def power(self, e: int) -> "AlgebraElement":
-        out = self.algebra.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def augmentation(self) -> int:
-        """Coefficient sum; the ring morphism onto F."""
-        return self.algebra.field.vsum(self.coeffs)
-
-    def support(self) -> list[tuple[int, int]]:
-        return [(int(i), int(self.coeffs[i])) for i in np.nonzero(self.coeffs)[0]]
-
-    def to_report(self) -> list[list]:
-        g = self.algebra.group
-        return [[g.label(i), v] for i, v in self.support()]
-
-    def __repr__(self) -> str:
-        g = self.algebra.group
-        parts = [f"{v}*{g.label(i)}" for i, v in self.support()]
-        return " + ".join(parts) if parts else "0"
 

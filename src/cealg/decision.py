@@ -18,8 +18,9 @@ other:
   property a constructive non-essentiality witness g * (sum of the center),
   re-verified by independent linear algebra.
 
-Every witness that a verdict carries is re-validated numerically, never
-trusted from theory alone; a failed Sylow split carries none.
+Every witness that a verdict carries is a read-only int64 coefficient row
+of FG, re-validated numerically, never trusted from theory alone; a failed
+Sylow split carries none.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .algebra import AlgebraElement, GroupAlgebra
+from .algebra import GroupAlgebra
 from .fields import GF, Matrix, rank_batched
 from .groups import FiniteGroup
 
@@ -141,7 +142,7 @@ def _projective_mask(digits: np.ndarray) -> np.ndarray:
 @dataclass
 class OracleOutcome:
     verdict: str
-    counterexample: AlgebraElement | None
+    counterexample: np.ndarray | None
     artifact: dict
 
 
@@ -175,8 +176,9 @@ def oracle_centrally_essential(
         # count projective representatives for the record
         checked = (total - 1) // (q - 1)
         return OracleOutcome(ESSENTIAL, None, {"candidates": checked})
-    witness = alg.element(_candidate_digits(np.array([bad], dtype=np.int64), q, n)[0])
-    ok, artifact = candidate_admits_central_multiple(alg, witness.coeffs)
+    witness = _candidate_digits(np.array([bad], dtype=np.int64), q, n)[0]
+    witness.setflags(write=False)
+    ok, artifact = candidate_admits_central_multiple(alg, witness)
     if ok:
         raise CrossValidationError("oracle counterexample failed re-verification")
     artifact["candidate_index"] = bad
@@ -365,7 +367,7 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
 class SocleOutcome:
     verdict: str
     socle_dim: int
-    excess: AlgebraElement | None
+    excess: np.ndarray | None
     artifact: dict
 
 
@@ -400,12 +402,13 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     if not outside.any():
         return SocleOutcome(ESSENTIAL, socle_dim, None, {"center_dim": len(group.conjugacy.classes)})
     # the first socle basis vector outside the center is the counterexample
-    excess = alg.element(socle_rows[np.argmax(outside)])
+    excess = socle_rows[np.argmax(outside)]
+    excess.setflags(write=False)
     if alg.is_central(excess):
         raise CrossValidationError("socle excess vector is central")
-    if any(alg._mul_arrays(b, excess.coeffs).any() for b in rad):
+    if any(alg._mul_arrays(b, excess).any() for b in rad):
         raise CrossValidationError("socle vector not annihilated by the radical")
-    ok, artifact = candidate_admits_central_multiple(alg, excess.coeffs)
+    ok, artifact = candidate_admits_central_multiple(alg, excess)
     if ok:
         raise CrossValidationError("socle excess vector failed the rank re-verification")
     artifact["socle_dim"] = socle_dim
@@ -455,7 +458,7 @@ def _p_part_group(group: FiniteGroup, dec: PDecomposition) -> FiniteGroup:
     return group.subgroup(dec.p_part, name=f"{group.name}|P")
 
 
-def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[AlgebraElement, dict]:
+def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[np.ndarray, dict]:
     """For a class > 2 p-group satisfying the central-coset condition over
     characteristic p, the element x = g * (sum of the center), g the least
     element outside Z_2, has x C /\\ C = 0; verified by rank computation
@@ -472,14 +475,14 @@ def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[AlgebraElement, dict]:
     z2 = set(chain[2])
     g = next(i for i in range(group.n) if i not in z2)
     alg = GroupAlgebra(group, fld)
-    coeffs = np.zeros(group.n, dtype=np.int64)
-    coeffs[group.table[g, list(group.center)]] = 1
-    x = alg.element(coeffs)
-    if x.is_zero():
+    x = np.zeros(group.n, dtype=np.int64)
+    x[group.table[g, list(group.center)]] = 1
+    x.setflags(write=False)
+    if not x.any():
         raise CrossValidationError("witness element vanished unexpectedly")
     if alg.is_central(x):
         raise CrossValidationError("witness element is central; hypothesis violated")
-    admits, artifact = candidate_admits_central_multiple(alg, x.coeffs)
+    admits, artifact = candidate_admits_central_multiple(alg, x)
     if admits:
         raise CrossValidationError(
             "witness verification failed: x admits a central multiple"
@@ -492,8 +495,11 @@ def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[AlgebraElement, dict]:
 # -- the pipeline -------------------------------------------------------------------
 
 
-def _witness_dict(kind: str, x: AlgebraElement, checks: dict) -> dict:
-    return {"kind": kind, "element": x.to_report(), "checks": checks}
+def _witness_dict(group: FiniteGroup, kind: str, row: np.ndarray, checks: dict) -> dict:
+    """A witness row of F[group] as its [label, coefficient] pairs, in
+    element-index order, with its checks."""
+    element = [[group.label(i), int(row[i])] for i in np.nonzero(row)[0].tolist()]
+    return {"kind": kind, "element": element, "checks": checks}
 
 
 def decide(
@@ -543,10 +549,10 @@ def decide(
         else:
             report.reason = "oracle_counterexample"
             report.witnesses.append(
-                _witness_dict("oracle_counterexample", out.counterexample, out.artifact)
+                _witness_dict(group, "oracle_counterexample", out.counterexample, out.artifact)
             )
     elif method == "socle":
-        _record_socle(report, socle_centrally_essential(group, fld))
+        _record_socle(report, group, socle_centrally_essential(group, fld))
     elif method == "structural":
         _, p_group = _shortcuts(report, group, fld, {})
         if not report.reason:
@@ -557,7 +563,7 @@ def decide(
                 )
             x, artifact = witness_not_ce(p_group, fld)
             report.verdict, report.reason = NOT_ESSENTIAL, "central_coset_witness"
-            report.witnesses.append(_witness_dict("center_sum_translate", x, artifact))
+            report.witnesses.append(_witness_dict(p_group, "center_sum_translate", x, artifact))
     elif method in ("auto", "crossvalidate"):
         dec, p_group = _shortcuts(report, group, fld, report.timings)
         report.details["decomposition"] = {
@@ -572,10 +578,11 @@ def decide(
             t0 = time.perf_counter()
             soc = socle_centrally_essential(p_group, fld)
             report.timings["socle"] = time.perf_counter() - t0
-            _record_socle(report, soc)
+            _record_socle(report, p_group, soc)
             if soc.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
                 x, artifact = witness_not_ce(p_group, fld)
-                report.witnesses.append(_witness_dict("center_sum_translate", x, artifact))
+                report.witnesses.append(
+                    _witness_dict(p_group, "center_sum_translate", x, artifact))
     elif method == "char0":
         raise ValueError(f"method 'char0' needs characteristic zero, not {fld}")
     else:
@@ -622,12 +629,13 @@ def _shortcuts(
     return dec, p_group
 
 
-def _record_socle(report: DecisionReport, soc: SocleOutcome) -> None:
-    """A socle outcome as the report's route, verdict, reason and witness."""
+def _record_socle(report: DecisionReport, group: FiniteGroup, soc: SocleOutcome) -> None:
+    """A socle outcome on `group` as the report's route, verdict, reason and
+    witness."""
     report.method, report.verdict = "socle", soc.verdict
     report.details["socle_dim"] = soc.socle_dim
     if soc.verdict == ESSENTIAL:
         report.reason = "socle_inside_center"
     else:
         report.reason = "socle_outside_center"
-        report.witnesses.append(_witness_dict("socle_excess", soc.excess, soc.artifact))
+        report.witnesses.append(_witness_dict(group, "socle_excess", soc.excess, soc.artifact))

@@ -18,7 +18,7 @@ from cealg.decision import (
     socle_centrally_essential,
 )
 from cealg.fields import GF, Matrix, field_make
-from reference import omega_ideal_basis, random_nonzero
+from reference import basis, omega_ideal_basis, power, random_nonzero
 
 FIELD_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4), (2, 7), (3, 5), (2, 8)]
@@ -108,25 +108,24 @@ def check_group_invariants() -> int:
 
 
 def check_ring_axioms(triples_per_group: int = 10_000, seed: int = 7) -> int:
-    """Associativity, distributivity, identity on random triples."""
+    """Associativity, distributivity, identity on random triples of
+    coefficient rows, multiplied by the one product kernel."""
     rng = np.random.default_rng(seed)
     checked = 0
     for name, g in catalog.standard_entries():
         F = _natural_field(g)
         alg = GroupAlgebra(g, F)
-        one = alg.one()
+        mul, one = alg._mul_arrays, basis(alg, 0)
         n = g.n
         coeffs = rng.integers(0, F.order, size=(triples_per_group, 3, n))
         for i in range(triples_per_group):
-            x = alg.element(coeffs[i, 0].astype(np.int64))
-            y = alg.element(coeffs[i, 1].astype(np.int64))
-            z = alg.element(coeffs[i, 2].astype(np.int64))
-            xy = x * y
-            yz = y * z
-            assert xy * z == x * yz
-            assert x * (y + z) == xy + x * z
+            x, y, z = coeffs[i]
+            xy = mul(x, y)
+            yz = mul(y, z)
+            assert np.array_equal(mul(xy, z), mul(x, yz))
+            assert np.array_equal(mul(x, F.vadd(y, z)), F.vadd(xy, mul(x, z)))
             if i % 997 == 0:
-                assert one * x == x and x * one == x
+                assert np.array_equal(mul(one, x), x) and np.array_equal(mul(x, one), x)
         checked += 1
     return checked
 
@@ -147,7 +146,7 @@ def check_omega_nilpotence() -> int:
             F = field_make(p)
             alg = GroupAlgebra(g, F)
             for b in omega_ideal_basis(alg, range(g.n)):
-                assert b.power(g.n).is_zero(), f"{name}: omega generator not nilpotent"
+                assert not power(alg, b, g.n).any(), f"{name}: omega generator not nilpotent"
             checked += 1
     return checked
 
@@ -163,14 +162,12 @@ def check_center_characterization(seed: int = 11) -> int:
         zmat, _ = alg.center_matrix
         d = len(alg.center_basis)
         probes = [random_nonzero(alg, rng) for _ in range(20)]
-        probes += [alg.element(s) for s in alg.center_basis]
-        mix = alg.zero()
-        for s in probes[20:]:
-            mix = mix + s.scale(int(rng.integers(0, F.order)))
-        probes.append(mix)
+        probes += list(alg.center_basis)
+        probes.append(F.vsum(np.stack(
+            [F.vscale(int(rng.integers(0, F.order)), s) for s in alg.center_basis]), 0))
         for x in probes:
             lib = alg.is_central(x)  # runs commutation + constancy, must agree
-            by_rank = Matrix(F, np.vstack([zmat.data, x.coeffs[None, :]])).rank() == d
+            by_rank = Matrix(F, np.vstack([zmat.data, x[None, :]])).rank() == d
             assert lib == by_rank, f"{name}: rank route disagrees"
         checked += 1
     return checked
@@ -198,8 +195,8 @@ def check_oracle_scaling(seed: int = 13, samples: int = 60) -> int:
         for _ in range(samples):
             x = random_nonzero(alg, rng)
             lam = int(rng.integers(1, F.order))
-            a, _ = candidate_admits_central_multiple(alg, x.coeffs)
-            b, _ = candidate_admits_central_multiple(alg, x.scale(lam).coeffs)
+            a, _ = candidate_admits_central_multiple(alg, x)
+            b, _ = candidate_admits_central_multiple(alg, F.vscale(lam, x))
             assert a == b
         checked += 1
     return checked

@@ -4,7 +4,10 @@ The decision pipeline never calls these: each is a second route that a test
 holds the package to (the class <= 2 witness construction of Theorem 2, the
 radical basis of the center, augmentation ideals, subgroup idempotents, the
 frozen catalog fingerprints, the factor-at-a-time elementary abelian
-build), or a small helper for building algebra elements by hand.
+build), or a small helper for building coefficient rows by hand.  An
+element of FG is its int64 coefficient row; products go through
+`GroupAlgebra._mul_arrays`, sums and scalings through the field's vector
+operations.
 """
 
 from __future__ import annotations
@@ -14,32 +17,43 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cealg import catalog
-from cealg.algebra import AlgebraElement, GroupAlgebra
+from cealg.algebra import GroupAlgebra
 from cealg.decision import CrossValidationError, _radical_basis, _require_p_group
 from cealg.fields import GF, Matrix
 from cealg.groups import FiniteGroup, direct_product
 
-# -- elements by hand -----------------------------------------------------------
+# -- rows by hand ------------------------------------------------------------------
 
 
-def basis(alg: GroupAlgebra, i: int) -> AlgebraElement:
+def basis(alg: GroupAlgebra, i: int) -> np.ndarray:
     c = np.zeros(alg.dim, dtype=np.int64)
     c[i] = 1
-    return alg.element(c)
+    return c
 
 
-def from_support(alg: GroupAlgebra, pairs: Iterable[tuple[int, int]]) -> AlgebraElement:
+def from_support(alg: GroupAlgebra, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
     c = np.zeros(alg.dim, dtype=np.int64)
     for i, v in pairs:
         c[i] = v
-    return alg.element(c)
+    return c
 
 
-def random_nonzero(alg: GroupAlgebra, rng: np.random.Generator) -> AlgebraElement:
+def random_nonzero(alg: GroupAlgebra, rng: np.random.Generator) -> np.ndarray:
     while True:
         c = rng.integers(0, alg.field.order, size=alg.dim)
         if c.any():
-            return alg.element(c.astype(np.int64))
+            return c.astype(np.int64)
+
+
+def power(alg: GroupAlgebra, row: np.ndarray, e: int) -> np.ndarray:
+    """row^e in FG by repeated squaring."""
+    out, base = basis(alg, 0), row
+    while e:
+        if e & 1:
+            out = alg._mul_arrays(out, base)
+        base = alg._mul_arrays(base, base)
+        e >>= 1
+    return out
 
 
 def index_of_label(g: FiniteGroup, lab: str) -> int:
@@ -56,8 +70,8 @@ def index_of_label(g: FiniteGroup, lab: str) -> int:
 
 def omega_ideal_basis(
     alg: GroupAlgebra, h: Iterable[int]
-) -> list[AlgebraElement]:
-    """Basis of the right ideal generated by {1 - h : h in H}.
+) -> list[np.ndarray]:
+    """Basis rows of the right ideal generated by {1 - h : h in H}.
 
     H must be a subgroup.  For normal H the dimension is |G| - |G|/|H|,
     asserted here.
@@ -81,7 +95,7 @@ def omega_ideal_basis(
     if not rows:
         return []
     red, piv = Matrix(F, np.stack(rows)).rref()
-    basis = [alg.element(red.data[i]) for i in range(len(piv))]
+    basis = list(red.data[: len(piv)])
     if g.is_normal(members):
         expected = n - n // len(members)
         if len(basis) != expected:
@@ -89,7 +103,7 @@ def omega_ideal_basis(
     return basis
 
 
-def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
+def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> np.ndarray:
     """e = |H|^-1 * (sum of H); requires char(F) coprime to |H|."""
     g, F = alg.group, alg.field
     members = sorted(set(h))
@@ -101,8 +115,8 @@ def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
     scale = F.inv(m)  # prime-subfield constants encode as themselves
     c = np.zeros(alg.dim, dtype=np.int64)
     c[members] = 1
-    e = alg.element(c).scale(scale)
-    if not (e * e == e):
+    e = F.vscale(scale, c)
+    if not np.array_equal(alg._mul_arrays(e, e), e):
         raise RuntimeError("subgroup averaging element failed idempotency")
     return e
 
@@ -110,17 +124,14 @@ def subgroup_idempotent(alg: GroupAlgebra, h: Iterable[int]) -> AlgebraElement:
 # -- decision references ------------------------------------------------------------
 
 
-def radical_center_basis(group: FiniteGroup, fld: GF) -> list[AlgebraElement]:
-    """The socle decider's radical basis of C(FG) as elements, after its
-    p-group check."""
+def radical_center_basis(group: FiniteGroup, fld: GF) -> list[np.ndarray]:
+    """The socle decider's radical basis rows of C(FG), after its p-group
+    check."""
     _require_p_group(group, fld)
-    alg = GroupAlgebra(group, fld)
-    return [alg.element(b) for b in _radical_basis(alg)]
+    return _radical_basis(GroupAlgebra(group, fld))
 
 
-def witness_ce(
-    group: FiniteGroup, fld: GF, x: AlgebraElement
-) -> AlgebraElement:
+def witness_ce(group: FiniteGroup, fld: GF, x: np.ndarray) -> np.ndarray:
     """For a p-group of class <= 2 over characteristic p, build central c
     with 0 != x c central, by greedily multiplying by (1 - z) for central
     group elements z while the product stays nonzero.
@@ -134,12 +145,12 @@ def witness_ce(
     if nc is None or nc > 2:
         raise ValueError("the constructive witness requires nilpotency class <= 2")
     _require_p_group(group, fld)
-    if x.is_zero():
+    if not x.any():
         raise ValueError("witness construction needs a nonzero element")
-    alg = x.algebra
+    alg = GroupAlgebra(group, fld)
+    c = basis(alg, 0)
     if alg.is_central(x):
-        return alg.one()
-    c = alg.one()
+        return c
     cur = x
     center = [z for z in group.center if z != 0]
     neg_one = fld.neg(1)
@@ -150,14 +161,13 @@ def witness_ce(
             fac = np.zeros(group.n, dtype=np.int64)
             fac[0] = 1
             fac[z] = neg_one
-            factor = alg.element(fac)
-            nxt = cur * factor
-            if not nxt.is_zero():
+            nxt = alg._mul_arrays(cur, fac)
+            if nxt.any():
                 cur = nxt
-                c = c * factor
+                c = alg._mul_arrays(c, fac)
                 progress = True
                 break
-    if cur.is_zero() or not alg.is_central(c) or not alg.is_central(cur):
+    if not cur.any() or not alg.is_central(c) or not alg.is_central(cur):
         raise CrossValidationError("constructive witness failed its postcondition")
     return c
 

@@ -46,7 +46,7 @@ def test_criterion_1_quaternion_base_case(f2):
     alg = GroupAlgebra(q8, f2)
     i = basis(alg, index_of_label(q8, "i"))
     j = basis(alg, index_of_label(q8, "j"))
-    assert not (i * j - j * i).is_zero()
+    assert f2.vsub(alg._mul_arrays(i, j), alg._mul_arrays(j, i)).any()
     assert f2.order**q8.n == 2**8 == 256
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -161,9 +161,9 @@ def test_criterion_6_constructive_witness_suite(rng):
         for _ in range(100):
             x = random_nonzero(alg, rng)
             c = witness_ce(g, fld, x)
-            xc = x * c
+            xc = alg._mul_arrays(x, c)
             assert alg.is_central(c), name
-            assert not xc.is_zero(), name
+            assert xc.any(), name
             assert alg.is_central(xc), name
             total += 1
         groups += 1

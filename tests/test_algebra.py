@@ -19,92 +19,86 @@ def q8_f2():
     return GroupAlgebra(catalog.quaternion8(), field_make(2))
 
 
+# elements of FG are coefficient rows: products through the one kernel
+# `_mul_arrays`, sums and scalings through the field's vector operations, and
+# the augmentation (the ring morphism onto F) as the field sum of the row
+
+
 class TestRingOps:
     def test_char2_square(self, f2):
         alg = GroupAlgebra(catalog.cyclic(2), f2)
         x = from_support(alg, [(0, 1), (1, 1)])
-        assert (x * x).is_zero()
+        assert not alg._mul_arrays(x, x).any()
 
     def test_identity_neutral(self, q8_f2, rng):
-        one = q8_f2.one()
+        one, mul = basis(q8_f2, 0), q8_f2._mul_arrays
         for _ in range(20):
             x = random_nonzero(q8_f2, rng)
-            assert one * x == x and x * one == x
+            assert np.array_equal(mul(one, x), x) and np.array_equal(mul(x, one), x)
 
     def test_quaternion_table_product(self, q8_f2):
         g = q8_f2.group
         i = basis(q8_f2, index_of_label(g, "i"))
         j = basis(q8_f2, index_of_label(g, "j"))
-        assert i * j == basis(q8_f2, index_of_label(g, "k"))
-
-    def test_group_field_mismatch(self, q8_f2, f3):
-        other = GroupAlgebra(catalog.quaternion8(), f3)
-        with pytest.raises(ValueError):
-            q8_f2.one() + other.one()
+        assert np.array_equal(q8_f2._mul_arrays(i, j), basis(q8_f2, index_of_label(g, "k")))
 
     def test_scale_and_neg(self, f3):
         alg = GroupAlgebra(catalog.cyclic(3), f3)
         x = from_support(alg, [(1, 2)])
-        assert x.scale(2) == from_support(alg, [(1, 1)])
-        assert (x + (-x)).is_zero()
-
-    def test_scale_rejects_non_encodings(self, f4):
-        # a scalar outside [0, 4) must not index the GF(4) tables: -1 would
-        # read the row of 3, although -1 = 1 in characteristic 2
-        x = basis(GroupAlgebra(catalog.cyclic(2), f4), 1)
-        for s in (-1, 4):
-            with pytest.raises(ValueError):
-                x.scale(s)
+        assert np.array_equal(f3.vscale(2, x), from_support(alg, [(1, 1)]))
+        assert not f3.vadd(x, f3.vneg(x)).any()
 
     def test_extension_field_product(self, f4):
         alg = GroupAlgebra(catalog.cyclic(2), f4)
         # (t + (t+1) g)^2 = t^2 + (t+1)^2 g^2 = t^2 + (t+1)^2 in char 2
         x = from_support(alg, [(0, 2), (1, 3)])
-        sq = x * x
+        sq = alg._mul_arrays(x, x)
         want = f4.add(f4.mul(2, 2), f4.mul(3, 3))
-        assert sq == from_support(alg, [(0, want)])
+        assert np.array_equal(sq, from_support(alg, [(0, want)]))
 
 
 class TestCommutator:
     def test_self_commutator_zero(self, q8_f2, rng):
-        x = random_nonzero(q8_f2, rng)
-        assert (x * x - x * x).is_zero()
+        x, mul = random_nonzero(q8_f2, rng), q8_f2._mul_arrays
+        assert not q8_f2.field.vsub(mul(x, x), mul(x, x)).any()
 
     def test_ij_commutator(self, q8_f2):
         g = q8_f2.group
         i = basis(q8_f2, index_of_label(g, "i"))
         j = basis(q8_f2, index_of_label(g, "j"))
-        c = i * j - j * i
-        assert not c.is_zero()
-        assert {g.label(idx) for idx, _ in c.support()} == {"k", "-k"}
+        mul = q8_f2._mul_arrays
+        c = q8_f2.field.vsub(mul(i, j), mul(j, i))
+        assert c.any()
+        assert {g.label(idx) for idx in np.flatnonzero(c)} == {"k", "-k"}
 
     def test_class_sums_commute_with_basis(self, q8_f2):
-        for s in map(q8_f2.element, q8_f2.center_basis):
+        mul = q8_f2._mul_arrays
+        for s in q8_f2.center_basis:
             for g in range(8):
                 x = basis(q8_f2, g)
-                assert (x * s - s * x).is_zero()
+                assert not q8_f2.field.vsub(mul(x, s), mul(s, x)).any()
 
 
 class TestAugmentation:
     def test_identity(self, q8_f2):
-        assert q8_f2.one().augmentation() == 1
+        assert q8_f2.field.vsum(basis(q8_f2, 0)) == 1
 
     def test_one_plus_g(self, f2):
         alg = GroupAlgebra(catalog.cyclic(2), f2)
-        assert from_support(alg, [(0, 1), (1, 1)]).augmentation() == 0
+        assert f2.vsum(from_support(alg, [(0, 1), (1, 1)])) == 0
 
     def test_noncentral_class_sum_augments_to_zero(self, f2):
         alg = GroupAlgebra(catalog.dihedral(16), f2)
-        for s in map(alg.element, alg.center_basis):
-            if len(s.support()) > 1:
-                assert s.augmentation() == 0
+        for s in alg.center_basis:
+            if np.count_nonzero(s) > 1:
+                assert f2.vsum(s) == 0
 
     def test_ring_morphism(self, f3, rng):
         alg = GroupAlgebra(catalog.sym3(), f3)
         for _ in range(50):
             x, y = random_nonzero(alg, rng), random_nonzero(alg, rng)
-            assert (x * y).augmentation() == f3.mul(x.augmentation(), y.augmentation())
-            assert (x + y).augmentation() == f3.add(x.augmentation(), y.augmentation())
+            assert f3.vsum(alg._mul_arrays(x, y)) == f3.mul(f3.vsum(x), f3.vsum(y))
+            assert f3.vsum(f3.vadd(x, y)) == f3.add(f3.vsum(x), f3.vsum(y))
 
 
 class TestCenter:
@@ -134,7 +128,7 @@ class TestCenter:
         assert sums.tolist() == np.stack(rows).tolist()
 
     def test_class_sums_central(self, q8_f2):
-        for s in map(q8_f2.element, q8_f2.center_basis):
+        for s in q8_f2.center_basis:
             assert q8_f2.is_central(s)
 
     def test_basis_element_not_central(self, q8_f2):
@@ -155,7 +149,7 @@ class TestOmegaIdeal:
         alg = GroupAlgebra(catalog.cyclic(2), f2)
         basis = omega_ideal_basis(alg, [0, 1])
         assert len(basis) == 1
-        assert basis[0] == from_support(alg, [(0, 1), (1, 1)])
+        assert np.array_equal(basis[0], from_support(alg, [(0, 1), (1, 1)]))
 
     def test_center_of_q8(self, q8_f2):
         z = q8_f2.group.center
@@ -176,15 +170,15 @@ class TestOmegaIdeal:
 
 class TestIdempotents:
     def test_trivial_subgroup_gives_identity(self, q8_f2):
-        assert subgroup_idempotent(q8_f2, [0]) == q8_f2.one()
+        assert np.array_equal(subgroup_idempotent(q8_f2, [0]), basis(q8_f2, 0))
 
     def test_a3_in_s3_char2(self, f2):
         s3 = catalog.sym3()
         alg = GroupAlgebra(s3, f2)
         a3 = s3.commutator_subgroup
         e = subgroup_idempotent(alg, a3)
-        assert e == from_support(alg, [(i, 1) for i in a3])
-        assert e * e == e
+        assert np.array_equal(e, from_support(alg, [(i, 1) for i in a3]))
+        assert np.array_equal(alg._mul_arrays(e, e), e)
         assert alg.is_central(e)
 
     def test_order2_subgroup_char3(self, f3):
@@ -192,8 +186,8 @@ class TestIdempotents:
         alg = GroupAlgebra(c6, f3)
         h = c6.subgroup_generated([3])
         e = subgroup_idempotent(alg, h)
-        assert e == from_support(alg, [(0, 2), (3, 2)])
-        assert e * e == e
+        assert np.array_equal(e, from_support(alg, [(0, 2), (3, 2)]))
+        assert np.array_equal(alg._mul_arrays(e, e), e)
 
     def test_char_divides_order_rejected(self, f3):
         alg = GroupAlgebra(catalog.cyclic(6), f3)
@@ -211,7 +205,7 @@ class TestCenterSumAnnihilation:
         h = g.subgroup_generated([z[1]])
         assert len(h) % p == 0
         sig_h = from_support(alg, [(i, 1) for i in h])
-        assert (sig_z * sig_h).is_zero()
+        assert not alg._mul_arrays(sig_z, sig_h).any()
 
 
 @pytest.mark.parametrize("gather", [fields._GATHER, 7])

@@ -15,8 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cealg
+from cealg import catalog
+from cealg.algebra import GroupAlgebra
 from cealg.cli import main, parse_field
+from cealg.decision import candidate_admits_central_multiple
+from cealg.fields import field_make
 from cealg.groups import ORDER_CAP
+from reference import from_support, index_of_label
 
 
 class TestFieldParsing:
@@ -298,6 +303,38 @@ def test_report_bytes_pinned(capsys, cmd, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# negative checks whose witnesses are read back from the report: the pinned
+# oracle, auto, structural and socle cases, then extension fields that no
+# digest covers
+SHIPPED_WITNESS_CASES = [
+    "check --group S3 --field 2 --method oracle",
+    "check --group prop29:3 --field 3",
+    "check --group prop29:2 --field 2 --method structural",
+    "check --group prop29:2 --field 2 --method socle",
+    "check --group S3 --field 2^2 --method oracle",
+    "check --group prop29:2 --field 2^2 --method socle",
+    "check --group prop29:3 --field 3^2",
+]
+
+
+@pytest.mark.parametrize("cmd", SHIPPED_WITNESS_CASES)
+def test_shipped_witnesses_check_from_their_report_bytes(capsys, cmd):
+    # each witness's [label, coefficient] pairs as a row of the reported
+    # group: not central, no central multiple, and the report's ranks
+    assert main(shlex.split(cmd) + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    g = catalog.get(doc["group"]["name"])
+    alg = GroupAlgebra(g, field_make(doc["field"]["p"], doc["field"]["k"]))
+    assert doc["witnesses"]
+    for w in doc["witnesses"]:
+        row = from_support(alg, [(index_of_label(g, lab), v) for lab, v in w["element"]])
+        assert not alg.is_central(row)
+        admits, art = candidate_admits_central_multiple(alg, row)
+        assert not admits
+        keys = ("rank_rC", "rank_sum", "center_dim", "intersection_dim")
+        assert {k: art[k] for k in keys} == {k: w["checks"][k] for k in keys}
+
+
 # -- the names the benchmark's tracer wraps -------------------------------------
 
 # analyses the tracer rewraps as cached_property, so they still compute once
@@ -350,14 +387,6 @@ def test_tracer_names_resolve():
 
 # -- the package surface ----------------------------------------------------------
 
-# public names that nothing in src calls, each kept for the reason given
-SURFACE_ALLOWLIST = {
-    ("algebra", "GroupAlgebra.zero"): "ring interface: the additive identity",
-    ("algebra", "AlgebraElement.scale"): "ring interface: scalar multiples",
-    ("algebra", "AlgebraElement.power"): "ring interface: powers, as in nilpotence checks",
-    ("algebra", "AlgebraElement.augmentation"): "ring interface: the morphism onto F",
-}
-
 
 def _package_sources() -> dict[str, str]:
     """Module name -> source text of every module of the cealg package."""
@@ -398,13 +427,11 @@ def _unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
 
 def test_package_surface_has_no_uncalled_names():
     """Every public function, method and class in src/cealg is referred to
-    elsewhere in src, is wrapped by perfbench's tracer, or is on the
-    allowlist; no allowlist entry has gained a caller; every name that
+    elsewhere in src or is wrapped by perfbench's tracer; every name that
     __init__.py exports resolves."""
     sources = _package_sources()
     unreferenced = _unreferenced(sources)
-    assert unreferenced - set(_tracer_wrapped()) - set(SURFACE_ALLOWLIST) == set()
-    assert set(SURFACE_ALLOWLIST) <= unreferenced
+    assert unreferenced - set(_tracer_wrapped()) == set()
     exports = [alias.asname or alias.name for node in ast.parse(sources["__init__"]).body
                if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert exports and all(hasattr(cealg, name) for name in exports)
