@@ -6,9 +6,12 @@ other:
 * the exhaustive oracle enumerates projective representatives r and asks,
   per candidate, whether rC meets C away from zero: a nonzero central
   multiple r * Sigma_K certifies r, read off two tables of integer codes
-  for the low and the high digits of the candidate index with d compares
-  and no product, and an exact pair of ranks settles the rest; it refuses
-  above its budget and at q^|G| >= 2^63, beyond the int64 index;
+  for the low and the high digits of the candidate index, compared over
+  grid blocks that pair each high row with the low rows of opposite
+  augmentation, with no product; exact pairs of ranks, in index order and
+  in growing batches, settle the rest, so the scan stops near its first
+  failure; it refuses above its budget and at q^|G| >= 2^63, beyond the
+  int64 index;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
   center -- one nullspace chain, run in F[G/Z] for the center Z, plus a
@@ -37,6 +40,8 @@ from .groups import FiniteGroup
 DEFAULT_BUDGET = 1 << 20
 INDEX_LIMIT = 1 << 63  # the oracle enumerates fewer candidates than this
 _CHUNK = 1 << 14
+_FIRST_PIECE = 1 << 8  # low-table rows built before the first ranks
+_FIRST_BATCH = 16  # uncertified candidates in the first pair of batched ranks
 
 ESSENTIAL = "centrally_essential"
 NOT_ESSENTIAL = "not_centrally_essential"
@@ -233,7 +238,12 @@ def _half_table(
             a = F.vneg(a)
         parts.append((_projective_mask(digits), F.vsum(digits, 1),
                       a[:, :, : n - d] @ res_q, a[:, :, n - d :] @ rep_q))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return _joined(parts)
+
+
+def _joined(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The columns of consecutive table pieces, one array each."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
@@ -244,12 +254,20 @@ def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
     in class coordinates (see _class_products) is lo[m_lo] + hi[m_hi].  A
     candidate is certified by a nonzero central multiple r * Sigma_K, that
     is lo + hi with zero residues and a nonzero rep part: the residue codes
-    of lo and of -hi agree and their rep codes differ, d integer compares
-    per candidate and no product.  The low table (q^L <= _CHUNK rows,
-    L <= ceil(n / 2)) is built once, the high rows each chunk reads are built
-    with the chunk.  Only uncertified candidates get their product and an
-    exact pair of ranks: rC /\\ C = 0 exactly when rank(rC) equals the rank
-    of its residues, which is rank(rC + C) - d.
+    of lo and of -hi agree and their rep codes differ.  A candidate r with
+    nonzero augmentation is certified by r * Sigma_G = aug(r) * Sigma_G, so
+    high row m_hi only meets the q^(L-1) low rows of augmentation
+    -aug(m_hi).  A block of high rows and those low rows form a grid of
+    candidates, certified by broadcast compares of class-major codes (at
+    most 4 * _CHUNK codes per block) and no product.  The low table
+    (q^L <= _CHUNK rows, L <= ceil(n / 2)) is built in growing pieces while
+    the first high row, the zero one, is scanned, then grouped by
+    augmentation once.
+
+    Only uncertified candidates get their product and an exact pair of
+    ranks, in index order and in batches that grow from _FIRST_BATCH, so
+    the scan stops near the first failure: rC /\\ C = 0 exactly when
+    rank(rC) equals the rank of its residues, which is rank(rC + C) - d.
     """
     F, n, d = alg.field, alg.dim, len(alg.center_basis)
     q = F.order
@@ -257,32 +275,58 @@ def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
     L = 1
     while L < -(-n // 2) and q ** (L + 1) <= _CHUNK:
         L += 1
-    low = q**L
-    proj_lo, aug_lo, res_lo, rep_lo = _half_table(F, prods[:L], 0, low, d, False)
-    for lo in range(1, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        ms = np.arange(lo, hi, dtype=np.int64)
-        h0 = lo // low
+    low, g = q**L, q ** (L - 1)
+    # rank batches double up to about 16 * _CHUNK product entries
+    batch = _FIRST_BATCH
+    cap = max(_FIRST_BATCH, (_CHUNK << 4) // (d * n))
+
+    def first_failure(ms: np.ndarray) -> int | None:
+        # rank the sorted uncertified candidates ms in growing batches
+        nonlocal batch
+        while ms.size:
+            part, ms = ms[:batch], ms[batch:]
+            batch = min(2 * batch, cap)
+            a = F.vmatmul(_candidate_digits(part, q, n), prods).reshape(-1, d, n)
+            bad = rank_batched(F, a) == rank_batched(F, a[:, :, : n - d])
+            if bad.any():
+                return int(part[np.argmax(bad)])
+        return None
+
+    # high row 0 is the zero half, with codes and augmentation 0: its
+    # candidates are the low rows, scanned while the low table is built
+    parts, lo, step = [], 0, _FIRST_PIECE
+    while lo < low:
+        part = _half_table(F, prods[:L], lo, min(lo + step, low), d, False)
+        parts.append(part)
+        proj, aug, res, rep = part
+        bad = first_failure(lo + np.flatnonzero(
+            proj & (aug == 0) & ((res != 0) | (rep == 0)).all(axis=1)))
+        if bad is not None:
+            return bad
+        lo, step = lo + step, 2 * step
+    proj_lo, aug_lo, res_lo, rep_lo = _joined(parts)
+    # grp[a] lists the low rows of augmentation a in index order: row
+    # j * q + c has augmentation c + aug(j)
+    grp = np.arange(g) * q + F.vsub(np.arange(q)[:, None], aug_lo[:g])
+    proj_g = proj_lo[grp]
+    res_g = res_lo[grp].transpose(0, 2, 1).copy()  # (q, d, g)
+    rep_g = rep_lo[grp].transpose(0, 2, 1).copy()
+    # the other high rows, in blocks whose class-major compares hold at
+    # most 4 * _CHUNK codes
+    high, hb = total // low, max(1, (_CHUNK << 2) // (g * d))
+    for h0 in range(1, high, hb):
         proj_hi, aug_hi, res_hi, rep_hi = _half_table(
-            F, prods[L:], h0, (hi - 1) // low + 1, d, True)
-        ml, mh = ms % low, ms // low - h0
+            F, prods[L:], h0, min(h0 + hb, high), d, True)
+        gi = F.vneg(aug_hi)
         # projective: the first nonzero digit is 1, read from the low half
-        # unless it is zero
-        mask = np.where(ml != 0, proj_lo[ml], proj_hi[mh])
-        # r with nonzero augmentation admits c = Sigma_G: r Sigma_G is the
-        # nonzero central element aug(r) * Sigma_G, so only augmentation-zero
-        # candidates can fail
-        mask &= F.vadd(aug_lo[ml], aug_hi[mh]) == 0
-        ms, ml, mh = ms[mask], ml[mask], mh[mask]
-        certified = (res_lo[ml] == res_hi[mh]) & (rep_lo[ml] != rep_hi[mh])
-        ms = ms[~certified.any(axis=1)]
-        if ms.size == 0:
-            continue
-        # the uncertified candidates' rows r * Sigma_K
-        a = F.vmatmul(_candidate_digits(ms, q, n), prods).reshape(-1, d, n)
-        bad = rank_batched(F, a) == rank_batched(F, a[:, :, : n - d])
-        if bad.any():
-            return int(ms[np.argmax(bad)])
+        # unless it is zero; low row 0 is the first of augmentation group 0
+        mask = proj_g[gi]
+        mask[:, 0] |= proj_hi & (gi == 0)
+        mask &= ((res_g[gi] != res_hi[:, :, None]) | (rep_g[gi] == rep_hi[:, :, None])).all(axis=1)
+        i, j = np.nonzero(mask)
+        bad = first_failure((h0 + i) * low + grp[gi[i], j])
+        if bad is not None:
+            return bad
     return None
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -110,18 +111,20 @@ class TestOracle:
 # -- the oracle scan against its rank-only form ----------------------------------
 
 
-def _rank_only_scan(alg: GroupAlgebra, total: int) -> int | None:
+def _rank_only_scan(alg: GroupAlgebra, total: int, chunk: int | None = None) -> int | None:
     """The oracle scan without class coordinates or certificates: every
     augmentation-zero projective candidate r gets two ranks, of rC and of
-    rC reduced modulo the RREF class-sum matrix, and fails when they agree."""
+    rC reduced modulo the RREF class-sum matrix, and fails when they agree.
+    Candidates are ranked in chunks of `chunk` indices, _CHUNK by default."""
     F, n, q = alg.field, alg.dim, alg.field.order
+    chunk = chunk or decision._CHUNK
     sums = alg.center_basis
     rms = np.stack([alg.right_mult_matrix(s).data for s in sums], axis=1)
     rms = rms.reshape(n, len(sums) * n)
     zmat, piv = alg.center_matrix
     nonpiv = [c for c in range(n) if c not in piv]
-    for lo in range(1, total, decision._CHUNK):
-        digits = _candidate_digits(np.arange(lo, min(lo + decision._CHUNK, total)), q, n)
+    for lo in range(1, total, chunk):
+        digits = _candidate_digits(np.arange(lo, min(lo + chunk, total)), q, n)
         mask = _projective_mask(digits) & (F.vsum(digits, 1) == 0)
         if not mask.any():
             continue
@@ -152,6 +155,107 @@ def test_scan_matches_rank_only_scan(name, p, k):
     alg = GroupAlgebra(g, fld)
     total = fld.order**g.n
     assert _oracle_scan_generic(alg, total) == _rank_only_scan(alg, total)
+
+
+def _spy_half_tables(monkeypatch) -> list[tuple[bool, int, int]]:
+    """(negate, lo, hi) of every half table the oracle scan builds, in order."""
+    built, half = [], decision._half_table
+
+    def spy(F, prods, lo, hi, d, negate):
+        built.append((negate, lo, hi))
+        return half(F, prods, lo, hi, d, negate)
+
+    monkeypatch.setattr(decision, "_half_table", spy)
+    return built
+
+
+def _traced_scan(monkeypatch, alg: GroupAlgebra, total: int):
+    """The scan's result, the low-table rows it built, the end of its first
+    block of high rows, and the candidates it ranked, in the order ranked."""
+    built, ranked, digits = _spy_half_tables(monkeypatch), [], decision._candidate_digits
+
+    def spy(ms, q, n):
+        if n == alg.dim:
+            ranked.extend(ms.tolist())
+        return digits(ms, q, n)
+
+    monkeypatch.setattr(decision, "_candidate_digits", spy)
+    bad = _oracle_scan_generic(alg, total)
+    low = max(hi for negate, _, hi in built if not negate)
+    block_end = next((hi for negate, _, hi in built if negate), None)
+    return bad, low, block_end, ranked
+
+
+def _uncertified(alg: GroupAlgebra, stop: int) -> list[int]:
+    """The augmentation-zero projective candidates below stop with no
+    nonzero central multiple r * Sigma_K, by dense products."""
+    F, n, q, out = alg.field, alg.dim, alg.field.order, []
+    prods = _class_products(alg)
+    for lo in range(1, stop, 4096):
+        ms = np.arange(lo, min(lo + 4096, stop))
+        digits = _candidate_digits(ms, q, n)
+        ms = ms[_projective_mask(digits) & (F.vsum(digits, 1) == 0)]
+        a = F.vmatmul(_candidate_digits(ms, q, n), prods).reshape(len(ms), -1, n)
+        out += ms[~_central_multiple(a)].tolist()
+    return out
+
+
+# D8 with its elements renamed; over GF(3) its first failure, candidate
+# 189, has support beyond elements 0..3, and with 2 low digits its low half
+# is zero
+_RENAMED = {"D8 renamed": ("D8", [0, 3, 5, 4, 7, 6, 1, 2])}
+
+
+def _scan_group(name: str) -> FiniteGroup:
+    if name in _RENAMED:
+        spec, perm = _RENAMED[name]
+        return _relabel(catalog.get(spec), np.array(perm))
+    return catalog.get(name)
+
+
+# (spec, p, k, where the first failure lies) with the scan shrunk to
+# _CHUNK = 16: low tables of 9 to 16 rows, built in pieces of 2, 4, ...
+# rows, grid blocks of 1 to 7 high rows and rank batches of 1, 2, 4, ...
+# candidates.  The failing candidates' low halves have augmentation 1,
+# except D8's (augmentation 0) and D8 renamed's (zero)
+LATE_SCAN_CASES = [
+    ("S3", 2, 2, "row"), ("S3", 3, 1, "row"), ("D8", 3, 1, "block"), ("D8 renamed", 3, 1, "block"),
+    ("S3 x C2", 3, 1, "block"), ("S3 x C2", 2, 2, "block"), ("S3 x C3", 2, 1, "block"),
+    # 60 uncertified candidates pass their ranks before the failure, 257
+    ("D48", 2, 1, "block"),
+    ("D8", 2, 2, None),
+]
+
+
+@pytest.mark.parametrize("name,p,k,where", LATE_SCAN_CASES)
+def test_late_failures_match_rank_only_scan(monkeypatch, name, p, k, where):
+    g, fld = _scan_group(name), field_make(p, k)
+    alg = GroupAlgebra(g, fld)
+    total = fld.order**g.n
+    want = _rank_only_scan(alg, total, chunk=1024)
+    for attr, value in [("_CHUNK", 16), ("_FIRST_PIECE", 2), ("_FIRST_BATCH", 1)]:
+        monkeypatch.setattr(decision, attr, value)
+    bad, low, block_end, ranked = _traced_scan(monkeypatch, alg, total)
+    assert bad == want
+    # every uncertified candidate is ranked once, in index order, up to the
+    # batch holding the first failure
+    assert ranked == _uncertified(alg, ranked[-1] + 1 if bad is not None else total)
+    if where is None:
+        assert bad is None
+    else:
+        assert bad in ranked
+        # past high row 0, or past the first block of high rows
+        assert bad >= (low if where == "row" else low * block_end)
+
+
+def test_renamed_failure_past_row_0_matches_rank_only_scan(monkeypatch, f3):
+    # full size: 4 low digits; the first failure's low half has augmentation 1
+    alg = GroupAlgebra(_scan_group("D8 renamed"), f3)
+    bad, low, _, _ = _traced_scan(monkeypatch, alg, 3**8)
+    assert bad == _rank_only_scan(alg, 3**8) == 189
+    assert bad >= low == 81
+    low_half = _candidate_digits(np.array([bad % low]), 3, 4)
+    assert f3.vsum(low_half, 1)[0] == 1
 
 
 def _central_multiple(a: np.ndarray) -> np.ndarray:
@@ -252,8 +356,9 @@ def test_certificate_fires_both_ways(f2):
     assert not _certified(s3, bad)
 
 
-def _rank_batched_matrices(monkeypatch, group, fld) -> int:
-    """Matrices the oracle passes to rank_batched while deciding FG."""
+def _rank_batches(monkeypatch, group, fld, budget=DEFAULT_BUDGET):
+    """The oracle's outcome on FG and the sizes of the batches it passes to
+    rank_batched."""
     seen = []
 
     def counting(field, mats):
@@ -261,19 +366,54 @@ def _rank_batched_matrices(monkeypatch, group, fld) -> int:
         return rank_batched(field, mats)
 
     monkeypatch.setattr(decision, "rank_batched", counting)
-    oracle_centrally_essential(group, fld)
-    return sum(seen)
+    return oracle_centrally_essential(group, fld, budget), seen
 
 
 def test_certified_candidates_skip_ranks(monkeypatch, f2, f3):
-    assert _rank_batched_matrices(monkeypatch, catalog.get("order16:9"), f2) == 0
-    # D12 over GF(3) fails at candidate 19, inside the first chunk: compare
-    # with that chunk's augmentation-zero projective candidates
-    g = catalog.get("D12")
-    digits = _candidate_digits(np.arange(1, 1 + decision._CHUNK), 3, g.n)
-    scanned = int((_projective_mask(digits) & (f3.vsum(digits, 1) == 0)).sum())
-    assert oracle_centrally_essential(g, f3).artifact["candidate_index"] == 19
-    assert _rank_batched_matrices(monkeypatch, g, f3) < scanned / 10
+    assert _rank_batches(monkeypatch, catalog.get("order16:9"), f2)[1] == []
+    # D12 over GF(3) fails at candidate 19, inside the first piece of the
+    # low table: one pair of ranks, of the first batch only
+    out, batches = _rank_batches(monkeypatch, catalog.get("D12"), f3)
+    assert out.artifact["candidate_index"] == 19
+    assert len(batches) == 2 and batches[0] <= decision._FIRST_BATCH
+
+
+def test_early_failure_builds_little_of_the_low_table(monkeypatch, f2):
+    # H3 over GF(2): 2^27 candidates and a low table of 2^14 rows; the scan
+    # returns candidate 24 after the first piece
+    built = _spy_half_tables(monkeypatch)
+    out = oracle_centrally_essential(catalog.get("H3"), f2, budget=2**27)
+    assert out.artifact["candidate_index"] == 24
+    assert sum(hi - lo for negate, lo, hi in built if not negate) < 2**10
+
+
+def test_late_failure_ranks_a_few_batches(monkeypatch, f2):
+    # D48 over GF(2): 2^48 candidates, the first failure is candidate 257;
+    # the ranks stop there, in a few pairs of growing batches
+    out, batches = _rank_batches(monkeypatch, catalog.get("D48"), f2, budget=2**62)
+    assert out.artifact["candidate_index"] == 257
+    assert len(batches) <= 8
+    assert sum(batches) // 2 < 257  # each tested candidate takes two ranks
+
+
+@pytest.mark.parametrize("spec,total,bound", [
+    # full scan, no failure: the grid blocks' compares dominate (parent
+    # scan 1.76 MB, with chunk-wide gathers)
+    ("order16:9", 2**16, 1 << 20),
+    # early failure: the growing rank batches dominate (parent scan 92 MB,
+    # with one rank batch of every uncertified candidate of a chunk)
+    ("D48", 2**48, 8 << 20),
+])
+def test_scan_peak_memory(f2, spec, total, bound):
+    alg = GroupAlgebra(catalog.get(spec), f2)
+    alg.center_matrix  # the scan's inputs are built before tracing
+    tracemalloc.start()
+    try:
+        _oracle_scan_generic(alg, total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 class TestRadicalBasis:
