@@ -8,10 +8,9 @@ other:
   multiple r * Sigma_K certifies r, read off two tables of integer codes
   for the low and the high digits of the candidate index, compared over
   grid blocks that pair each high row with the low rows of opposite
-  augmentation, with no product; exact pairs of ranks, in index order and
-  in growing batches, settle the rest, so the scan stops near its first
-  failure; it refuses above its budget and at q^|G| >= 2^63, beyond the
-  int64 index;
+  augmentation, with no product; one RREF per uncertified candidate, in
+  index order, settles the rest, so the scan stops at its first failure; it
+  refuses above its budget and at q^|G| >= 2^63, beyond the int64 index;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
   center -- one nullspace chain, run in F[G/Z] for the center Z, plus a
@@ -34,14 +33,14 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .algebra import GroupAlgebra
-from .fields import GF, Matrix, rank_batched
+from .fields import GF, Matrix
 from .groups import FiniteGroup
 
 DEFAULT_BUDGET = 1 << 20
 INDEX_LIMIT = 1 << 63  # the oracle enumerates fewer candidates than this
 _CHUNK = 1 << 14
-_FIRST_PIECE = 1 << 8  # low-table rows built before the first ranks
-_FIRST_BATCH = 16  # uncertified candidates in the first pair of batched ranks
+_FIRST_PIECE = 1 << 8  # low-table rows built before the first RREFs
+_FIRST_BATCH = 16  # uncertified candidates in the first batch of products
 
 ESSENTIAL = "centrally_essential"
 NOT_ESSENTIAL = "not_centrally_essential"
@@ -264,10 +263,11 @@ def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
     the first high row, the zero one, is scanned, then grouped by
     augmentation once.
 
-    Only uncertified candidates get their product and an exact pair of
-    ranks, in index order and in batches that grow from _FIRST_BATCH, so
-    the scan stops near the first failure: rC /\\ C = 0 exactly when
-    rank(rC) equals the rank of its residues, which is rank(rC + C) - d.
+    Only uncertified candidates get their product, in batches that grow
+    from _FIRST_BATCH, and then one RREF each, in index order, so the scan
+    stops at the first failure: rC /\\ C = 0 exactly when rank(rC) equals
+    the rank of its residues.  The residues come first in class
+    coordinates, so that is an RREF with no pivot in the d rep columns.
     """
     F, n, d = alg.field, alg.dim, len(alg.center_basis)
     q = F.order
@@ -276,20 +276,20 @@ def _oracle_scan_generic(alg: GroupAlgebra, total: int) -> int | None:
     while L < -(-n // 2) and q ** (L + 1) <= _CHUNK:
         L += 1
     low, g = q**L, q ** (L - 1)
-    # rank batches double up to about 16 * _CHUNK product entries
+    # product batches double up to about 16 * _CHUNK entries
     batch = _FIRST_BATCH
     cap = max(_FIRST_BATCH, (_CHUNK << 4) // (d * n))
 
     def first_failure(ms: np.ndarray) -> int | None:
-        # rank the sorted uncertified candidates ms in growing batches
+        # test the sorted uncertified candidates ms, products in growing batches
         nonlocal batch
         while ms.size:
             part, ms = ms[:batch], ms[batch:]
             batch = min(2 * batch, cap)
             a = F.vmatmul(_candidate_digits(part, q, n), prods).reshape(-1, d, n)
-            bad = rank_batched(F, a) == rank_batched(F, a[:, :, : n - d])
-            if bad.any():
-                return int(part[np.argmax(bad)])
+            for m, rows in zip(part, a):
+                if max(Matrix(F, rows).rref()[1], default=-1) < n - d:
+                    return int(m)
         return None
 
     # high row 0 is the zero half, with codes and augmentation 0: its

@@ -277,12 +277,6 @@ class GF:
     def vscale(self, s: int, a: np.ndarray) -> np.ndarray:
         return self.vmul(s, a)
 
-    def vinv(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse of an array of nonzero encodings."""
-        if not np.all(a):
-            raise ZeroDivisionError("inverse of zero")
-        return self._inv_t[a]
-
     def vsubmul(self, a: np.ndarray, f: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a - f*b elementwise; f*b must have the shape of the result."""
         if self.k == 1:
@@ -461,35 +455,6 @@ class Matrix:
 
 
 def rank_batched(field: GF, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a batch of matrices of encodings, shape (B, m, n).
-
-    Branch-free Gaussian elimination vectorized across the batch; matches
-    Matrix.rank on every slice.
-    """
-    t = np.array(mats, dtype=np.int64)
-    nb, m, n = t.shape
-    if nb == 0 or m == 0 or n == 0:
-        return np.zeros(nb, dtype=np.int64)
-    piv = np.zeros(nb, dtype=np.int64)
-    row_ids = np.arange(m)
-    for c in range(n):
-        col = t[:, :, c]
-        eligible = (col != 0) & (row_ids[None, :] >= piv[:, None])
-        has = eligible.any(axis=1)
-        idx = np.nonzero(has)[0]
-        if idx.size == 0:
-            continue
-        src = np.argmax(eligible[idx], axis=1)
-        dst = piv[idx]
-        tmp = t[idx, src, :].copy()
-        t[idx, src, :] = t[idx, dst, :]
-        t[idx, dst, :] = tmp
-        pv = t[idx, dst, c]
-        t[idx, dst, :] = field.vmul(field.vinv(pv)[:, None], t[idx, dst, :])
-        factors = t[idx, :, c].copy()
-        factors[np.arange(idx.size), dst] = 0
-        t[idx] = field.vsubmul(t[idx], factors[:, :, None], t[idx, dst, :][:, None, :])
-        piv[idx] = dst + 1
-        if int(piv.min()) == m:
-            break
-    return piv
+    """Ranks of a stack of matrices of encodings, shape (B, m, n), one
+    Matrix.rank each; kept because instrumentation looks it up by name."""
+    return np.array([Matrix(field, a).rank() for a in mats], dtype=np.int64)

@@ -211,7 +211,10 @@ class FiniteGroup:
         return int(self.table[a, b])
 
     def element_order(self, x: int) -> int:
-        return int(self.element_orders[x])
+        """The least divisor d of n with x^d = 1."""
+        xs = np.array([x])
+        return next(d for d in range(1, self.n + 1)
+                    if self.n % d == 0 and self.powers(xs, d)[0] == 0)
 
     def powers(self, xs: np.ndarray, e: int) -> np.ndarray:
         """x^e for every x in xs (e >= 0), by square-and-multiply gathers."""
@@ -224,23 +227,6 @@ class FiniteGroup:
             if e:
                 base = t[base, base]
         return out
-
-    @cached_property
-    def element_orders(self) -> np.ndarray:
-        """Order of every element: the least divisor d of n with x^d = 1."""
-        n = self.n
-        orders = np.zeros(n, dtype=np.int64)
-        live = np.arange(n)
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            done = self.powers(live, d) == 0
-            orders[live[done]] = d
-            live = live[~done]
-            if not live.size:
-                break
-        orders.setflags(write=False)
-        return orders
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)

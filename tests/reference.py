@@ -1,7 +1,8 @@
 """Independent references that only the tests use.
 
 The decision pipeline never calls these: each is a second route that a test
-holds the package to (the class <= 2 witness construction of Theorem 2, the
+holds the package to (a batched Gaussian elimination, the element orders of
+a whole group, the class <= 2 witness construction of Theorem 2, the
 radical basis of the center, augmentation ideals, subgroup idempotents, the
 frozen catalog fingerprints, the factor-at-a-time elementary abelian
 build), or a small helper for building coefficient rows by hand.  An
@@ -21,6 +22,62 @@ from cealg.algebra import GroupAlgebra
 from cealg.decision import CrossValidationError, _radical_basis, _require_p_group
 from cealg.fields import GF, Matrix
 from cealg.groups import FiniteGroup, direct_product
+
+# -- a second elimination and the element orders ------------------------------------
+
+
+def batched_ranks(field: GF, mats: np.ndarray) -> np.ndarray:
+    """Ranks of a batch of matrices of encodings, shape (B, m, n).
+
+    Branch-free Gaussian elimination vectorized across the batch, a second
+    elimination loop to hold Matrix.rref to.
+    """
+    t = np.array(mats, dtype=np.int64)
+    nb, m, n = t.shape
+    if nb == 0 or m == 0 or n == 0:
+        return np.zeros(nb, dtype=np.int64)
+    piv = np.zeros(nb, dtype=np.int64)
+    row_ids = np.arange(m)
+    for c in range(n):
+        col = t[:, :, c]
+        eligible = (col != 0) & (row_ids[None, :] >= piv[:, None])
+        has = eligible.any(axis=1)
+        idx = np.nonzero(has)[0]
+        if idx.size == 0:
+            continue
+        src = np.argmax(eligible[idx], axis=1)
+        dst = piv[idx]
+        tmp = t[idx, src, :].copy()
+        t[idx, src, :] = t[idx, dst, :]
+        t[idx, dst, :] = tmp
+        pv = t[idx, dst, c]
+        inv = np.array([field.inv(int(x)) for x in pv], dtype=np.int64)
+        t[idx, dst, :] = field.vmul(inv[:, None], t[idx, dst, :])
+        factors = t[idx, :, c].copy()
+        factors[np.arange(idx.size), dst] = 0
+        t[idx] = field.vsubmul(t[idx], factors[:, :, None], t[idx, dst, :][:, None, :])
+        piv[idx] = dst + 1
+        if int(piv.min()) == m:
+            break
+    return piv
+
+
+def element_orders(g: FiniteGroup) -> np.ndarray:
+    """Order of every element: the least divisor d of n with x^d = 1, for
+    all elements at once through FiniteGroup.powers."""
+    n = g.n
+    orders = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        done = g.powers(live, d) == 0
+        orders[live[done]] = d
+        live = live[~done]
+        if not live.size:
+            break
+    return orders
+
 
 # -- rows by hand ------------------------------------------------------------------
 
@@ -191,12 +248,12 @@ def fingerprint(g: FiniteGroup) -> tuple:
     (order, element-order counts, class-size counts, |Z_i| chain, |G'|,
     abelianization element-order counts).
     """
-    order_counts = _counts(sorted(g.element_orders.tolist()))
+    order_counts = _counts(sorted(element_orders(g).tolist()))
     class_counts = _counts(sorted(g.conjugacy.sizes))
     chain = tuple(len(s) for s in g.upper_central_series.subgroups)
     gprime = g.commutator_subgroup
     ab = g.quotient_map(gprime)[0]
-    ab_counts = _counts(sorted(ab.element_orders.tolist()))
+    ab_counts = _counts(sorted(element_orders(ab).tolist()))
     return (g.n, order_counts, class_counts, chain, len(gprime), ab_counts)
 
 

@@ -27,10 +27,12 @@ from cealg.decision import (
     socle_centrally_essential,
     witness_not_ce,
 )
-from cealg.fields import Matrix, field_make, rank_batched
+from cealg.fields import Matrix, field_make
 from cealg.groups import FiniteGroup
 from reference import (
     basis,
+    batched_ranks,
+    element_orders,
     fingerprint,
     from_support,
     index_of_label,
@@ -130,7 +132,7 @@ def _rank_only_scan(alg: GroupAlgebra, total: int, chunk: int | None = None) -> 
             continue
         a = F.vmatmul(digits[mask], rms).reshape(-1, len(sums), n)
         red = F.vsub(a, F.vmatmul(a[:, :, piv], zmat.data))
-        bad = rank_batched(F, a) == rank_batched(F, red[:, :, nonpiv] if nonpiv else red)
+        bad = batched_ranks(F, a) == batched_ranks(F, red[:, :, nonpiv] if nonpiv else red)
         if bad.any():
             return int(lo + np.nonzero(mask)[0][np.argmax(bad)])
     return None
@@ -171,7 +173,7 @@ def _spy_half_tables(monkeypatch) -> list[tuple[bool, int, int]]:
 
 def _traced_scan(monkeypatch, alg: GroupAlgebra, total: int):
     """The scan's result, the low-table rows it built, the end of its first
-    block of high rows, and the candidates it ranked, in the order ranked."""
+    block of high rows, and the candidates it multiplied out, in order."""
     built, ranked, digits = _spy_half_tables(monkeypatch), [], decision._candidate_digits
 
     def spy(ms, q, n):
@@ -215,13 +217,13 @@ def _scan_group(name: str) -> FiniteGroup:
 
 # (spec, p, k, where the first failure lies) with the scan shrunk to
 # _CHUNK = 16: low tables of 9 to 16 rows, built in pieces of 2, 4, ...
-# rows, grid blocks of 1 to 7 high rows and rank batches of 1, 2, 4, ...
+# rows, grid blocks of 1 to 7 high rows and product batches of 1, 2, 4, ...
 # candidates.  The failing candidates' low halves have augmentation 1,
 # except D8's (augmentation 0) and D8 renamed's (zero)
 LATE_SCAN_CASES = [
     ("S3", 2, 2, "row"), ("S3", 3, 1, "row"), ("D8", 3, 1, "block"), ("D8 renamed", 3, 1, "block"),
     ("S3 x C2", 3, 1, "block"), ("S3 x C2", 2, 2, "block"), ("S3 x C3", 2, 1, "block"),
-    # 60 uncertified candidates pass their ranks before the failure, 257
+    # 60 uncertified candidates pass their RREFs before the failure, 257
     ("D48", 2, 1, "block"),
     ("D8", 2, 2, None),
 ]
@@ -237,8 +239,8 @@ def test_late_failures_match_rank_only_scan(monkeypatch, name, p, k, where):
         monkeypatch.setattr(decision, attr, value)
     bad, low, block_end, ranked = _traced_scan(monkeypatch, alg, total)
     assert bad == want
-    # every uncertified candidate is ranked once, in index order, up to the
-    # batch holding the first failure
+    # every uncertified candidate is multiplied out once, in index order, up
+    # to the batch holding the first failure
     assert ranked == _uncertified(alg, ranked[-1] + 1 if bad is not None else total)
     if where is None:
         assert bad is None
@@ -356,26 +358,53 @@ def test_certificate_fires_both_ways(f2):
     assert not _certified(s3, bad)
 
 
-def _rank_batches(monkeypatch, group, fld, budget=DEFAULT_BUDGET):
-    """The oracle's outcome on FG and the sizes of the batches it passes to
-    rank_batched."""
-    seen = []
+def _scan_rrefs(monkeypatch, group, fld, budget=DEFAULT_BUDGET):
+    """The oracle's outcome on FG, the candidates that the scan takes an
+    RREF for, in the order taken, and the sizes of its batches of products;
+    each RREF is checked to be of that candidate's rows r * Sigma_K in
+    class coordinates."""
+    inside, inputs, batches = [], [], []
+    scan, rref, digits = decision._oracle_scan_generic, Matrix.rref, decision._candidate_digits
 
-    def counting(field, mats):
-        seen.append(mats.shape[0])
-        return rank_batched(field, mats)
+    def scoped(alg, total):
+        inside.append(alg.dim)
+        try:
+            return scan(alg, total)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(decision, "rank_batched", counting)
-    return oracle_centrally_essential(group, fld, budget), seen
+    def spy_rref(m):
+        if inside:
+            inputs.append(m.data.copy())
+        return rref(m)
+
+    def spy_digits(ms, q, n):
+        if inside and n == inside[-1]:
+            batches.append(ms.tolist())  # the candidates whose products are formed
+        return digits(ms, q, n)
+
+    monkeypatch.setattr(decision, "_oracle_scan_generic", scoped)
+    monkeypatch.setattr(Matrix, "rref", spy_rref)
+    monkeypatch.setattr(decision, "_candidate_digits", spy_digits)
+    out = oracle_centrally_essential(group, fld, budget)
+    alg = GroupAlgebra(group, fld)
+    n, d = group.n, len(alg.center_basis)
+    tested = sum(batches, [])[: len(inputs)]
+    rows = fld.vmatmul(_candidate_digits(np.array(tested, dtype=np.int64), fld.order, n),
+                       _class_products(alg)).reshape(len(tested), d, n)
+    assert [m.tolist() for m in inputs] == rows.tolist()
+    return out, tested, [len(b) for b in batches]
 
 
 def test_certified_candidates_skip_ranks(monkeypatch, f2, f3):
-    assert _rank_batches(monkeypatch, catalog.get("order16:9"), f2)[1] == []
+    out, tested, batches = _scan_rrefs(monkeypatch, catalog.get("order16:9"), f2)
+    assert out.verdict == ESSENTIAL and tested == batches == []
     # D12 over GF(3) fails at candidate 19, inside the first piece of the
-    # low table: one pair of ranks, of the first batch only
-    out, batches = _rank_batches(monkeypatch, catalog.get("D12"), f3)
+    # low table: the RREFs stop there, inside the first batch of products
+    out, tested, batches = _scan_rrefs(monkeypatch, catalog.get("D12"), f3)
     assert out.artifact["candidate_index"] == 19
-    assert len(batches) == 2 and batches[0] <= decision._FIRST_BATCH
+    assert tested[-1] == 19 and len(tested) <= decision._FIRST_BATCH
+    assert len(batches) == 1
 
 
 def test_early_failure_builds_little_of_the_low_table(monkeypatch, f2):
@@ -387,21 +416,22 @@ def test_early_failure_builds_little_of_the_low_table(monkeypatch, f2):
     assert sum(hi - lo for negate, lo, hi in built if not negate) < 2**10
 
 
-def test_late_failure_ranks_a_few_batches(monkeypatch, f2):
+def test_late_failure_stops_at_its_rref(monkeypatch, f2):
     # D48 over GF(2): 2^48 candidates, the first failure is candidate 257;
-    # the ranks stop there, in a few pairs of growing batches
-    out, batches = _rank_batches(monkeypatch, catalog.get("D48"), f2, budget=2**62)
+    # the RREFs stop there, after fewer than 257 candidates, whose products
+    # are formed in a few growing batches
+    out, tested, batches = _scan_rrefs(monkeypatch, catalog.get("D48"), f2, budget=2**62)
     assert out.artifact["candidate_index"] == 257
-    assert len(batches) <= 8
-    assert sum(batches) // 2 < 257  # each tested candidate takes two ranks
+    assert tested[-1] == 257 and len(tested) < 257
+    assert len(batches) <= 4
 
 
 @pytest.mark.parametrize("spec,total,bound", [
     # full scan, no failure: the grid blocks' compares dominate (parent
     # scan 1.76 MB, with chunk-wide gathers)
     ("order16:9", 2**16, 1 << 20),
-    # early failure: the growing rank batches dominate (parent scan 92 MB,
-    # with one rank batch of every uncertified candidate of a chunk)
+    # early failure: the growing product batches dominate (92 MB when one
+    # batch took every uncertified candidate of a chunk)
     ("D48", 2**48, 8 << 20),
 ])
 def test_scan_peak_memory(f2, spec, total, bound):
@@ -886,7 +916,7 @@ def check_q_subgroups(group: FiniteGroup, p: int) -> bool:
         d += 1
     if m > 1 and m != p:
         qs.add(m)
-    t, orders = group.table, group.element_orders
+    t, orders = group.table, element_orders(group)
     for q in qs:
         q_elems = np.flatnonzero((_p_part(n, q) % orders == 0) & (orders > 1))
         # in_sub[i, y]: y lies in the cyclic subgroup of q_elems[i]
@@ -1009,7 +1039,7 @@ def _relabelings(draw):
 def test_relabeling_invariance(case):
     g, p, perm = case
     h = _relabel(g, perm)
-    assert sorted(h.element_orders.tolist()) == sorted(g.element_orders.tolist())
+    assert sorted(element_orders(h).tolist()) == sorted(element_orders(g).tolist())
     dg, dh = decompose_p(g, p), decompose_p(h, p)
     assert (len(dh.p_part), len(dh.p_prime_part), dh.is_direct) == (
         len(dg.p_part), len(dg.p_prime_part), dg.is_direct)

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cealg.fields import (
     EXACT_FLOAT,
@@ -13,6 +15,7 @@ from cealg.fields import (
     is_prime,
     rank_batched,
 )
+from reference import batched_ranks
 
 
 class TestConstruction:
@@ -181,12 +184,31 @@ class TestMatrix:
                     want = f4.add(want, f4.mul(int(a.data[i, k]), int(b.data[k, j])))
                 assert prod.data[i, j] == want
 
-    def test_rank_batched_matches_scalar(self, f2, f3, rng):
-        for F in (f2, f3):
-            mats = rng.integers(0, F.order, size=(150, 5, 7)).astype(np.int64)
-            got = rank_batched(F, mats)
-            want = [Matrix(F, m).rank() for m in mats]
-            assert got.tolist() == want
+    def test_rank_batched_matches_scalar(self, rng):
+        # the package's one elimination, Matrix.rank and the rank_batched map
+        # over it, against the reference's batched elimination: random,
+        # rank-deficient, zero-row and zero-column matrices over prime
+        # fields, tabled extensions and the log/exp tables of GF(2^10)
+        for p, k in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 10), (257, 1)]:
+            F = field_make(p, k)
+            for rows, cols in [(5, 7), (7, 5)]:
+                mats = rng.integers(0, F.order, size=(40, rows, cols)).astype(np.int64)
+                c = int(rng.integers(1, F.order))
+                # a dependent last row and a dependent last column
+                mats[:10, -1] = F.vadd(mats[:10, 0], F.vscale(c, mats[:10, 2]))
+                mats[:10, :, -1] = F.vadd(mats[:10, :, 0], F.vscale(c, mats[:10, :, 2]))
+                mats[10:20, :, 3] = 0
+                mats[20:25, 2:] = 0
+                mats[25:28] = 0
+                want = batched_ranks(F, mats).tolist()
+                assert max(want[:10]) < min(rows, cols) and max(want[20:25]) <= 2
+                assert want[25:28] == [0, 0, 0]
+                assert rank_batched(F, mats).tolist() == want
+                assert [Matrix(F, m).rank() for m in mats] == want
+            for shape in [(6, 0, 7), (6, 5, 0), (6, 0, 0), (0, 5, 7)]:
+                empty = np.zeros(shape, dtype=np.int64)
+                assert batched_ranks(F, empty).tolist() == [0] * shape[0]
+                assert rank_batched(F, empty).tolist() == [0] * shape[0]
 
     @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (2, 3), (3, 2), (2, 10), (257, 1)])
     def test_shared_kernels_every_field(self, p, k, rng):
@@ -195,7 +217,7 @@ class TestMatrix:
         mats = rng.integers(0, F.order, size=(60, 4, 6)).astype(np.int64)
         mats[:20, 3] = mats[:20, 1]  # some rank-deficient slices
         mats[20:30, :, 2] = 0
-        assert rank_batched(F, mats).tolist() == [Matrix(F, m).rank() for m in mats]
+        assert batched_ranks(F, mats).tolist() == [Matrix(F, m).rank() for m in mats]
         a = Matrix(F, rng.integers(0, F.order, size=(3, 4)).astype(np.int64))
         b = Matrix(F, rng.integers(0, F.order, size=(4, 5)).astype(np.int64))
         prod = a.matmul(b)
@@ -205,6 +227,28 @@ class TestMatrix:
                 for t in range(4):
                     want = F.add(want, F.mul(int(a.data[i, t]), int(b.data[t, j])))
                 assert prod.data[i, j] == want
+
+
+@st.composite
+def _split_matrices(draw):
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (257, 1)]))
+    F = field_make(p, k)
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    # zeros often, so that some matrices are rank-deficient
+    entry = st.one_of(st.just(0), st.integers(0, F.order - 1))
+    a = np.array(draw(st.lists(entry, min_size=d * n, max_size=d * n)), dtype=np.int64)
+    return F, a.reshape(d, n), draw(st.integers(1, n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_split_matrices())
+def test_no_pivot_past_a_split_iff_the_ranks_agree(case):
+    # the oracle's failure test: an RREF with no pivot at or after column s
+    # exactly when the whole matrix and its first s columns have one rank
+    F, a, s = case
+    _, pivots = Matrix(F, a).rref()
+    whole, head = batched_ranks(F, a[None])[0], batched_ranks(F, a[None, :, :s])[0]
+    assert all(c < s for c in pivots) == (whole == head)
 
 
 def _matmul_reference(F, a, b):

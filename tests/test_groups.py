@@ -15,7 +15,7 @@ from cealg.groups import (
     group_from_generators,
     semidirect_product,
 )
-from reference import elem_abelian_by_factors, fingerprint, index_of_label
+from reference import elem_abelian_by_factors, element_orders, fingerprint, index_of_label
 
 # a Latin square with identity and two-sided inverses that is not associative
 NONASSOC_LOOP = [
@@ -64,7 +64,7 @@ class TestValidation:
         # associativity, which only the associativity test can see.
         g = catalog.get(spec)
         t, n = g.table.copy(), g.n
-        orders = g.element_orders
+        orders = element_orders(g)
         z = min(g.center[1:], key=lambda z: (orders[z], z))
         zs = set(g.subgroup_generated([z]))
         a, b = next((a, b) for a in range(1, n) for b in range(1, n)
@@ -383,7 +383,9 @@ def test_analyses_match_scalar_loops(spec):
     from cealg.decision import decompose_p
 
     g = catalog.get(spec)
-    assert g.element_orders.tolist() == _orders_ref(g)
+    orders = _orders_ref(g)
+    assert element_orders(g).tolist() == orders
+    assert [g.element_order(x) for x in range(g.n)] == orders
     assert g.conjugacy.classes == _classes_ref(g)
     for p in (2, 3, 5):
         dec = decompose_p(g, p)
