@@ -3,16 +3,7 @@ centrally essential property."""
 
 from .algebra import GroupAlgebra
 from .catalog import get as catalog_get
-from .decision import (
-    ESSENTIAL,
-    NOT_ESSENTIAL,
-    BudgetError,
-    DecisionReport,
-    decide,
-    oracle_centrally_essential,
-    socle_centrally_essential,
-    witness_not_ce,
-)
+from .decision import ESSENTIAL, NOT_ESSENTIAL, BudgetError, DecisionReport, decide
 from .fields import GF, Matrix, field_make
 from .groups import FiniteGroup, direct_product, group_from_generators, semidirect_product
 

@@ -74,8 +74,14 @@ class GroupAlgebra:
 
     @cached_property
     def center_matrix(self) -> tuple[Matrix, list[int]]:
-        """Class-sum row matrix in RREF plus its pivot columns."""
-        return Matrix(self.field, self.center_basis).rref()
+        """Class-sum row matrix in RREF plus its pivot columns.
+
+        The class sums are already in RREF: row K leads with a 1 at its
+        least member, the rows are in least-member order and their supports
+        are disjoint, so the pivots are the least members.
+        """
+        leading = np.flatnonzero(self.group.conjugacy.rep == np.arange(self.dim))
+        return Matrix(self.field, self.center_basis), leading.tolist()
 
     def is_central(self, c: np.ndarray) -> bool:
         """Center membership of the coefficient row c, computed two

@@ -4,8 +4,9 @@ Every entry is deterministic: identical tables across runs.  Families are
 built either from closed-form multiplication laws on normal forms (cyclic,
 dihedral, quaternion, ...) or from the generic product constructors.
 
-Grammar accepted by get(): Q8, C<n>, E<p>^<r>, D<2m>, QD16, Q16, M16,
-order16:<1..14>, prop29:<p>, S3, H<p>, and "A x B" for direct products.
+get() reads one grammar table: the fixed names Q8, S3, QD16 and M16, then
+the families C<n>, E<p>^<r>, D<2m>, Q<2^m>, H<p>, order16:<1..14> and
+prop29:<p>, each a pattern and its builder, and "A x B" for direct products.
 """
 
 from __future__ import annotations
@@ -149,20 +150,21 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup._inherited(g.table, g.inv, "Q8", labels)
 
 
+def _c8_by_c2(u: int, name: str) -> FiniteGroup:
+    """C8 : C2 with the C2 generator acting by r -> r^u."""
+    act = [list(range(8)), [(u * i) % 8 for i in range(8)]]
+    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for i in range(8) for s in range(2)]
+    return semidirect_product(cyclic(8), cyclic(2), act, name, labels)
+
+
 @lru_cache(maxsize=None)
 def semidihedral16() -> FiniteGroup:
-    c8, c2 = cyclic(8), cyclic(2)
-    act = [list(range(8)), [(3 * i) % 8 for i in range(8)]]
-    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for i in range(8) for s in range(2)]
-    return semidirect_product(c8, c2, act, "QD16", labels)
+    return _c8_by_c2(3, "QD16")
 
 
 @lru_cache(maxsize=None)
 def modular16() -> FiniteGroup:
-    c8, c2 = cyclic(8), cyclic(2)
-    act = [list(range(8)), [(5 * i) % 8 for i in range(8)]]
-    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for i in range(8) for s in range(2)]
-    return semidirect_product(c8, c2, act, "M16", labels)
+    return _c8_by_c2(5, "M16")
 
 
 @lru_cache(maxsize=None)
@@ -329,37 +331,28 @@ def p5_class3_group(p: int) -> FiniteGroup:
 # -- name grammar --------------------------------------------------------------
 
 
+# the grammar table: fixed names first, so "Q8" keeps its +/- i j k labels,
+# then the families, whose numbers are the builder's arguments
+_NAMED = {"Q8": quaternion8, "S3": sym3, "QD16": semidihedral16, "M16": modular16}
+_FAMILIES: list[tuple[str, Callable[..., FiniteGroup]]] = [
+    (r"C(\d+)", cyclic),
+    (r"E(\d+)\^(\d+)", elem_abelian),
+    (r"D(\d+)", dihedral),
+    (r"Q(\d+)", gen_quaternion),
+    (r"H(\d+)", heisenberg),
+    (r"order16:(\d+)", order16),
+    (r"prop29:(\d+)", p5_class3_group),
+]
+
+
 def _atomic(spec: str) -> FiniteGroup:
     spec = spec.strip()
-    if spec == "Q8":
-        return quaternion8()
-    if spec == "S3":
-        return sym3()
-    if spec == "QD16":
-        return semidihedral16()
-    if spec == "M16":
-        return modular16()
-    m = re.fullmatch(r"C(\d+)", spec)
-    if m:
-        return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"E(\d+)\^(\d+)", spec)
-    if m:
-        return elem_abelian(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"D(\d+)", spec)
-    if m:
-        return dihedral(int(m.group(1)))
-    m = re.fullmatch(r"Q(\d+)", spec)
-    if m:
-        return gen_quaternion(int(m.group(1)))
-    m = re.fullmatch(r"H(\d+)", spec)
-    if m:
-        return heisenberg(int(m.group(1)))
-    m = re.fullmatch(r"order16:(\d+)", spec)
-    if m:
-        return order16(int(m.group(1)))
-    m = re.fullmatch(r"prop29:(\d+)", spec)
-    if m:
-        return p5_class3_group(int(m.group(1)))
+    if spec in _NAMED:
+        return _NAMED[spec]()
+    for pattern, build in _FAMILIES:
+        m = re.fullmatch(pattern, spec)
+        if m:
+            return build(*(int(x) for x in m.groups()))
     raise ValueError(f"unknown group spec {spec!r}")
 
 

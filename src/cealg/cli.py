@@ -32,7 +32,7 @@ from .decision import (
     StructuralUndecidedError,
     decide,
 )
-from .fields import GF, MAX_ORDER, field_make, is_prime
+from .fields import GF, field_make
 from .groups import ORDER_CAP, FiniteGroup, group_from_generators
 
 EXIT_ESSENTIAL = 0
@@ -51,8 +51,6 @@ def parse_field(spec: str) -> GF | None:
         p, k = int(p_s), int(k_s)
     else:
         p, k = int(spec), 1
-    if p <= MAX_ORDER and not is_prime(p):  # trial division: GF refuses larger p
-        raise ValueError(f"field characteristic must be prime, got {p}")
     return field_make(p, k)
 
 
@@ -241,10 +239,8 @@ def cmd_reproduce(args) -> int:
         code, out = _reproduce_remark31(args.format)
     elif args.target == "prop29":
         code, out = _reproduce_prop29(args.format, args.with_p5)
-    elif args.target == "thm11":
-        code, out = _reproduce_thm11(args.format, args.budget)
     else:
-        raise ValueError(f"unknown reproduction target {args.target!r}")
+        code, out = _reproduce_thm11(args.format, args.budget)
     _emit(out, args.output)
     return code
 

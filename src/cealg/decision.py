@@ -22,7 +22,9 @@ other:
 
 Every witness that a verdict carries is a read-only int64 coefficient row
 of FG, re-validated numerically, never trusted from theory alone; a failed
-Sylow split carries none.
+Sylow split carries none.  The oracle and the socle decider share only
+their result type, Outcome, and `_record`, which writes one into a report;
+`decide` is the one entry point that builds reports.
 """
 
 from __future__ import annotations
@@ -87,6 +89,18 @@ class DecisionReport:
         return out
 
 
+@dataclass
+class Outcome:
+    """What the oracle or the socle decider found: the verdict, the details
+    that the report records, and on a negative verdict the witness row with
+    its rank checks."""
+
+    verdict: str
+    details: dict
+    witness: np.ndarray | None = None
+    checks: dict | None = None
+
+
 @dataclass(frozen=True)
 class PDecomposition:
     p: int
@@ -143,16 +157,9 @@ def _projective_mask(digits: np.ndarray) -> np.ndarray:
     return has & (vals == 1)
 
 
-@dataclass
-class OracleOutcome:
-    verdict: str
-    counterexample: np.ndarray | None
-    artifact: dict
-
-
 def oracle_centrally_essential(
     group: FiniteGroup, fld: GF, budget: int = DEFAULT_BUDGET
-) -> OracleOutcome:
+) -> Outcome:
     """Exhaustive check of the defining property over projective
     representatives (first nonzero coefficient = 1); scaling a candidate by
     a nonzero field scalar does not change its fate.
@@ -173,20 +180,20 @@ def oracle_centrally_essential(
     alg = GroupAlgebra(group, fld)
     if group.is_abelian:
         # FG is commutative: c = 1 certifies every nonzero r directly
-        return OracleOutcome(ESSENTIAL, None, {"candidates": 0, "commutative": True})
+        return Outcome(ESSENTIAL, {"candidates": 0, "commutative": True})
     total = q**n
     bad = _oracle_scan_generic(alg, total)
     if bad is None:
         # count projective representatives for the record
         checked = (total - 1) // (q - 1)
-        return OracleOutcome(ESSENTIAL, None, {"candidates": checked})
+        return Outcome(ESSENTIAL, {"candidates": checked})
     witness = _candidate_digits(np.array([bad], dtype=np.int64), q, n)[0]
     witness.setflags(write=False)
     ok, artifact = candidate_admits_central_multiple(alg, witness)
     if ok:
         raise CrossValidationError("oracle counterexample failed re-verification")
     artifact["candidate_index"] = bad
-    return OracleOutcome(NOT_ESSENTIAL, witness, artifact)
+    return Outcome(NOT_ESSENTIAL, artifact, witness, artifact)
 
 
 def _class_products(alg: GroupAlgebra) -> np.ndarray:
@@ -407,15 +414,7 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     return red.data[: len(pivots)]
 
 
-@dataclass
-class SocleOutcome:
-    verdict: str
-    socle_dim: int
-    excess: np.ndarray | None
-    artifact: dict
-
-
-def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
+def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
     """Essentiality via the socle: C is essential in FG iff every element
     annihilated by the radical of C already lies in C.
 
@@ -444,7 +443,7 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     # a row lies in C exactly when it is constant on classes
     outside = (socle_rows != socle_rows[:, group.conjugacy.rep]).any(axis=1)
     if not outside.any():
-        return SocleOutcome(ESSENTIAL, socle_dim, None, {"center_dim": len(group.conjugacy.classes)})
+        return Outcome(ESSENTIAL, {"socle_dim": socle_dim})
     # the first socle basis vector outside the center is the counterexample
     excess = socle_rows[np.argmax(outside)]
     excess.setflags(write=False)
@@ -456,7 +455,7 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> SocleOutcome:
     if ok:
         raise CrossValidationError("socle excess vector failed the rank re-verification")
     artifact["socle_dim"] = socle_dim
-    return SocleOutcome(NOT_ESSENTIAL, socle_dim, excess, artifact)
+    return Outcome(NOT_ESSENTIAL, {"socle_dim": socle_dim}, excess, artifact)
 
 
 # -- structural route -------------------------------------------------------------
@@ -586,17 +585,9 @@ def decide(
         else:
             report.verdict, report.reason = NOT_ESSENTIAL, "char0_noncommutative"
     elif method == "oracle":
-        out = oracle_centrally_essential(group, fld, budget)
-        report.method, report.verdict, report.details = "oracle", out.verdict, out.artifact
-        if out.counterexample is None:
-            report.reason = "oracle_no_counterexample"
-        else:
-            report.reason = "oracle_counterexample"
-            report.witnesses.append(
-                _witness_dict(group, "oracle_counterexample", out.counterexample, out.artifact)
-            )
+        _record(report, group, "oracle", oracle_centrally_essential(group, fld, budget))
     elif method == "socle":
-        _record_socle(report, group, socle_centrally_essential(group, fld))
+        _record(report, group, "socle", socle_centrally_essential(group, fld))
     elif method == "structural":
         _, p_group = _shortcuts(report, group, fld, {})
         if not report.reason:
@@ -622,7 +613,7 @@ def decide(
             t0 = time.perf_counter()
             soc = socle_centrally_essential(p_group, fld)
             report.timings["socle"] = time.perf_counter() - t0
-            _record_socle(report, p_group, soc)
+            _record(report, p_group, "socle", soc)
             if soc.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
                 x, artifact = witness_not_ce(p_group, fld)
                 report.witnesses.append(
@@ -673,13 +664,21 @@ def _shortcuts(
     return dec, p_group
 
 
-def _record_socle(report: DecisionReport, group: FiniteGroup, soc: SocleOutcome) -> None:
-    """A socle outcome on `group` as the report's route, verdict, reason and
-    witness."""
-    report.method, report.verdict = "socle", soc.verdict
-    report.details["socle_dim"] = soc.socle_dim
-    if soc.verdict == ESSENTIAL:
-        report.reason = "socle_inside_center"
+# per route: the reason for each verdict, and the kind of its witness
+_ROUTES = {
+    "oracle": ("oracle_no_counterexample", "oracle_counterexample", "oracle_counterexample"),
+    "socle": ("socle_inside_center", "socle_outside_center", "socle_excess"),
+}
+
+
+def _record(report: DecisionReport, group: FiniteGroup, route: str, out: Outcome) -> None:
+    """A decider's outcome on `group` as the report's route, verdict,
+    reason, details and witness."""
+    essential, not_essential, kind = _ROUTES[route]
+    report.method, report.verdict = route, out.verdict
+    report.details.update(out.details)
+    if out.witness is None:
+        report.reason = essential
     else:
-        report.reason = "socle_outside_center"
-        report.witnesses.append(_witness_dict(group, "socle_excess", soc.excess, soc.artifact))
+        report.reason = not_essential
+        report.witnesses.append(_witness_dict(group, kind, out.witness, out.checks))

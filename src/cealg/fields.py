@@ -122,7 +122,7 @@ class GF:
     def __init__(self, p: int, k: int = 1):
         # primality is tested by trial division, so only below the cap
         if p <= MAX_ORDER and not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
+            raise ValueError(f"field characteristic must be prime, got {p}")
         if k < 1:
             raise ValueError(f"extension degree must be positive, got {k}")
         if power_exceeds(p, k, MAX_ORDER):
@@ -174,19 +174,9 @@ class GF:
         self._exp, self._log = exp, log
 
     def _find_generator(self) -> int:
-        q = self.order
-        n = q - 1
-        factors = []
-        m, d = n, 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
-        for cand in range(2, q):
+        n = self.order - 1
+        factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
+        for cand in range(2, self.order):
             if all(self._pow_scalar(cand, n // f) != 1 for f in factors):
                 return cand
         raise RuntimeError("no multiplicative generator found")
@@ -233,15 +223,7 @@ class GF:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self._pow_scalar(self.inv(a), -e) if e < 0 else self._pow_scalar(a, e)
 
     # -- vectorized arithmetic on int64 arrays of encodings -----------------
 

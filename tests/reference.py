@@ -23,6 +23,11 @@ from cealg.decision import CrossValidationError, _radical_basis, _require_p_grou
 from cealg.fields import GF, Matrix
 from cealg.groups import FiniteGroup, direct_product
 
+# groups on which the array analyses and the class-sum RREF meet their
+# references
+REFERENCE_SPECS = [f"order16:{i}" for i in range(1, 15)] + ["S3", "D12", "Q8 x C3"]
+
+
 # -- a second elimination and the element orders ------------------------------------
 
 

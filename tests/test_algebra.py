@@ -5,6 +5,7 @@ from cealg import catalog, fields
 from cealg.algebra import GroupAlgebra
 from cealg.fields import Matrix, field_make
 from reference import (
+    REFERENCE_SPECS,
     basis,
     from_support,
     index_of_label,
@@ -126,6 +127,15 @@ class TestCenter:
         sums = alg.center_basis
         assert sums.dtype == np.int64 and not sums.flags.writeable
         assert sums.tolist() == np.stack(rows).tolist()
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_center_matrix_is_the_rref_of_the_class_sums(self, spec, p, k):
+        alg = GroupAlgebra(catalog.get(spec), field_make(p, k))
+        red, pivots = alg.center_matrix
+        ref, ref_pivots = Matrix(alg.field, alg.center_basis).rref()
+        assert red.field == ref.field and pivots == ref_pivots
+        assert red.data.tolist() == ref.data.tolist()
 
     def test_class_sums_central(self, q8_f2):
         for s in q8_f2.center_basis:

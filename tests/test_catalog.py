@@ -62,10 +62,51 @@ class TestNamedGroups:
         assert g.name == "D8 x C3" and g.labels == direct_product(d8, c3).labels
 
     def test_unknown_specs_rejected(self):
-        for bad in ["X9", "D7", "order16:15", "order16:0", "prop29:7", "prop29:4",
-                    "E4^2", "Q12", "", "C0", "E2^14", "E3^20"]:
-            with pytest.raises(ValueError):
+        for bad, message in [
+            ("X9", "unknown group spec 'X9'"),
+            ("Q", "unknown group spec 'Q'"),
+            ("E2", "unknown group spec 'E2'"),
+            ("order16:", "unknown group spec 'order16:'"),
+            ("Q8 x S4", "unknown group spec 'S4'"),
+            ("D7", "dihedral group order must be even"),
+            ("order16:15", "order-16 catalog index must be in 1..14"),
+            ("order16:0", "order-16 catalog index must be in 1..14"),
+            ("prop29:7", "exceeds the supported cap for p > 5"),
+            ("prop29:4", "parameter must be prime"),
+            ("E4^2", "elementary abelian group needs a prime"),
+            ("Q12", "generalized quaternion group order must be 2"),
+            ("", "empty group spec"),
+            ("C0", "cyclic group order must be positive"),
+            ("E2^14", r"group order 2\^14 exceeds the cap"),
+            ("E3^20", r"group order 3\^20 exceeds the cap"),
+        ]:
+            with pytest.raises(ValueError, match=message):
                 catalog.get(bad)
+
+
+# each fixed name and one spec per family, with the builder that makes it;
+# the builder runs again past its cache
+SPEC_BUILDERS = [
+    ("Q8", catalog.quaternion8, ()),
+    ("S3", catalog.sym3, ()),
+    ("QD16", catalog.semidihedral16, ()),
+    ("M16", catalog.modular16, ()),
+    ("C5", catalog.cyclic, (5,)),
+    ("E3^2", catalog.elem_abelian, (3, 2)),
+    ("D10", catalog.dihedral, (10,)),
+    ("Q16", catalog.gen_quaternion, (16,)),
+    ("H3", catalog.heisenberg, (3,)),
+    ("order16:13", catalog.order16, (13,)),
+    ("prop29:3", catalog.p5_class3_group, (3,)),
+]
+
+
+@pytest.mark.parametrize("spec, builder, args", SPEC_BUILDERS,
+                         ids=[s for s, _, _ in SPEC_BUILDERS])
+def test_spec_gives_its_builders_group(spec, builder, args):
+    g, ref = catalog.get(spec), builder.__wrapped__(*args)
+    assert (g.name, g.labels) == (ref.name, ref.labels)
+    assert np.array_equal(g.table, ref.table)
 
 
 class TestOrder16:

@@ -303,6 +303,35 @@ def test_report_bytes_pinned(capsys, cmd, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_groups_list_bytes_pinned(capsys):
+    assert main(["groups", "list"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5bf82a2847e5886c25bb0f8f817220a35672aaf5ea7691152b75e9b63d1faa9")
+
+
+# the one stderr line of a refused `check`: specs the grammar refuses, a
+# builder's own refusal, a non-prime characteristic and an undecided
+# structural run
+REFUSAL_LINES = [
+    ("check --group X9 --field 2", "unknown group spec 'X9'"),
+    ("check --group Q --field 2", "unknown group spec 'Q'"),
+    ("check --group E2 --field 2", "unknown group spec 'E2'"),
+    ("check --group order16: --field 2", "unknown group spec 'order16:'"),
+    ("check --group D7 --field 2", "dihedral group order must be even and >= 2"),
+    ("check --group C2 --field 4", "field characteristic must be prime, got 4"),
+    ("check --group D16 --field 2 --method structural",
+     "structural rules do not settle D16: class > 2 without the central-coset condition"),
+]
+
+
+@pytest.mark.parametrize("cmd, message", REFUSAL_LINES, ids=[c for c, _ in REFUSAL_LINES])
+def test_refusal_bytes_pinned(capsys, cmd, message):
+    assert main(shlex.split(cmd)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 # negative checks whose witnesses are read back from the report: the pinned
 # oracle, auto, structural and socle cases, then extension fields that no
 # digest covers

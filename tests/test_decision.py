@@ -48,16 +48,16 @@ class TestOracle:
     def test_q8_gf2_essential(self, f2):
         out = oracle_centrally_essential(catalog.quaternion8(), f2)
         assert out.verdict == ESSENTIAL
-        assert out.artifact["candidates"] == 255
+        assert out.details["candidates"] == 255
 
     def test_s3_gf2_counterexample(self, f2):
         out = oracle_centrally_essential(catalog.sym3(), f2)
         assert out.verdict == NOT_ESSENTIAL
-        assert out.counterexample is not None and not out.counterexample.flags.writeable
+        assert out.witness is not None and not out.witness.flags.writeable
         # the center of F2 S3 is spanned by 3 class sums: 8 elements
         alg = GroupAlgebra(catalog.sym3(), f2)
         assert len(alg.center_basis) == 3
-        ok, art = candidate_admits_central_multiple(alg, out.counterexample)
+        ok, art = candidate_admits_central_multiple(alg, out.witness)
         assert not ok and art["intersection_dim"] == 0
 
     def test_c3_gf3_essential(self, f3):
@@ -100,14 +100,14 @@ class TestOracle:
                 break
         out = oracle_centrally_essential(g, fld)
         assert first is not None
-        assert out.artifact["candidate_index"] == first
+        assert out.details["candidate_index"] == first
 
     def test_counterexample_is_least(self, f2):
         # determinism: re-running returns the identical counterexample
         a = oracle_centrally_essential(catalog.sym3(), f2)
         b = oracle_centrally_essential(catalog.sym3(), f2)
-        assert np.array_equal(a.counterexample, b.counterexample)
-        assert a.artifact["candidate_index"] == b.artifact["candidate_index"]
+        assert np.array_equal(a.witness, b.witness)
+        assert a.details["candidate_index"] == b.details["candidate_index"]
 
 
 # -- the oracle scan against its rank-only form ----------------------------------
@@ -354,7 +354,7 @@ def test_certificate_fires_both_ways(f2):
     one_plus_z = from_support(alg, [(0, 1), (z, 1)])
     assert _certified(alg, one_plus_z)  # (1 + z) Sigma_K is central
     s3 = GroupAlgebra(catalog.sym3(), f2)
-    bad = oracle_centrally_essential(catalog.sym3(), f2).counterexample
+    bad = oracle_centrally_essential(catalog.sym3(), f2).witness
     assert not _certified(s3, bad)
 
 
@@ -402,7 +402,7 @@ def test_certified_candidates_skip_ranks(monkeypatch, f2, f3):
     # D12 over GF(3) fails at candidate 19, inside the first piece of the
     # low table: the RREFs stop there, inside the first batch of products
     out, tested, batches = _scan_rrefs(monkeypatch, catalog.get("D12"), f3)
-    assert out.artifact["candidate_index"] == 19
+    assert out.details["candidate_index"] == 19
     assert tested[-1] == 19 and len(tested) <= decision._FIRST_BATCH
     assert len(batches) == 1
 
@@ -412,7 +412,7 @@ def test_early_failure_builds_little_of_the_low_table(monkeypatch, f2):
     # returns candidate 24 after the first piece
     built = _spy_half_tables(monkeypatch)
     out = oracle_centrally_essential(catalog.get("H3"), f2, budget=2**27)
-    assert out.artifact["candidate_index"] == 24
+    assert out.details["candidate_index"] == 24
     assert sum(hi - lo for negate, lo, hi in built if not negate) < 2**10
 
 
@@ -421,7 +421,7 @@ def test_late_failure_stops_at_its_rref(monkeypatch, f2):
     # the RREFs stop there, after fewer than 257 candidates, whose products
     # are formed in a few growing batches
     out, tested, batches = _scan_rrefs(monkeypatch, catalog.get("D48"), f2, budget=2**62)
-    assert out.artifact["candidate_index"] == 257
+    assert out.details["candidate_index"] == 257
     assert tested[-1] == 257 and len(tested) < 257
     assert len(batches) <= 4
 
@@ -489,10 +489,10 @@ class TestSocle:
     def test_counterexample_group_negative(self, f2):
         soc = socle_centrally_essential(catalog.p5_class3_group(2), f2)
         assert soc.verdict == NOT_ESSENTIAL
-        assert soc.excess is not None and not soc.excess.flags.writeable
+        assert soc.witness is not None and not soc.witness.flags.writeable
         alg = GroupAlgebra(catalog.p5_class3_group(2), f2)
-        assert not alg.is_central(soc.excess)
-        ok, _ = candidate_admits_central_multiple(alg, soc.excess)
+        assert not alg.is_central(soc.witness)
+        ok, _ = candidate_admits_central_multiple(alg, soc.witness)
         assert not ok
 
     def test_trivial_group(self, f2):
@@ -579,11 +579,11 @@ def test_socle_containment_matches_rank_reference(monkeypatch, spec, p, k):
                         lambda a, x: central_calls.append(x) or is_central(a, x))
     monkeypatch.setattr(Matrix, "rank", lambda m: rank_calls.append(m) or rank(m))
     soc = socle_centrally_essential(g, fld)
-    assert (soc.verdict, soc.socle_dim) == (verdict, rows.shape[0])
+    assert (soc.verdict, soc.details["socle_dim"]) == (verdict, rows.shape[0])
     if excess is None:
-        assert soc.excess is None and not central_calls and not rank_calls
+        assert soc.witness is None and not central_calls and not rank_calls
     else:
-        assert soc.excess.tolist() == excess.tolist()
+        assert soc.witness.tolist() == excess.tolist()
         # the class-constancy verdict is checked once, by the commutation route
         assert [x.tolist() for x in central_calls] == [excess.tolist()]
 
@@ -626,12 +626,12 @@ def test_quotient_chain_matches_fg_chain(spec, p, k):
     assert decision._radical_annihilator(alg).tolist() == rows.tolist()
     outside = (rows != rows[:, g.conjugacy.rep]).any(axis=1)
     soc = socle_centrally_essential(g, fld)
-    assert soc.socle_dim == rows.shape[0]
+    assert soc.details["socle_dim"] == rows.shape[0]
     if outside.any():
         assert soc.verdict == NOT_ESSENTIAL
-        assert soc.excess.tolist() == rows[np.argmax(outside)].tolist()
+        assert soc.witness.tolist() == rows[np.argmax(outside)].tolist()
     else:
-        assert soc.verdict == ESSENTIAL and soc.excess is None
+        assert soc.verdict == ESSENTIAL and soc.witness is None
 
 
 def _basis_row(n: int, i: int) -> np.ndarray:

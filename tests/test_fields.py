@@ -102,6 +102,36 @@ class TestConstruction:
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 2), (3, 5), (2, 10)])
+def test_pow_matches_repeated_mul_and_inv(p, k):
+    F = field_make(p, k)
+    for a in sorted(set(range(0, F.order, max(1, F.order // 40))) | {F.order - 1}):
+        for e in range(-4, 10):
+            if a == 0 and e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    F.pow(a, e)
+                continue
+            base, out = (a if e >= 0 else F.inv(a)), 1
+            for _ in range(abs(e)):
+                out = F.mul(out, base)
+            assert F.pow(a, e) == out, (a, e)
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8), (3, 5)])
+def test_find_generator_is_least_of_full_order(p, k):
+    # the multiplicative order of each element by a scalar walk
+    F = GF(p, k)
+
+    def order(x):
+        t, y = 1, x
+        while y != 1:
+            y, t = F._mul_scalar(y, x), t + 1
+        return t
+
+    least = next(x for x in range(1, F.order) if order(x) == F.order - 1)
+    assert F._find_generator() == least
+
+
 def _span_size(field, rows):
     """Independent oracle for rank: count the distinct row combinations."""
     vecs = {tuple(np.zeros(rows.shape[1], dtype=int))}

@@ -15,7 +15,13 @@ from cealg.groups import (
     group_from_generators,
     semidirect_product,
 )
-from reference import elem_abelian_by_factors, element_orders, fingerprint, index_of_label
+from reference import (
+    REFERENCE_SPECS,
+    elem_abelian_by_factors,
+    element_orders,
+    fingerprint,
+    index_of_label,
+)
 
 # a Latin square with identity and two-sided inverses that is not associative
 NONASSOC_LOOP = [
@@ -308,8 +314,6 @@ class TestJsonShapes:
 
 
 # -- the array analyses against scalar loops over the table ---------------------
-
-REFERENCE_SPECS = [f"order16:{i}" for i in range(1, 15)] + ["S3", "D12", "Q8 x C3"]
 
 
 def _orders_ref(g):
