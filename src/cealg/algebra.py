@@ -2,10 +2,13 @@
 
 Elements are dense int64 coefficient rows indexed by group element, with no
 class of their own; the product is the convolution induced by the Cayley
-table, formed by the one kernel `_mul_arrays`.  The class sums, which span
-the center, are one read-only array of coefficient rows, and both
-center-membership tests (commuting with every basis element, and constancy
-on conjugacy classes) are kept side by side as mutual checks.
+table, formed by the one kernel `_mul_arrays` for whole stacks of rows at
+once, either as gathered products (BLAS, for dense operands) or as sums
+over support pairs (for sparse ones), whichever its support counts say is
+cheaper.  The class sums, which span the center, are one read-only array
+of coefficient rows, and both center-membership tests (commuting with every
+basis element, and constancy on conjugacy classes) are kept side by side as
+mutual checks.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fields
 from .fields import GF, Matrix
 from .groups import FiniteGroup
 
@@ -29,17 +33,84 @@ class GroupAlgebra:
     # -- multiplication kernels ------------------------------------------------
 
     def _mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The product x y of a coefficient vector x with y, a coefficient
-        vector of shape (n,) or a block of them as the columns of an (n, d)
-        array.
+        """The row-wise products x_i y_i of two stacks of coefficient rows,
+        each of shape (r, n).  Either operand may be a single row, of shape
+        (n,) or (1, n), paired with every row of the other; the result is
+        the stack of products, of shape (n,) when both operands are (n,).
 
-        (x y)[j] = sum over h in supp x of x[h] * y[h^-1 j]: one gathered
-        product over the support of x, so a sparse x costs |supp x| rows of
-        y per result row and no n x n multiplication matrix is formed.
+        (x y)[hg] sums x[h] y[g] over h in supp x and g in supp y.  A row
+        pair costs |supp x_i| n entries as a gathered product (BLAS), and
+        |supp x_i| |supp y_i| as support pairs; over the whole stack, the
+        kernel takes the pairs when fields._PAIR_COST times their count is
+        below the count of gathered entries.  No n x n multiplication matrix
+        is formed either way.
         """
+        n = self.dim
+        xs, ys = (x[None] if x.ndim == 1 else x), (y[None] if y.ndim == 1 else y)
+        r = len(ys) if len(xs) == 1 else len(xs)
+        nx = int(np.count_nonzero(xs))
+        if len(xs) > 1 and len(ys) > 1:  # row by row: the support sizes
+            cx = (xs != 0).sum(1)
+            pairs = int(cx @ (cx if ys is xs else (ys != 0).sum(1)))
+        else:
+            pairs = nx * int(np.count_nonzero(ys))
+        gathered = n * nx * (r if len(xs) == 1 else 1)
+        single = x.ndim == 1 and y.ndim == 1
+        if fields._PAIR_COST * pairs < gathered:
+            out = self._mul_pairs(xs, ys, r)
+            return out[0] if single else out
+        if len(xs) == 1:
+            return self._mul_gather(xs[0], y if single else ys)
+        out = np.empty((r, n), dtype=np.int64)
+        for i, xi in enumerate(xs):
+            out[i] = self._mul_gather(xi, ys[i if len(ys) > 1 else 0])
+        return out
+
+    def _mul_gather(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x y for one row x and one row y, or x y_i for every row of a
+        stack y, as one gathered product: (x y)[j] sums x[h] y[h^-1 j] over
+        h in supp x."""
         g = self.group
         nz = np.nonzero(x)[0]
-        return self.field.vmatmul(x[nz], y, take=g.table[g.inv[nz]])
+        take = g.table[g.inv[nz]]
+        if y.ndim == 1:
+            return self.field.vmatmul(x[nz], y, take=take)
+        return self.field.vmatmul(x[nz], np.ascontiguousarray(y.T), take=take).T
+
+    def _mul_pairs(self, xs: np.ndarray, ys: np.ndarray, r: int) -> np.ndarray:
+        """x_i y_i as support pairs, in blocks of rows of at most
+        fields._PAIRS bins (one row at least)."""
+        step = max(1, fields._PAIRS // self.dim)
+        if r <= step:
+            return self._pair_rows(xs, ys, 0, r)
+        out = np.empty((r, self.dim), dtype=np.int64)
+        for lo in range(0, r, step):
+            out[lo : lo + step] = self._pair_rows(xs, ys, lo, min(step, r - lo))
+        return out
+
+    def _pair_rows(self, xs: np.ndarray, ys: np.ndarray, lo: int, rows: int) -> np.ndarray:
+        """Rows lo..lo+rows-1 of the products: x[h] y[g] summed at hg by
+        `GF.vsum_at`, in blocks of at most fields._PAIRS pairs (or the pairs
+        of one element of x with its row of y)."""
+        F, n, t = self.field, self.dim, self.group.table.ravel()
+        xi, xh, xv = _entries(xs, lo, rows)
+        yi, yg, yv = (xi, xh, xv) if ys is xs else _entries(ys, lo, rows)
+        cy = np.bincount(yi, minlength=rows)
+        rep = cy[xi]  # pairs of each entry of x, with the entries of its row of y
+        cum = np.cumsum(rep)
+        # pair k of a block is entry e of x with entry k + start[e] of y
+        start = (np.cumsum(cy) - cy)[xi] - cum + rep
+        acc, a = None, 0
+        while a < xi.size:
+            done = int(cum[a - 1]) if a else 0
+            b = xi.size if cum[-1] - done <= fields._PAIRS else max(
+                a + 1, int(np.searchsorted(cum, done + fields._PAIRS, "right")))
+            e = np.repeat(np.arange(a, b), rep[a:b])
+            f = np.repeat(start[a:b] + done, rep[a:b])
+            f += np.arange(f.size)
+            part = F.vsum_at(xi[e] * n + t[xh[e] * n + yg[f]], F.vmul(xv[e], yv[f]), rows * n)
+            acc, a = part if acc is None else F.vadd(acc, part), b
+        return np.zeros((rows, n), dtype=np.int64) if acc is None else acc.reshape(rows, n)
 
     def right_mult_matrix(self, y: np.ndarray) -> Matrix:
         """Matrix RM with (x y) = x @ RM for row vectors x."""
@@ -107,3 +178,15 @@ class GroupAlgebra:
             raise RuntimeError("center membership routes disagree; this is a bug")
         return commutes
 
+
+def _entries(a: np.ndarray, lo: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Row (counted from lo), column and value of every nonzero entry of
+    rows lo..lo+rows-1 of a stack, in row order; a single row stands for
+    each of them."""
+    if len(a) == 1:
+        j = np.flatnonzero(a[0] != 0)
+        return np.repeat(np.arange(rows), j.size), np.tile(j, rows), np.tile(a[0, j], rows)
+    k = np.flatnonzero(a[lo : lo + rows] != 0)
+    i = k // a.shape[1]
+    j = k - i * a.shape[1]
+    return i, j, a[lo + i, j]

@@ -14,7 +14,8 @@ other:
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
   center -- one nullspace chain, run in F[G/Z] for the center Z, plus a
-  class-constancy test;
+  class-constancy test; it first checks that the radical rows are
+  nilpotent, squaring bounded blocks of them in one product per level;
 * the structural route applies the Sylow-decomposition reduction, the
   class <= 2 shortcut, and for class > 2 groups with the central-coset
   property a constructive non-essentiality witness g * (sum of the center),
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import fields
 from .algebra import GroupAlgebra
 from .fields import GF, Matrix
 from .groups import FiniteGroup
@@ -124,11 +126,11 @@ def candidate_admits_central_multiple(
     """Whether some central c makes (r c) a nonzero central element.
 
     Works on the subspace rC spanned by the rows r * Sigma_K, formed as
-    one product of r with the class sums of alg.center_basis as columns:
+    one product of r with the class-sum rows of alg.center_basis:
     dim(rC /\\ C) = rank(rC) + dim C - rank(rC + C).
     """
     F = alg.field
-    m1 = Matrix(F, alg._mul_arrays(coeffs, alg.center_basis.T).T)
+    m1 = Matrix(F, alg._mul_arrays(coeffs, alg.center_basis))
     r1 = m1.rank()
     zmat, _ = alg.center_matrix
     r2 = m1.vstack(zmat).rank()
@@ -369,6 +371,16 @@ def _radical_basis(alg: GroupAlgebra) -> list[np.ndarray]:
     return list(links) + [s for s, size in zip(alg.center_basis, sizes) if size > 1]
 
 
+def _row_blocks(rows: list[np.ndarray], n: int):
+    """The rows, each of length n, stacked in blocks of at most
+    fields._PAIRS entries (one row at least): the products of a block fill
+    one block of the product kernel's bins, and no stack of all the rows is
+    formed."""
+    step = max(1, fields._PAIRS // n)
+    for lo in range(0, len(rows), step):
+        yield np.stack(rows[lo : lo + step])
+
+
 def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     """RREF basis rows of the socle ann_FG(J), J the radical of C(FG), for
     a p-group G over characteristic p, computed in F[G/Z], Z the center.
@@ -400,9 +412,11 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     for kbar in images:
         if not kbar.any():
             continue
-        restricted = qalg._mul_arrays(kbar, basis)
+        restricted = qalg._mul_arrays(kbar, basis.T).T
         if not restricted.any():
             continue  # Kbar already annihilates the running space
+        if first:
+            basis = None  # the identity is not needed past its product
         ker = Matrix(F, restricted).nullspace()
         if ker.rows == 0:
             basis = np.zeros((m, 0), dtype=np.int64)
@@ -429,14 +443,16 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
     alg = GroupAlgebra(group, fld)
     n = group.n
     rad = _radical_basis(alg)
-    for b in rad:
-        # the radical description rests on these being nilpotent; guard it.
-        # b is nilpotent iff b^n = 0 iff b^(2^m) = 0 for 2^m >= n, and
-        # repeated squaring can stop at the first zero
-        x, e = b, 1
-        while e < n and x.any():
-            x, e = alg._mul_arrays(x, x), 2 * e
-        if x.any():
+    for x in _row_blocks(rad, n):
+        # the radical description rests on these rows being nilpotent; guard
+        # it.  b is nilpotent iff b^n = 0 iff b^(2^m) = 0 for 2^m >= n: each
+        # level squares the live rows of a block in one product, and a row
+        # leaves at its first zero power
+        x, e = x[x.any(axis=1)], 1
+        while e < n and len(x):
+            x = alg._mul_arrays(x, x)
+            x, e = x[x.any(axis=1)], 2 * e
+        if len(x):
             raise CrossValidationError("radical basis element is not nilpotent")
     socle_rows = _radical_annihilator(alg)
     socle_dim = socle_rows.shape[0]
@@ -449,7 +465,7 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
     excess.setflags(write=False)
     if alg.is_central(excess):
         raise CrossValidationError("socle excess vector is central")
-    if any(alg._mul_arrays(b, excess).any() for b in rad):
+    if any(alg._mul_arrays(block, excess).any() for block in _row_blocks(rad, n)):
         raise CrossValidationError("socle vector not annihilated by the radical")
     ok, artifact = candidate_admits_central_multiple(alg, excess)
     if ok:

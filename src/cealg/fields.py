@@ -27,6 +27,11 @@ MAX_ORDER = 1 << 16
 TABLE_ORDER = 1 << 8
 # entries in one gathered block of a vmatmul operand
 _GATHER = 1 << 19
+# support pairs, and output bins, in one block of a grouped sum of products
+_PAIRS = 1 << 13
+# gathered entries that cost as much as one support pair, measured on the
+# socle decider's products (see GroupAlgebra._mul_arrays)
+_PAIR_COST = 4
 # float64 integer sums are exact below this; a product with inner dimension
 # up to the largest group order, 2^13, over a field of order up to MAX_ORDER
 # stays below 2^46
@@ -279,6 +284,28 @@ class GF:
             s = (dig.sum(0 if axis is None else axis % np.ndim(a)) % self.p) @ self._pmat
         return s if axis is not None else int(s)
 
+    def vsum_at(self, idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+        """Grouped field sum: entry i of the result, for i < size, is the sum
+        of the vals[j] with idx[j] == i.
+
+        One float64 bincount per base-p digit plane, exact while every bin
+        sums fewer than 2^53 / (p - 1) entries; the digit sums are reduced
+        mod p and put back together in base p.
+        """
+        p = self.p
+        if len(vals) * (p - 1) >= EXACT_FLOAT:
+            raise ValueError(f"{len(vals)} entries too many for exact float64 sums over {self}")
+        out = None
+        for plane in self._planes(vals)[::-1]:
+            s = np.bincount(idx, weights=plane, minlength=size).astype(np.int64)
+            np.remainder(s, p, out=s, where=s >= p)  # most bins are below p
+            if out is None:
+                out = s
+            else:
+                out *= p
+                out += s
+        return out
+
     def vmatmul(
         self, a: np.ndarray, b: np.ndarray, take: np.ndarray | None = None
     ) -> np.ndarray:
@@ -310,6 +337,9 @@ class GF:
         s, t = take.shape
         width = b.size // b.shape[0]  # entries per row of b
         rows = max(1, _GATHER // max(1, k * s * width))
+        if t <= rows:  # one block
+            return self._plane_product(da, db[:, take].reshape(k, s, t * width)).reshape(
+                (t,) + b.shape[1:])
         out = np.empty(t * width, dtype=np.int64)
         for lo in range(0, t, rows):
             blk = take[:, lo : lo + rows]

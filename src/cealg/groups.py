@@ -380,7 +380,8 @@ class FiniteGroup:
 
     def central_coset_condition(self) -> tuple[bool, dict]:
         """Whether each non-central element's class absorbs a coset of a
-        non-trivial central subgroup.
+        non-trivial central subgroup, with the violator or the central
+        element found for each class; evaluated once per group.
 
         Searching cyclic central subgroups only is enough: any non-trivial
         subgroup of the center contains a non-trivial cyclic one, and the
@@ -388,6 +389,10 @@ class FiniteGroup:
         classes (conjugating g carries gH onto the same class), so one
         representative per class is checked.
         """
+        return self._central_coset
+
+    @cached_property
+    def _central_coset(self) -> tuple[bool, dict]:
         t, cp = self.table, self.conjugacy
         cyclic: dict[int, np.ndarray] = {}  # central z -> the subgroup <z>
         cert: dict[int, int] = {}

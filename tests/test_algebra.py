@@ -218,23 +218,60 @@ class TestCenterSumAnnihilation:
         assert not alg._mul_arrays(sig_z, sig_h).any()
 
 
+# GF(2^10) multiplies through its log/exp tables; its gathered products run
+# 100 digit-plane products, so it takes the two smallest groups only
+PRODUCT_CASES = [(p, k, spec) for p, k in [(2, 1), (5, 1), (2, 2), (5, 2)]
+                 for spec in ["D8", "Q8 x C3", "H5", "prop29:3"]]
+PRODUCT_CASES += [(2, 10, "D8"), (2, 10, "Q8 x C3")]
+
+
 @pytest.mark.parametrize("gather", [fields._GATHER, 7])
-@pytest.mark.parametrize("spec", ["D8", "Q8 x C3", "H5", "prop29:3"])
-@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (2, 2), (5, 2)])
+@pytest.mark.parametrize("p,k,spec", PRODUCT_CASES)
 def test_block_product_matches_left_mult_matrix(spec, p, k, gather, rng, monkeypatch):
-    # a small gather limit splits every product into many row blocks
-    monkeypatch.setattr(fields, "_GATHER", gather)
+    # both evaluations of _mul_arrays against the dense left_mult_matrix,
+    # row by row; small limits split every product into many gathered
+    # blocks, into one row of bins per block, and into pair blocks smaller
+    # than one element's pairs with a dense row
     g, F = catalog.get(spec), field_make(p, k)
     alg = GroupAlgebra(g, F)
-    n = g.n
-    sparse = np.zeros(n, dtype=np.int64)
-    sparse[[0, n - 1]] = [1, F.neg(1)]
-    dense = rng.integers(0, F.order, size=n).astype(np.int64)
-    for x in (sparse, dense, np.zeros(n, dtype=np.int64)):
-        lm = alg.left_mult_matrix(x)
-        for d in (1, 7, n):
-            y = rng.integers(0, F.order, size=(n, d)).astype(np.int64)
-            want = lm.matmul(Matrix(F, y)).data
-            assert (alg._mul_arrays(x, y) == want).all()
-        # a vector is the block of one column
-        assert (alg._mul_arrays(x, y[:, 0]) == want[:, 0]).all()
+    n, r = g.n, 5
+    monkeypatch.setattr(fields, "_GATHER", gather)
+    if gather < n:
+        monkeypatch.setattr(fields, "_PAIRS", n // 2 + 1)
+    sparse = np.zeros((r, n), dtype=np.int64)
+    for row in sparse[1:]:
+        row[rng.choice(n, size=3, replace=False)] = rng.integers(1, F.order, size=3)
+    dense = rng.integers(0, F.order, size=(r, n)).astype(np.int64)
+    dense[3] = 0
+    stacks = {"sparse": sparse, "dense": dense}
+    # every row times every row, by the reference
+    want = {(a, b): np.stack([[alg.left_mult_matrix(x).matmul(Matrix(F, y[:, None])).data[:, 0]
+                               for y in stacks[b]] for x in stacks[a]])
+            for a in stacks for b in stacks}
+    ran = []
+
+    def spy(name):
+        evaluation = getattr(GroupAlgebra, name)
+        return lambda self, *args: ran.append(name) or evaluation(self, *args)
+
+    for name in ("_mul_pairs", "_mul_gather"):
+        monkeypatch.setattr(GroupAlgebra, name, spy(name))
+    # a ratio of 0 takes the support pairs whenever there are any, a huge
+    # one never does
+    for cost in (0, 1 << 62):
+        monkeypatch.setattr(fields, "_PAIR_COST", cost)
+        ran.clear()
+        for (a, b), table in want.items():
+            xs, ys, rows = stacks[a], stacks[b], np.arange(r)
+            assert (alg._mul_arrays(xs, ys) == table[rows, rows]).all()
+            # a single row on either side, of shape (n,) or (1, n)
+            assert (alg._mul_arrays(xs[1], ys) == table[1]).all()
+            assert (alg._mul_arrays(xs[2:3], ys) == table[2]).all()
+            assert (alg._mul_arrays(xs, ys[1]) == table[:, 1]).all()
+            assert (alg._mul_arrays(xs, ys[2:3]) == table[:, 2]).all()
+            assert (alg._mul_arrays(xs[1], ys[2]) == table[1, 2]).all()
+            # an empty stack gives an empty stack
+            assert alg._mul_arrays(xs[:0], ys[0]).shape == alg._mul_arrays(xs[0], ys[:0]).shape == (0, n)
+        # one stack as both operands, as the nilpotency guard squares
+        assert (alg._mul_arrays(dense, dense) == want["dense", "dense"][rows, rows]).all()
+        assert ("_mul_pairs" in ran) == (cost == 0) and "_mul_gather" in ran

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cealg import catalog, decision
+from cealg import catalog, decision, fields
 from cealg.algebra import GroupAlgebra
 from cealg.decision import (
     DEFAULT_BUDGET,
@@ -596,7 +596,7 @@ def _fg_chain_rows(alg: GroupAlgebra) -> np.ndarray:
     rad = decision._radical_basis(alg)
     basis, first = np.eye(n, dtype=np.int64), True
     for b in rad:
-        restricted = alg._mul_arrays(b, basis)
+        restricted = alg._mul_arrays(b, basis.T).T
         if not restricted.any():
             continue  # b already annihilates the running space
         ker = Matrix(F, restricted).nullspace()
@@ -673,6 +673,68 @@ def test_central_excess_is_refused(monkeypatch, f2):
     monkeypatch.setattr(GroupAlgebra, "is_central", lambda a, x: True)
     with pytest.raises(decision.CrossValidationError, match="socle excess vector is central"):
         socle_centrally_essential(catalog.p5_class3_group(2), f2)
+
+
+def test_guard_squares_each_block_at_most_log_n_times(monkeypatch, f2):
+    # D256: the guard squares every live radical row of a block in one
+    # product per level, at most ceil(log2 256) = 8 levels; one squaring per
+    # row and level made 324 products
+    g = catalog.get("D256")
+    squarings, mul = [], GroupAlgebra._mul_arrays
+
+    def counting(alg, x, y):
+        if alg.group is g and x is y:
+            squarings.append(len(x))
+        return mul(alg, x, y)
+
+    monkeypatch.setattr(GroupAlgebra, "_mul_arrays", counting)
+    assert socle_centrally_essential(g, f2).verdict == ESSENTIAL
+    rows = len(decision._radical_basis(GroupAlgebra(g, f2)))
+    blocks = -(-rows // max(1, fields._PAIRS // g.n))
+    assert 0 < len(squarings) <= 8 * blocks
+    assert max(squarings) <= max(1, fields._PAIRS // g.n)
+
+
+@pytest.mark.parametrize("spec,p,bound", [
+    # the stacked blocks of radical rows and their products and bins stay
+    # within 0.1 MB of one product per row (1.15 MB; 3.3 MB when one block
+    # held all 144 radical rows)
+    ("H5 x C5", 5, 1.25 * 2**20),
+    # the chain's first link dominates (18.1 MB when its product was
+    # gathered and the identity basis lived through its nullspace)
+    ("D1024", 2, 19.1 * 2**20),
+])
+def test_socle_peak_memory(spec, p, bound):
+    g, F = catalog.get(spec), field_make(p)
+    g.conjugacy, g.center  # the group's analyses are built before tracing
+    tracemalloc.start()
+    try:
+        socle_centrally_essential(g, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
+
+
+@pytest.mark.parametrize("method", ["auto", "structural"])
+def test_central_coset_condition_evaluated_once(monkeypatch, f3, method):
+    # decide and witness_not_ce both ask for the predicate on a negative
+    # verdict; the group evaluates it once
+    evaluated = []
+    body = FiniteGroup._central_coset.func
+
+    def counting(group):
+        evaluated.append(group)
+        return body(group)
+
+    prop = cached_property(counting)
+    prop.__set_name__(FiniteGroup, "_central_coset")
+    monkeypatch.setattr(FiniteGroup, "_central_coset", prop)
+    g = catalog.get("prop29:3")
+    g.__dict__.pop("_central_coset", None)  # evaluated afresh
+    report = decide(g, f3, method)
+    assert report.verdict == NOT_ESSENTIAL and report.witnesses
+    assert len(evaluated) == 1
 
 
 class TestDecomposition:

@@ -117,6 +117,27 @@ def test_pow_matches_repeated_mul_and_inv(p, k):
             assert F.pow(a, e) == out, (a, e)
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (2, 2), (5, 2), (2, 10)])
+def test_vsum_at_matches_scalar_adds(p, k):
+    # repeated indices sum, absent ones stay 0, as a loop of GF.add does
+    F, rng = field_make(p, k), np.random.default_rng(p * 100 + k)
+    size = 23
+    for length in (0, 1, 40, 500):
+        idx = rng.integers(0, size - 3, size=length)  # the last bins stay absent
+        vals = rng.integers(0, F.order, size=length)
+        want = [0] * size
+        for i, v in zip(idx.tolist(), vals.tolist()):
+            want[i] = F.add(want[i], v)
+        got = F.vsum_at(idx, vals, size)
+        assert got.dtype == np.int64 and got.tolist() == want
+    # one bin that every entry hits
+    vals = np.full(1000, F.order - 1)
+    total = 0
+    for v in vals.tolist():
+        total = F.add(total, v)
+    assert F.vsum_at(np.zeros(1000, dtype=np.int64), vals, 2).tolist() == [total, 0]
+
+
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8), (3, 5)])
 def test_find_generator_is_least_of_full_order(p, k):
     # the multiplicative order of each element by a scalar walk
