@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fields
 from .fields import GF, Matrix
-from .groups import FiniteGroup
+from .groups import FiniteGroup, row_blocks
 
 
 class GroupAlgebra:
@@ -80,22 +80,19 @@ class GroupAlgebra:
     def _mul_pairs(self, xs: np.ndarray, ys: np.ndarray, r: int) -> np.ndarray:
         """x_i y_i as support pairs, in blocks of rows of at most
         fields._PAIRS bins (one row at least)."""
-        step = max(1, fields._PAIRS // self.dim)
-        if r <= step:
-            return self._pair_rows(xs, ys, 0, r)
         out = np.empty((r, self.dim), dtype=np.int64)
-        for lo in range(0, r, step):
-            out[lo : lo + step] = self._pair_rows(xs, ys, lo, min(step, r - lo))
+        for rows in row_blocks(r, self.dim, fields._PAIRS):
+            self._pair_rows(xs, ys, rows, out[rows])
         return out
 
-    def _pair_rows(self, xs: np.ndarray, ys: np.ndarray, lo: int, rows: int) -> np.ndarray:
-        """Rows lo..lo+rows-1 of the products: x[h] y[g] summed at hg by
-        `GF.vsum_at`, in blocks of at most fields._PAIRS pairs (or the pairs
-        of one element of x with its row of y)."""
-        F, n, t = self.field, self.dim, self.group.table.ravel()
-        xi, xh, xv = _entries(xs, lo, rows)
-        yi, yg, yv = (xi, xh, xv) if ys is xs else _entries(ys, lo, rows)
-        cy = np.bincount(yi, minlength=rows)
+    def _pair_rows(self, xs: np.ndarray, ys: np.ndarray, rows: slice, dst: np.ndarray) -> None:
+        """The products of the given rows, written to dst: x[h] y[g] summed
+        at hg by `GF.vsum_at`, in blocks of at most fields._PAIRS pairs (or
+        the pairs of one element of x with its row of y)."""
+        F, n, t, m = self.field, self.dim, self.group.table.ravel(), len(dst)
+        xi, xh, xv = _entries(xs, rows, m)
+        yi, yg, yv = (xi, xh, xv) if ys is xs else _entries(ys, rows, m)
+        cy = np.bincount(yi, minlength=m)
         rep = cy[xi]  # pairs of each entry of x, with the entries of its row of y
         cum = np.cumsum(rep)
         # pair k of a block is entry e of x with entry k + start[e] of y
@@ -108,9 +105,9 @@ class GroupAlgebra:
             e = np.repeat(np.arange(a, b), rep[a:b])
             f = np.repeat(start[a:b] + done, rep[a:b])
             f += np.arange(f.size)
-            part = F.vsum_at(xi[e] * n + t[xh[e] * n + yg[f]], F.vmul(xv[e], yv[f]), rows * n)
+            part = F.vsum_at(xi[e] * n + t[xh[e] * n + yg[f]], F.vmul(xv[e], yv[f]), m * n)
             acc, a = part if acc is None else F.vadd(acc, part), b
-        return np.zeros((rows, n), dtype=np.int64) if acc is None else acc.reshape(rows, n)
+        dst[:] = 0 if acc is None else acc.reshape(m, n)
 
     def right_mult_matrix(self, y: np.ndarray) -> Matrix:
         """Matrix RM with (x y) = x @ RM for row vectors x."""
@@ -179,14 +176,15 @@ class GroupAlgebra:
         return commutes
 
 
-def _entries(a: np.ndarray, lo: int, rows: int) -> tuple[np.ndarray, ...]:
-    """Row (counted from lo), column and value of every nonzero entry of
-    rows lo..lo+rows-1 of a stack, in row order; a single row stands for
-    each of them."""
+def _entries(a: np.ndarray, rows: slice, m: int) -> tuple[np.ndarray, ...]:
+    """Row (counted within the m given rows), column and value of every
+    nonzero entry of those rows of a stack, in row order; a single row
+    stands for each of them."""
     if len(a) == 1:
         j = np.flatnonzero(a[0] != 0)
-        return np.repeat(np.arange(rows), j.size), np.tile(j, rows), np.tile(a[0, j], rows)
-    k = np.flatnonzero(a[lo : lo + rows] != 0)
+        return np.repeat(np.arange(m), j.size), np.tile(j, m), np.tile(a[0, j], m)
+    blk = a[rows]
+    k = np.flatnonzero(blk != 0)
     i = k // a.shape[1]
     j = k - i * a.shape[1]
-    return i, j, a[lo + i, j]
+    return i, j, blk[i, j]

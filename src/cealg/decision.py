@@ -14,8 +14,9 @@ other:
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
   center -- one nullspace chain, run in F[G/Z] for the center Z, plus a
-  class-constancy test; it first checks that the radical rows are
-  nilpotent, squaring bounded blocks of them in one product per level;
+  class-constancy test; before any verdict it checks, one bounded block of
+  radical rows at a time, that they are nilpotent (squaring the block in
+  one product per level) and annihilate the socle's excess vector;
 * the structural route applies the Sylow-decomposition reduction, the
   class <= 2 shortcut, and for class > 2 groups with the central-coset
   property a constructive non-essentiality witness g * (sum of the center),
@@ -38,7 +39,7 @@ import numpy as np
 from . import fields
 from .algebra import GroupAlgebra
 from .fields import GF, Matrix
-from .groups import FiniteGroup
+from .groups import FiniteGroup, row_blocks
 
 DEFAULT_BUDGET = 1 << 20
 INDEX_LIMIT = 1 << 63  # the oracle enumerates fewer candidates than this
@@ -371,16 +372,6 @@ def _radical_basis(alg: GroupAlgebra) -> list[np.ndarray]:
     return list(links) + [s for s, size in zip(alg.center_basis, sizes) if size > 1]
 
 
-def _row_blocks(rows: list[np.ndarray], n: int):
-    """The rows, each of length n, stacked in blocks of at most
-    fields._PAIRS entries (one row at least): the products of a block fill
-    one block of the product kernel's bins, and no stack of all the rows is
-    formed."""
-    step = max(1, fields._PAIRS // n)
-    for lo in range(0, len(rows), step):
-        yield np.stack(rows[lo : lo + step])
-
-
 def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     """RREF basis rows of the socle ann_FG(J), J the radical of C(FG), for
     a p-group G over characteristic p, computed in F[G/Z], Z the center.
@@ -436,37 +427,45 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
     radical basis (see _radical_annihilator), and the containment test asks
     each socle basis row to be constant on conjugacy classes.  A socle
     vector outside C is returned as a certified counterexample (its central
-    multiples form the line it spans, which misses C).  The nilpotency guard
-    and the re-checks of that vector multiply radical basis rows in FG.
+    multiples form the line it spans, which misses C).  Before any verdict,
+    one pass over bounded blocks of the radical basis rows guards their
+    nilpotency and re-checks that they annihilate that vector, in FG.
     """
     _require_p_group(group, fld)
     alg = GroupAlgebra(group, fld)
     n = group.n
     rad = _radical_basis(alg)
-    for x in _row_blocks(rad, n):
-        # the radical description rests on these rows being nilpotent; guard
-        # it.  b is nilpotent iff b^n = 0 iff b^(2^m) = 0 for 2^m >= n: each
-        # level squares the live rows of a block in one product, and a row
-        # leaves at its first zero power
+    socle_rows = _radical_annihilator(alg)
+    socle_dim = socle_rows.shape[0]
+    # a row lies in C exactly when it is constant on classes
+    outside = (socle_rows != socle_rows[:, group.conjugacy.rep]).any(axis=1)
+    excess = None
+    if outside.any():
+        # the first socle basis vector outside the center is the
+        # counterexample; a row of its own, so the basis goes before the guard
+        excess = socle_rows[np.argmax(outside)].copy()
+        excess.setflags(write=False)
+        if alg.is_central(excess):
+            raise CrossValidationError("socle excess vector is central")
+    del socle_rows
+    for rows in row_blocks(len(rad), n, fields._PAIRS):
+        # the radical description rests on its rows being nilpotent; guard
+        # it before any verdict.  b is nilpotent iff b^n = 0 iff b^(2^m) = 0
+        # for 2^m >= n: each level squares the live rows of a block in one
+        # product, and a row leaves at its first zero power.  The block is
+        # stacked once, and first re-checks that it annihilates the excess
+        x = np.stack(rad[rows])
+        stray = excess is not None and alg._mul_arrays(x, excess).any()
         x, e = x[x.any(axis=1)], 1
         while e < n and len(x):
             x = alg._mul_arrays(x, x)
             x, e = x[x.any(axis=1)], 2 * e
         if len(x):
             raise CrossValidationError("radical basis element is not nilpotent")
-    socle_rows = _radical_annihilator(alg)
-    socle_dim = socle_rows.shape[0]
-    # a row lies in C exactly when it is constant on classes
-    outside = (socle_rows != socle_rows[:, group.conjugacy.rep]).any(axis=1)
-    if not outside.any():
+        if stray:
+            raise CrossValidationError("socle vector not annihilated by the radical")
+    if excess is None:
         return Outcome(ESSENTIAL, {"socle_dim": socle_dim})
-    # the first socle basis vector outside the center is the counterexample
-    excess = socle_rows[np.argmax(outside)]
-    excess.setflags(write=False)
-    if alg.is_central(excess):
-        raise CrossValidationError("socle excess vector is central")
-    if any(alg._mul_arrays(block, excess).any() for block in _row_blocks(rad, n)):
-        raise CrossValidationError("socle vector not annihilated by the radical")
     ok, artifact = candidate_admits_central_multiple(alg, excess)
     if ok:
         raise CrossValidationError("socle excess vector failed the rank re-verification")

@@ -337,9 +337,6 @@ class GF:
         s, t = take.shape
         width = b.size // b.shape[0]  # entries per row of b
         rows = max(1, _GATHER // max(1, k * s * width))
-        if t <= rows:  # one block
-            return self._plane_product(da, db[:, take].reshape(k, s, t * width)).reshape(
-                (t,) + b.shape[1:])
         out = np.empty(t * width, dtype=np.int64)
         for lo in range(0, t, rows):
             blk = take[:, lo : lo + rows]

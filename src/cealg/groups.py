@@ -35,10 +35,11 @@ ORDER_CAP = 1 << 13
 BLOCK_ENTRIES = 1 << 16
 
 
-def row_blocks(n: int, width: int | None = None) -> Iterator[slice]:
+def row_blocks(n: int, width: int | None = None, entries: int | None = None) -> Iterator[slice]:
     """Slices of the n rows of a table with `width` entries a row (n if not
-    given), each of about BLOCK_ENTRIES entries and at least one row."""
-    rows = max(1, BLOCK_ENTRIES // (width or n))
+    given), each of about `entries` entries (BLOCK_ENTRIES if not given)
+    and at least one row."""
+    rows = max(1, (entries or BLOCK_ENTRIES) // (width or n))
     for lo in range(0, n, rows):
         yield slice(lo, lo + rows)
 

@@ -244,9 +244,10 @@ def test_block_product_matches_left_mult_matrix(spec, p, k, gather, rng, monkeyp
     dense = rng.integers(0, F.order, size=(r, n)).astype(np.int64)
     dense[3] = 0
     stacks = {"sparse": sparse, "dense": dense}
-    # every row times every row, by the reference
-    want = {(a, b): np.stack([[alg.left_mult_matrix(x).matmul(Matrix(F, y[:, None])).data[:, 0]
-                               for y in stacks[b]] for x in stacks[a]])
+    # every row times every row, by the reference: want[a, b][i, j] is
+    # x_i y_j, one column of left_mult_matrix(x_i) times the stack of y's
+    lms = {a: [alg.left_mult_matrix(x) for x in stacks[a]] for a in stacks}
+    want = {(a, b): np.stack([lm.matmul(Matrix(F, stacks[b].T)).data.T for lm in lms[a]])
             for a in stacks for b in stacks}
     ran = []
 

@@ -28,7 +28,7 @@ from cealg.decision import (
     witness_not_ce,
 )
 from cealg.fields import Matrix, field_make
-from cealg.groups import FiniteGroup
+from cealg.groups import FiniteGroup, row_blocks
 from reference import (
     basis,
     batched_ranks,
@@ -690,9 +690,9 @@ def test_guard_squares_each_block_at_most_log_n_times(monkeypatch, f2):
     monkeypatch.setattr(GroupAlgebra, "_mul_arrays", counting)
     assert socle_centrally_essential(g, f2).verdict == ESSENTIAL
     rows = len(decision._radical_basis(GroupAlgebra(g, f2)))
-    blocks = -(-rows // max(1, fields._PAIRS // g.n))
-    assert 0 < len(squarings) <= 8 * blocks
-    assert max(squarings) <= max(1, fields._PAIRS // g.n)
+    blocks = list(row_blocks(rows, g.n, fields._PAIRS))
+    assert 0 < len(squarings) <= 8 * len(blocks)
+    assert max(squarings) <= blocks[0].stop
 
 
 @pytest.mark.parametrize("spec,p,bound", [
