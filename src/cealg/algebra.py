@@ -120,8 +120,8 @@ class GroupAlgebra:
     def left_mult_matrix(self, x: np.ndarray) -> Matrix:
         """Matrix LM with (x y) = LM @ y for column vectors y.
 
-        No decider builds it: it is the independent dense reference that the
-        tests hold `_mul_arrays` to, and perfbench's tracer looks it up by name.
+        The socle chain's first link in F[G/Z] is one; it is also the
+        independent dense reference that the tests hold `_mul_arrays` to.
         """
         n, t = self.dim, self.group.table
         lm = np.zeros((n, n), dtype=np.int64)

@@ -13,7 +13,8 @@ other:
   refuses above its budget and at q^|G| >= 2^63, beyond the int64 index;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
-  center -- one nullspace chain, run in F[G/Z] for the center Z, plus a
+  center -- one nullspace loop in F[G/Z] for the center Z, from the first
+  link's multiplication matrix to one RREF lifted to FG, plus a
   class-constancy test; before any verdict it checks, one bounded block of
   radical rows at a time, that they are nilpotent (squaring the block in
   one product per level) and annihilate the socle's excess vector;
@@ -134,7 +135,7 @@ def candidate_admits_central_multiple(
     m1 = Matrix(F, alg._mul_arrays(coeffs, alg.center_basis))
     r1 = m1.rank()
     zmat, _ = alg.center_matrix
-    r2 = m1.vstack(zmat).rank()
+    r2 = Matrix(F, np.vstack([m1.data, zmat.data])).rank()
     d = len(alg.center_basis)
     inter = r1 + d - r2
     return inter > 0, {"rank_rC": r1, "rank_sum": r2, "center_dim": d, "intersection_dim": inter}
@@ -382,9 +383,14 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     of y in F[G/Z] is the coefficient of g in y Sigma_Z on the coset gZ.
     So a class sum K annihilates x exactly when Kbar ybar = 0, where
     Kbar[gZ] = |K /\\ gZ|, an integer mod p and so its own encoding in any
-    GF(p^k).  The kernels of the Kbar are intersected in F[G/Z], a link
-    with Kbar = 0 costs no product, and the rows lift to FG constant on
-    cosets.
+    GF(p^k).  The kernels of the Kbar are intersected in F[G/Z], one loop
+    over the nonzero Kbar: the first one's link is its left multiplication
+    matrix, a later one's is its product with the running basis, and a link
+    that is zero costs no nullspace.  No kernel is empty, as Sigma_{G/Z}
+    lies in every one (Kbar Sigma_{G/Z} = |K| Sigma_{G/Z}, and |K| is a
+    power of p).  The RREF is taken in F[G/Z] and lifted to FG by the
+    cosets: they are numbered by their least members, so the lift of an
+    RREF is the RREF of the lift.
     """
     group, F = alg.group, alg.field
     quo, coset_of = group.quotient_map(group.center)
@@ -396,27 +402,25 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     images = images[np.array(cp.sizes) > 1]
     images %= F.p
     qalg = GroupAlgebra(quo, F)
-    # intersect kernels incrementally; columns of basis span the running
-    # space, which starts as the whole of F[G/Z] (the identity basis, so the
-    # first kernel needs no change of coordinates)
-    basis, first = np.eye(m, dtype=np.int64), True
+    # the rows of basis span the running space; None is all of F[G/Z]
+    basis = None
     for kbar in images:
         if not kbar.any():
             continue
-        restricted = qalg._mul_arrays(kbar, basis.T).T
-        if not restricted.any():
-            continue  # Kbar already annihilates the running space
-        if first:
-            basis = None  # the identity is not needed past its product
-        ker = Matrix(F, restricted).nullspace()
-        if ker.rows == 0:
-            basis = np.zeros((m, 0), dtype=np.int64)
-            break
+        if basis is None:
+            link = qalg.left_mult_matrix(kbar)
+        else:
+            restricted = qalg._mul_arrays(kbar, basis)
+            if not restricted.any():
+                continue  # Kbar already annihilates the running space
+            link = Matrix(F, restricted.T)
         # ker rows are coordinates w.r.t. the current basis
-        basis = ker.data.T if first else Matrix(F, basis).matmul(Matrix(F, ker.data.T)).data
-        first = False
-    red, pivots = Matrix(F, basis[coset_of].T).rref()
-    return red.data[: len(pivots)]
+        ker = link.nullspace().data
+        basis = ker if basis is None else F.vmatmul(ker, basis)
+    if basis is None:  # every Kbar is zero: the coset sums span the socle
+        return (coset_of == np.arange(m)[:, None]).astype(np.int64)
+    red, pivots = Matrix(F, basis).rref()
+    return red.data[: len(pivots)][:, coset_of]
 
 
 def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:

@@ -402,10 +402,6 @@ class Matrix:
     data: np.ndarray  # int64, shape (rows, cols)
 
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.data.shape[1]
 
@@ -458,9 +454,6 @@ class Matrix:
 
     def matmul(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, self.field.vmatmul(self.data, other.data))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, np.vstack([self.data, other.data]))
 
 
 def rank_batched(field: GF, mats: np.ndarray) -> np.ndarray:

@@ -349,9 +349,7 @@ class FiniteGroup:
         inside = self._member_mask(members)
         return bool(inside[self.conjugators[:, inside]].all())
 
-    def quotient_map(
-        self, normal: Iterable[int], name: str | None = None
-    ) -> tuple["FiniteGroup", np.ndarray]:
+    def quotient_map(self, normal: Iterable[int]) -> tuple["FiniteGroup", np.ndarray]:
         """G/N for a normal subgroup N, and the coset of every element of G.
 
         Cosets gN are named by their least member, and numbered in that
@@ -373,7 +371,7 @@ class FiniteGroup:
         quo = FiniteGroup._inherited(
             coset_of[t[reps[:, None], reps]],
             coset_of[self.inv[reps]],  # (gN)^-1 = g^-1 N
-            name or f"{self.name}/N{np.count_nonzero(inside)}",
+            f"{self.name}/N{np.count_nonzero(inside)}",
         )
         return quo, coset_of
 
@@ -530,28 +528,25 @@ def group_from_generators(
     return FiniteGroup(table, name, labels)
 
 
-def _fill_pairs(table: np.ndarray, moved: Callable[[slice], np.ndarray], tg: np.ndarray) -> None:
+def _fill_pairs(
+    table: np.ndarray, moved: Callable[[slice, slice], np.ndarray], tg: np.ndarray
+) -> None:
     """Fill the table of pairs (x, c) -> x * m + c, m = |tg|, whose entry in
     row (x, c) and column (x', c') is moved[x, c, x'] * m + tg[c, c'].
 
-    moved(xs) gives moved[xs], with an axis c of length 1 where it does not
-    depend on c.  The table fills by row blocks, and no temporary holds more
-    than a block."""
+    moved(xs, cs) gives moved[xs, cs], with an axis c of length 1 where it
+    does not depend on c.  The table fills a row block of tg at a time:
+    rows (x, c) for the c of the block and a block of x, each moved[x, c]
+    times m with its entries repeated m times, plus tg's row c tiled k
+    times.  No temporary holds more than a block."""
     n, m = table.shape[0], tg.shape[0]
     k = n // m
-    if m * n <= BLOCK_ENTRIES:
-        # blocks of whole x: row (x, c) is moved[x, c], each entry times m
-        # and repeated m times, plus tg's row c tiled k times
-        right = tg[:, None, :].repeat(k, axis=1).reshape(m, n)
-        by_x = table.reshape(k, m, n)
-        for xs in row_blocks(k, m * n):
-            np.add((moved(xs) * m).repeat(m, axis=2), right, out=by_x[xs])
-    else:
-        # the m rows of one x exceed a block, so m > BLOCK_ENTRIES / n >= 8:
-        # tg's rows are added straight into the table, m entries at a time
-        by_pair = table.reshape(k, m, k, m)
-        for x in range(k):
-            np.add((moved(slice(x, x + 1))[0] * m)[:, :, None], tg[:, None, :], out=by_pair[x])
+    by_x = table.reshape(k, m, n)
+    for cs in row_blocks(m, n):
+        right = tg[cs, None, :].repeat(k, axis=1).reshape(-1, n)
+        for xs in row_blocks(k, right.size):
+            np.add((moved(xs, cs) * m).repeat(m, axis=2), right, out=by_x[xs, cs])
+        del right  # freed before the next block's is built
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -561,7 +556,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) ->
         raise ValueError(f"product order {n} exceeds the cap {ORDER_CAP}")
     # pair (x, y) -> x * n2 + y
     table = np.empty((n, n), dtype=np.int32)
-    _fill_pairs(table, lambda xs: g1.table[xs, None, :], g2.table)
+    _fill_pairs(table, lambda xs, cs: g1.table[xs, None, :], g2.table)
     labels = None
     if g1.labels or g2.labels:
         labels = [
@@ -627,7 +622,7 @@ def semidirect_product(
             np.add(tn[:, acts[c]][:, None, :], tg[c][:, None] * nn,
                    out=table[c * nn : (c + 1) * nn].reshape(nn, ng, nn))
     else:
-        _fill_pairs(table, lambda xs: tn[xs][:, acts], tg)
+        _fill_pairs(table, lambda xs, cs: tn[xs][:, acts[cs]], tg)
     # (x, c)^-1 = (action[c^-1](x^-1), c^-1)
     cinv = gamma.inv[:, None]
     xinv = acts[cinv, n_grp.inv]

@@ -600,7 +600,7 @@ def _fg_chain_rows(alg: GroupAlgebra) -> np.ndarray:
         if not restricted.any():
             continue  # b already annihilates the running space
         ker = Matrix(F, restricted).nullspace()
-        if ker.rows == 0:
+        if ker.data.shape[0] == 0:
             basis = np.zeros((n, 0), dtype=np.int64)
             break
         # ker rows are coordinates w.r.t. the current basis
@@ -632,6 +632,39 @@ def test_quotient_chain_matches_fg_chain(spec, p, k):
         assert soc.witness.tolist() == rows[np.argmax(outside)].tolist()
     else:
         assert soc.verdict == ESSENTIAL and soc.witness is None
+
+
+@pytest.mark.parametrize("spec", ["D16", "QD16 x C4", "prop29:3", "H5 x C5"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_rref_lifts_by_cosets(rng, spec, k):
+    # the chain takes its RREF in F[G/Z] and lifts it: cosets are numbered
+    # by their least members, so the lift of an RREF is the RREF of the lift
+    g = catalog.get(spec)
+    fld = field_make(_prime_of(g.n), k)
+    quo, coset_of = g.quotient_map(g.center)
+    m, least = quo.n, np.unique(coset_of, return_index=True)[1]
+    assert 1 < m < g.n
+    for s in (1, m // 2, m, m + 2):
+        b = rng.integers(0, fld.order, size=(s, m))
+        b[s // 2 :] = b[: s - s // 2]  # repeated rows: rank below s
+        red, piv = Matrix(fld, b).rref()
+        lifted, lifted_piv = Matrix(fld, b[:, coset_of]).rref()
+        assert red.data[:, coset_of].tolist() == lifted.data.tolist()
+        assert lifted_piv == least[piv].tolist()
+
+
+@pytest.mark.parametrize("spec,p,k", CONTAINMENT_CASES)
+def test_every_link_kills_the_coset_sum(spec, p, k):
+    # K Sigma_{G/Z} = (|K| mod p) Sigma_{G/Z} = 0 for a non-singleton class
+    # K of a p-group, so no kernel of the chain in F[G/Z] is empty
+    g, fld = catalog.get(spec), field_make(p, k)
+    quo, coset_of = g.quotient_map(g.center)
+    qalg, ones = GroupAlgebra(quo, fld), np.ones(quo.n, dtype=np.int64)
+    for cls in g.conjugacy.classes:
+        kbar = np.bincount(coset_of[list(cls)], minlength=quo.n) % p
+        if len(cls) > 1 and kbar.any():
+            assert not qalg._mul_arrays(kbar, ones).any()
+            assert not fld.vmatmul(qalg.left_mult_matrix(kbar).data, ones).any()
 
 
 def _basis_row(n: int, i: int) -> np.ndarray:
