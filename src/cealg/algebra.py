@@ -3,12 +3,11 @@
 Elements are dense int64 coefficient rows indexed by group element, with no
 class of their own; the product is the convolution induced by the Cayley
 table, formed by the one kernel `_mul_arrays` for whole stacks of rows at
-once, either as gathered products (BLAS, for dense operands) or as sums
-over support pairs (for sparse ones), whichever its support counts say is
-cheaper.  The class sums, which span the center, are one read-only array
-of coefficient rows, and both center-membership tests (commuting with every
-basis element, and constancy on conjugacy classes) are kept side by side as
-mutual checks.
+once: a stack of x rows as sums over support pairs, and a single row x as
+one gathered product (BLAS), or as support pairs when y is sparse.  The
+class sums, which span the center, are one read-only array of coefficient
+rows, and both center-membership tests (commuting with every basis element,
+and constancy on conjugacy classes) are kept side by side as mutual checks.
 """
 
 from __future__ import annotations
@@ -38,76 +37,57 @@ class GroupAlgebra:
         (n,) or (1, n), paired with every row of the other; the result is
         the stack of products, of shape (n,) when both operands are (n,).
 
-        (x y)[hg] sums x[h] y[g] over h in supp x and g in supp y.  A row
-        pair costs |supp x_i| n entries as a gathered product (BLAS), and
-        |supp x_i| |supp y_i| as support pairs; over the whole stack, the
-        kernel takes the pairs when fields._PAIR_COST times their count is
-        below the count of gathered entries.  No n x n multiplication matrix
-        is formed either way.
+        (x y)[hg] sums x[h] y[g] over h in supp x and g in supp y.  A stack
+        of x rows (more than one, or none) is summed over support pairs.  A
+        single row x costs |supp x| n entries per row y_i as one gathered
+        product (BLAS), and |supp x| |supp y_i| as support pairs, so |supp x|
+        cancels: it takes the pairs when fields._PAIR_COST times the nonzeros
+        of y is below the entries of y.  No n x n multiplication matrix is
+        formed either way.
         """
-        n = self.dim
         xs, ys = (x[None] if x.ndim == 1 else x), (y[None] if y.ndim == 1 else y)
-        r = len(ys) if len(xs) == 1 else len(xs)
-        nx = int(np.count_nonzero(xs))
-        if len(xs) > 1 and len(ys) > 1:  # row by row: the support sizes
-            cx = (xs != 0).sum(1)
-            pairs = int(cx @ (cx if ys is xs else (ys != 0).sum(1)))
+        if len(xs) != 1 or fields._PAIR_COST * int(np.count_nonzero(ys)) < ys.size:
+            out = self._mul_pairs(xs, ys)
         else:
-            pairs = nx * int(np.count_nonzero(ys))
-        gathered = n * nx * (r if len(xs) == 1 else 1)
-        single = x.ndim == 1 and y.ndim == 1
-        if fields._PAIR_COST * pairs < gathered:
-            out = self._mul_pairs(xs, ys, r)
-            return out[0] if single else out
-        if len(xs) == 1:
-            return self._mul_gather(xs[0], y if single else ys)
-        out = np.empty((r, n), dtype=np.int64)
-        for i, xi in enumerate(xs):
-            out[i] = self._mul_gather(xi, ys[i if len(ys) > 1 else 0])
-        return out
+            out = self._mul_gather(xs[0], ys)
+        return out[0] if x.ndim == y.ndim == 1 else out
 
-    def _mul_gather(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x y for one row x and one row y, or x y_i for every row of a
-        stack y, as one gathered product: (x y)[j] sums x[h] y[h^-1 j] over
-        h in supp x."""
+    def _mul_gather(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """x y_i for one row x and every row of a stack ys, as one gathered
+        product: (x y)[j] sums x[h] y[h^-1 j] over h in supp x."""
         g = self.group
         nz = np.nonzero(x)[0]
         take = g.table[g.inv[nz]]
-        if y.ndim == 1:
-            return self.field.vmatmul(x[nz], y, take=take)
-        return self.field.vmatmul(x[nz], np.ascontiguousarray(y.T), take=take).T
+        return self.field.vmatmul(x[nz], np.ascontiguousarray(ys.T), take=take).T
 
-    def _mul_pairs(self, xs: np.ndarray, ys: np.ndarray, r: int) -> np.ndarray:
-        """x_i y_i as support pairs, in blocks of rows of at most
-        fields._PAIRS bins (one row at least)."""
-        out = np.empty((r, self.dim), dtype=np.int64)
-        for rows in row_blocks(r, self.dim, fields._PAIRS):
-            self._pair_rows(xs, ys, rows, out[rows])
+    def _mul_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """x_i y_i as support pairs: x[h] y[g] summed at hg by `GF.vsum_at`,
+        in blocks of rows of at most fields._PAIRS bins (one row at least),
+        and within each in blocks of at most fields._PAIRS pairs (or the
+        pairs of one element of x with its row of y)."""
+        F, n, t = self.field, self.dim, self.group.table.ravel()
+        out = np.empty((len(ys) if len(xs) == 1 else len(xs), n), dtype=np.int64)
+        for rows in row_blocks(len(out), n, fields._PAIRS):
+            m = len(out[rows])
+            xi, xh, xv = _entries(xs, rows, m)
+            yi, yg, yv = (xi, xh, xv) if ys is xs else _entries(ys, rows, m)
+            cy = np.bincount(yi, minlength=m)
+            rep = cy[xi]  # pairs of each entry of x, with the entries of its row of y
+            cum = np.cumsum(rep)
+            # pair k of a block is entry e of x with entry k + start[e] of y
+            start = (np.cumsum(cy) - cy)[xi] - cum + rep
+            acc, a = None, 0
+            while a < xi.size:
+                done = int(cum[a - 1]) if a else 0
+                b = xi.size if cum[-1] - done <= fields._PAIRS else max(
+                    a + 1, int(np.searchsorted(cum, done + fields._PAIRS, "right")))
+                e = np.repeat(np.arange(a, b), rep[a:b])
+                f = np.repeat(start[a:b] + done, rep[a:b])
+                f += np.arange(f.size)
+                part = F.vsum_at(xi[e] * n + t[xh[e] * n + yg[f]], F.vmul(xv[e], yv[f]), m * n)
+                acc, a = part if acc is None else F.vadd(acc, part), b
+            out[rows] = 0 if acc is None else acc.reshape(m, n)
         return out
-
-    def _pair_rows(self, xs: np.ndarray, ys: np.ndarray, rows: slice, dst: np.ndarray) -> None:
-        """The products of the given rows, written to dst: x[h] y[g] summed
-        at hg by `GF.vsum_at`, in blocks of at most fields._PAIRS pairs (or
-        the pairs of one element of x with its row of y)."""
-        F, n, t, m = self.field, self.dim, self.group.table.ravel(), len(dst)
-        xi, xh, xv = _entries(xs, rows, m)
-        yi, yg, yv = (xi, xh, xv) if ys is xs else _entries(ys, rows, m)
-        cy = np.bincount(yi, minlength=m)
-        rep = cy[xi]  # pairs of each entry of x, with the entries of its row of y
-        cum = np.cumsum(rep)
-        # pair k of a block is entry e of x with entry k + start[e] of y
-        start = (np.cumsum(cy) - cy)[xi] - cum + rep
-        acc, a = None, 0
-        while a < xi.size:
-            done = int(cum[a - 1]) if a else 0
-            b = xi.size if cum[-1] - done <= fields._PAIRS else max(
-                a + 1, int(np.searchsorted(cum, done + fields._PAIRS, "right")))
-            e = np.repeat(np.arange(a, b), rep[a:b])
-            f = np.repeat(start[a:b] + done, rep[a:b])
-            f += np.arange(f.size)
-            part = F.vsum_at(xi[e] * n + t[xh[e] * n + yg[f]], F.vmul(xv[e], yv[f]), m * n)
-            acc, a = part if acc is None else F.vadd(acc, part), b
-        dst[:] = 0 if acc is None else acc.reshape(m, n)
 
     def right_mult_matrix(self, y: np.ndarray) -> Matrix:
         """Matrix RM with (x y) = x @ RM for row vectors x."""

@@ -30,7 +30,8 @@ _GATHER = 1 << 19
 # support pairs, and output bins, in one block of a grouped sum of products
 _PAIRS = 1 << 13
 # gathered entries that cost as much as one support pair, measured on the
-# socle decider's products (see GroupAlgebra._mul_arrays)
+# socle decider's products: a single row x takes the pairs when this times
+# the nonzeros of y is below the entries of y (see GroupAlgebra._mul_arrays)
 _PAIR_COST = 4
 # float64 integer sums are exact below this; a product with inner dimension
 # up to the largest group order, 2^13, over a field of order up to MAX_ORDER

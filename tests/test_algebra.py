@@ -257,22 +257,39 @@ def test_block_product_matches_left_mult_matrix(spec, p, k, gather, rng, monkeyp
 
     for name in ("_mul_pairs", "_mul_gather"):
         monkeypatch.setattr(GroupAlgebra, name, spy(name))
-    # a ratio of 0 takes the support pairs whenever there are any, a huge
-    # one never does
+
+    def evaluated(x, y):
+        ran.clear()
+        out = alg._mul_arrays(x, y)
+        (name,) = ran
+        return out, name
+
+    def product(x, y):
+        # a stack of x rows (or none) pairs; a single row x gathers, and at
+        # a ratio of 0 it pairs too unless y has no rows
+        out, name = evaluated(x, y)
+        stack, rows_of_y = x.ndim == 2 and len(x) != 1, y.ndim == 1 or len(y) > 0
+        assert name == ("_mul_pairs" if stack or cost == 0 and rows_of_y else "_mul_gather")
+        return out
+
+    # at the measured ratio a single row x picks its evaluation by y alone:
+    # a sparse and a dense x take the same one against the same y
+    for ys in stacks.values():
+        assert evaluated(sparse[1], ys)[1] == evaluated(dense[1], ys)[1]
+    # a ratio of 0 takes the support pairs whenever y has rows, a huge one
+    # only for a stack of x
     for cost in (0, 1 << 62):
         monkeypatch.setattr(fields, "_PAIR_COST", cost)
-        ran.clear()
         for (a, b), table in want.items():
             xs, ys, rows = stacks[a], stacks[b], np.arange(r)
-            assert (alg._mul_arrays(xs, ys) == table[rows, rows]).all()
+            assert (product(xs, ys) == table[rows, rows]).all()
             # a single row on either side, of shape (n,) or (1, n)
-            assert (alg._mul_arrays(xs[1], ys) == table[1]).all()
-            assert (alg._mul_arrays(xs[2:3], ys) == table[2]).all()
-            assert (alg._mul_arrays(xs, ys[1]) == table[:, 1]).all()
-            assert (alg._mul_arrays(xs, ys[2:3]) == table[:, 2]).all()
-            assert (alg._mul_arrays(xs[1], ys[2]) == table[1, 2]).all()
+            assert (product(xs[1], ys) == table[1]).all()
+            assert (product(xs[2:3], ys) == table[2]).all()
+            assert (product(xs, ys[1]) == table[:, 1]).all()
+            assert (product(xs, ys[2:3]) == table[:, 2]).all()
+            assert (product(xs[1], ys[2]) == table[1, 2]).all()
             # an empty stack gives an empty stack
-            assert alg._mul_arrays(xs[:0], ys[0]).shape == alg._mul_arrays(xs[0], ys[:0]).shape == (0, n)
+            assert product(xs[:0], ys[0]).shape == product(xs[0], ys[:0]).shape == (0, n)
         # one stack as both operands, as the nilpotency guard squares
-        assert (alg._mul_arrays(dense, dense) == want["dense", "dense"][rows, rows]).all()
-        assert ("_mul_pairs" in ran) == (cost == 0) and "_mul_gather" in ran
+        assert (product(dense, dense) == want["dense", "dense"][rows, rows]).all()
