@@ -38,8 +38,7 @@ def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=N
     and of the right factor as rows, and returns the product's digits
     unreduced; each is reduced mod its radix here.  The law runs on one row
     block of the table at a time, so no n x n temporary is formed.  An order
-    over the cap is refused before any table is allocated or any label read,
-    so the families of any order pass their labels as lazy generators.
+    over the cap is refused before any table is allocated.
     """
     n = math.prod(radices)
     if not 0 < n <= ORDER_CAP:
@@ -52,11 +51,12 @@ def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=N
     return FiniteGroup(table, name, labels)
 
 
-def _mixed_radix(idx: np.ndarray, radices: tuple[int, ...]) -> list[np.ndarray]:
-    """Digits of idx in the given radices, most significant first."""
+def _mixed_radix(idx: int | np.ndarray, radices: tuple[int, ...]) -> list:
+    """Digits of idx, an int or an int array, in the given radices, most
+    significant first."""
     out = []
     for r in reversed(radices):
-        idx, d = np.divmod(idx, r)
+        idx, d = divmod(idx, r)
         out.append(d)
     return out[::-1]
 
@@ -88,12 +88,24 @@ def _join_labels(parts: list[str]) -> str:
     return s if s else "1"
 
 
+def _power_labels(radices: tuple[int, ...], syms: str, order: tuple[int, ...] | None = None):
+    """The label function of mixed-radix normal forms: element i, with digits
+    d, is the word of the powers syms[t]^d[t], for t in the given order of
+    digit positions (most significant first if not given)."""
+    order = order or range(len(radices))
+
+    def label(i: int) -> str:
+        d = _mixed_radix(i, radices)
+        return _join_labels([_pow_label(syms[t], d[t]) for t in order])
+
+    return label
+
+
 @lru_cache(maxsize=None)
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    labels = (_join_labels([_pow_label("g", i)]) for i in range(n))
-    return _table_from_law((n,), lambda a, b: (a[0] + b[0],), f"C{n}", labels)
+    return _table_from_law((n,), lambda a, b: (a[0] + b[0],), f"C{n}", _power_labels((n,), "g"))
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +134,7 @@ def dihedral(order: int) -> FiniteGroup:
         t, j = y
         return (s + t, i + j * (1 - 2 * s))
 
-    labels = (_join_labels([_pow_label("r", i), _pow_label("s", s)]) for s in range(2) for i in range(m))
-    return _table_from_law((2, m), law, f"D{order}", labels)
+    return _table_from_law((2, m), law, f"D{order}", _power_labels((2, m), "sr", (1, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -138,23 +149,23 @@ def gen_quaternion(order: int) -> FiniteGroup:
         v, y = b
         return (u + v, x + y * (1 - 2 * u) + half * u * v)
 
-    labels = (_join_labels([_pow_label("a", x), _pow_label("b", u)]) for u in range(2) for x in range(m))
-    return _table_from_law((2, m), law, f"Q{order}", labels)
+    return _table_from_law((2, m), law, f"Q{order}", _power_labels((2, m), "ba", (1, 0)))
+
+
+_Q8_LABELS = ("1", "i", "-1", "-i", "j", "k", "-j", "-k")
 
 
 @lru_cache(maxsize=None)
 def quaternion8() -> FiniteGroup:
     """Q8 with the classical +/- i j k labels (a = i, b = j)."""
     g = gen_quaternion(8)
-    labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-    return FiniteGroup._inherited(g.table, g.inv, "Q8", labels)
+    return FiniteGroup._inherited(g.table, g.inv, "Q8", _Q8_LABELS)
 
 
 def _c8_by_c2(u: int, name: str) -> FiniteGroup:
     """C8 : C2 with the C2 generator acting by r -> r^u."""
     act = [list(range(8)), [(u * i) % 8 for i in range(8)]]
-    labels = [_join_labels([_pow_label("r", i), _pow_label("s", s)]) for i in range(8) for s in range(2)]
-    return semidirect_product(cyclic(8), cyclic(2), act, name, labels)
+    return semidirect_product(cyclic(8), cyclic(2), act, name, _power_labels((8, 2), "rs"))
 
 
 @lru_cache(maxsize=None)
@@ -188,11 +199,8 @@ def heisenberg(p: int) -> FiniteGroup:
     cp = cyclic(p)
     j, k = np.divmod(np.arange(p * p), p)
     action = [j * p + (k + i * j) % p for i in range(p)]
-    labels = [
-        _join_labels([_pow_label("x", i), _pow_label("y", j), _pow_label("z", k)])
-        for i in range(p) for j in range(p) for k in range(p)
-    ]
-    return semidirect_product(direct_product(cp, cp), cp, action, f"H{p}", labels, acting_first=True)
+    return semidirect_product(direct_product(cp, cp), cp, action, f"H{p}",
+                              _power_labels((p, p, p), "xyz"), acting_first=True)
 
 
 @lru_cache(maxsize=None)
@@ -203,11 +211,7 @@ def pauli16() -> FiniteGroup:
         e2, u2, v2 = b
         return (e1 + e2 + 2 * v1 * u2, u1 + u2, v1 + v2)
 
-    labels = [
-        _join_labels([_pow_label("w", e), _pow_label("X", u), _pow_label("Z", v)])
-        for e in range(4) for u in range(2) for v in range(2)
-    ]
-    return _table_from_law((4, 2, 2), law, "P16", labels)
+    return _table_from_law((4, 2, 2), law, "P16", _power_labels((4, 2, 2), "wXZ"))
 
 
 @lru_cache(maxsize=None)
@@ -274,11 +278,11 @@ def _p5_even() -> FiniteGroup:
     qa, ca = np.divmod(np.arange(16), 2)
     alpha = np.where(ca == 0, phi[qa], t[phi[qa], minus1]) * 2 + ca
     # element (q, c, s) has index 4q + 2c + s
-    labels = [
-        _join_labels([q8.label(q) if q else "", "a" if c else "", "t" if s else ""])
-        for q in range(8) for c in range(2) for s in range(2)
-    ]
-    return semidirect_product(n, cyclic(2), [list(range(16)), alpha.tolist()], "prop29:2", labels)
+    def label(i: int) -> str:
+        q, c, s = _mixed_radix(i, (8, 2, 2))
+        return _join_labels([_Q8_LABELS[q] if q else "", _pow_label("a", c), _pow_label("t", s)])
+
+    return semidirect_product(n, cyclic(2), [list(range(16)), alpha.tolist()], "prop29:2", label)
 
 
 @lru_cache(maxsize=None)
@@ -295,11 +299,7 @@ def _p5_odd(p: int) -> FiniteGroup:
         return (k + k2, l + l2 + r * m2, m + m2, r + r2)
 
     ka, la, ma, ra = _mixed_radix(np.arange(p**4), radices)
-    labels_n = [
-        _join_labels([_pow_label("a", k), _pow_label("b", l), _pow_label("c", m), _pow_label("g", r)])
-        for (k, l, m, r) in zip(ka.tolist(), la.tolist(), ma.tolist(), ra.tolist())
-    ]
-    n_grp = _table_from_law(radices, law, f"N{p}^4", labels_n)
+    n_grp = _table_from_law(radices, law, f"N{p}^4", _power_labels(radices, "abcg"))
 
     # beta: a^k b^l c^m g^r -> a^(k+m+r) b^(l + r(r+1)/2) c^(m+r) g^r
     beta = _encode([ka + ma + ra, la + ra * (ra + 1) // 2, ma + ra, ra], radices)
@@ -308,13 +308,9 @@ def _p5_odd(p: int) -> FiniteGroup:
         acts.append(beta[acts[-1]])
     if not (beta[acts[-1]] == acts[0]).all():
         raise RuntimeError("extension automorphism does not have order p")
-    labels = []
-    for idx in range(p**5):
-        nidx, s = divmod(idx, p)
-        base = labels_n[nidx]
-        tail = _pow_label("B", s)
-        labels.append(_join_labels([base if base != "1" else "", tail]))
-    return semidirect_product(n_grp, cyclic(p), [a.tolist() for a in acts], f"prop29:{p}", labels)
+    # element (n, s) is the word of n followed by B^s
+    return semidirect_product(n_grp, cyclic(p), [a.tolist() for a in acts], f"prop29:{p}",
+                              _power_labels(radices + (p,), "abcgB"))
 
 
 @lru_cache(maxsize=None)

@@ -46,11 +46,11 @@ def parse_field(spec: str) -> GF | None:
     spec = spec.strip()
     if spec == "0":
         return None
-    if "^" in spec:
-        p_s, k_s = spec.split("^", 1)
-        p, k = int(p_s), int(k_s)
-    else:
-        p, k = int(spec), 1
+    p_s, caret, k_s = spec.partition("^")
+    try:
+        p, k = int(p_s), int(k_s) if caret else 1
+    except ValueError:
+        raise ValueError(f'field spec must be "p", "p^k" or "0", got {spec!r}') from None
     return field_make(p, k)
 
 
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("action", choices=["list", "info"])
     g.add_argument("spec", nargs="?", help="group spec (required for info)")
     g.add_argument("--format", choices=["text", "json"], default="text")
-    g.set_defaults(fn=cmd_groups)
 
     c = sub.add_parser("check", help="decide one (group, field) instance")
     c.add_argument("--group", required=True, help="catalog spec or JSON file path")
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--timings", action="store_true",
                    help="include per-phase timings in the report, text or JSON")
     c.add_argument("--output", help="write the report to this path instead of stdout")
-    c.set_defaults(fn=cmd_check)
 
     r = sub.add_parser("reproduce", help="re-run a published computation end to end")
     r.add_argument("target", choices=["thm11", "remark31", "prop29"])
@@ -282,17 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     r.add_argument("--format", choices=["text", "json"], default="text")
     r.add_argument("--output", help="write the table to this path instead of stdout")
-    r.set_defaults(fn=cmd_reproduce)
     return ap
 
 
+# one parser per process; it holds no handlers, so main looks each one up
+# when it is called
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "groups" and args.action == "info" and not args.spec:
-        ap.error("groups info requires a group spec")
+        _PARSER.error("groups info requires a group spec")
     try:
-        return args.fn(args)
+        handler = {"groups": cmd_groups, "check": cmd_check, "reproduce": cmd_reproduce}
+        return handler[args.command](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
             BudgetError, StructuralUndecidedError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,8 @@ import numpy as np
 ORDER_CAP = 1 << 13
 # the n^2 passes over a table go by row blocks of about this many entries
 BLOCK_ENTRIES = 1 << 16
+# element labels: a function of the index, a sequence of n, or None for str(i)
+Labels = Callable[[int], str] | Sequence[str] | None
 
 
 def row_blocks(n: int, width: int | None = None, entries: int | None = None) -> Iterator[slice]:
@@ -83,7 +85,7 @@ class FiniteGroup:
         self,
         table: np.ndarray | Sequence[Sequence[int]],
         name: str = "G",
-        labels: Sequence[str] | None = None,
+        labels: Labels = None,
     ):
         table = np.asarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -99,11 +101,11 @@ class FiniteGroup:
         table: np.ndarray,
         inv: np.ndarray,
         name: str,
-        labels: Sequence[str] | None = None,
+        labels: Labels = None,
     ) -> "FiniteGroup":
         """A group built by a theorem from validated groups, with the
         inverses taken from the parts.  The table is not validated again;
-        the order cap and the label count are still checked."""
+        the order cap and the count of a label sequence are still checked."""
         g = cls.__new__(cls)
         g._adopt(table, name, labels)
         g.inv = np.asarray(inv, dtype=np.int32)
@@ -113,15 +115,20 @@ class FiniteGroup:
 
     # -- construction checks -------------------------------------------------
 
-    def _adopt(self, table: np.ndarray, name: str, labels: Sequence[str] | None) -> None:
+    def _adopt(self, table: np.ndarray, name: str, labels: Labels) -> None:
         self.n = int(table.shape[0])
         if self.n == 0 or self.n > ORDER_CAP:
             raise GroupValidationError(f"group order {self.n} outside (0, {ORDER_CAP}]")
         self.table = table
         self.name = name
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.n:
-            raise GroupValidationError("label count does not match order")
+        # the label of element i is self._label(i); str for an unlabelled group
+        if labels is None or callable(labels):
+            self._label = labels or str
+        else:
+            labels = list(labels)
+            if len(labels) != self.n:
+                raise GroupValidationError("label count does not match order")
+            self._label = labels.__getitem__
 
     def _validate(self) -> None:
         n, t = self.n, self.table
@@ -230,7 +237,7 @@ class FiniteGroup:
         return out
 
     def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
+        return self._label(i)
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} of order {self.n}>"
@@ -333,7 +340,8 @@ class FiniteGroup:
             raise ValueError("member set is not closed under multiplication")
         # a closed finite set holding 1 is a subgroup, and inherits the axioms
         pos = np.cumsum(inside, dtype=np.int32) - 1  # position in the member list
-        labels = [self.labels[g] for g in mem.tolist()] if self.labels else None
+        lab = self._label  # not self: the label function keeps no table alive
+        labels = None if lab is str else lambda i: lab(int(mem[i]))
         return FiniteGroup._inherited(
             pos[prod], pos[self.inv[mem]], name or f"{self.name}|sub{mem.size}", labels)
 
@@ -557,11 +565,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) ->
     # pair (x, y) -> x * n2 + y
     table = np.empty((n, n), dtype=np.int32)
     _fill_pairs(table, lambda xs, cs: g1.table[xs, None, :], g2.table)
-    labels = None
-    if g1.labels or g2.labels:
-        labels = [
-            f"({g1.label(x)},{g2.label(y)})" for x in range(n1) for y in range(n2)
-        ]
+    l1, l2 = g1._label, g2._label  # not the groups: no table is kept alive
+    labels = None if l1 is l2 is str else lambda i: f"({l1(i // n2)},{l2(i % n2)})"
     inv = g1.inv[:, None] * np.int32(n2) + g2.inv[None, :]  # (x, y)^-1 = (x^-1, y^-1)
     return FiniteGroup._inherited(table, inv.ravel(), name or f"{g1.name} x {g2.name}", labels)
 
@@ -571,7 +576,7 @@ def semidirect_product(
     gamma: FiniteGroup,
     action: Sequence[Sequence[int]],
     name: str | None = None,
-    labels: Sequence[str] | None = None,
+    labels: Labels = None,
     acting_first: bool = False,
 ) -> FiniteGroup:
     """Pairs of x in n_grp and c in gamma with (x, c)(x', c') =

@@ -5,14 +5,16 @@ holds the package to (a batched Gaussian elimination, the element orders of
 a whole group, the class <= 2 witness construction of Theorem 2, the
 radical basis of the center, augmentation ideals, subgroup idempotents, the
 frozen catalog fingerprints, the factor-at-a-time elementary abelian
-build), or a small helper for building coefficient rows by hand.  An
-element of FG is its int64 coefficient row; products go through
-`GroupAlgebra._mul_arrays`, sums and scalings through the field's vector
-operations.
+build, the catalog's former eager label lists), or a small helper for
+building coefficient rows by hand.  An element of FG is its int64
+coefficient row; products go through `GroupAlgebra._mul_arrays`, sums and
+scalings through the field's vector operations.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ from cealg import catalog
 from cealg.algebra import GroupAlgebra
 from cealg.decision import CrossValidationError, _radical_basis, _require_p_group
 from cealg.fields import GF, Matrix
-from cealg.groups import FiniteGroup, direct_product
+from cealg.groups import FiniteGroup, _closure, cycle_notation, direct_product
 
 # groups on which the array analyses and the class-sum RREF meet their
 # references
@@ -119,12 +121,15 @@ def power(alg: GroupAlgebra, row: np.ndarray, e: int) -> np.ndarray:
 
 
 def index_of_label(g: FiniteGroup, lab: str) -> int:
-    if not g.labels:
-        raise KeyError("group carries no labels")
-    try:
-        return g.labels.index(lab)
-    except ValueError:
-        raise KeyError(f"no element labelled {lab!r} in {g.name}") from None
+    for i in range(g.n):
+        if g.label(i) == lab:
+            return i
+    raise KeyError(f"no element labelled {lab!r} in {g.name}")
+
+
+def labels_of(g: FiniteGroup) -> list[str]:
+    """Every label of g, in element order."""
+    return [g.label(i) for i in range(g.n)]
 
 
 # -- algebra references ------------------------------------------------------------
@@ -245,6 +250,99 @@ def elem_abelian_by_factors(p: int, r: int) -> FiniteGroup:
     for k in range(2, r + 1):
         g = direct_product(g, cp, f"E{p}^{k}")
     return g
+
+
+# The catalog's former eager labels: one list per group, built as the
+# catalog built them before its families passed label functions, or None
+# for a group labelled by its indices.
+
+_Q8_LABELS = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
+
+
+def _pow(sym: str, e: int) -> str:
+    return "" if e == 0 else sym if e == 1 else f"{sym}^{e}"
+
+
+def _word(parts: Iterable[str]) -> str:
+    return " ".join(p for p in parts if p) or "1"
+
+
+def product_labels(l1: list[str] | None, l2: list[str] | None,
+                   n1: int, n2: int) -> list[str] | None:
+    """The pairs (x, y) of a direct product, indexed x * n2 + y."""
+    if l1 is None and l2 is None:
+        return None
+    l1, l2 = l1 or [str(x) for x in range(n1)], l2 or [str(y) for y in range(n2)]
+    return [f"({a},{b})" for a in l1 for b in l2]
+
+
+def subgroup_labels(labels: list[str] | None, members: Sequence[int]) -> list[str] | None:
+    """A subgroup's labels: its parent's, copied member by member."""
+    return None if labels is None else [labels[g] for g in members]
+
+
+def shown(labels: list[str] | None, n: int) -> list[str]:
+    """What label(i) reads for each i: the list, or the indices."""
+    return labels if labels is not None else [str(i) for i in range(n)]
+
+
+def _p5_labels(p: int) -> list[str]:
+    if p == 2:
+        return [_word([_Q8_LABELS[q] if q else "", "a" if c else "", "t" if s else ""])
+                for q in range(8) for c in range(2) for s in range(2)]
+    labels_n = [_word([_pow("a", k), _pow("b", l), _pow("c", m), _pow("g", r)])
+                for k, l, m, r in itertools.product(range(p), repeat=4)]
+    labels = []
+    for idx in range(p**5):
+        nidx, s = divmod(idx, p)
+        base = labels_n[nidx]
+        labels.append(_word([base if base != "1" else "", _pow("B", s)]))
+    return labels
+
+
+_ORDER16_SPECS = ["C16", "C4 x C4", "C8 x C2", "C4 x C2 x C2", "E2^4", "D16", "QD16",
+                  "Q16", "M16", "D8 x C2", "Q8 x C2", "P16", None, None]
+
+
+def _atomic_labels(spec: str) -> list[str] | None:
+    if spec == "Q8":
+        return _Q8_LABELS
+    if spec == "S3":
+        return [cycle_notation(e) for e in _closure(3, [(1, 0, 2), (1, 2, 0)])[0]]
+    if spec in ("QD16", "M16"):
+        return [_word([_pow("r", i), _pow("s", s)]) for i in range(8) for s in range(2)]
+    if spec == "P16":
+        return [_word([_pow("w", e), _pow("X", u), _pow("Z", v)])
+                for e, u, v in itertools.product(range(4), range(2), range(2))]
+    kind, num = re.fullmatch(r"(order16:|prop29:|[CEDQH])(\d+).*", spec).groups()
+    n = int(num)
+    if kind == "order16:":
+        sub = _ORDER16_SPECS[n - 1]
+        return None if sub is None else eager_labels(sub)
+    if kind == "prop29:":
+        return _p5_labels(n)
+    if kind == "C":
+        return [_word([_pow("g", i)]) for i in range(n)]
+    if kind == "D":
+        return [_word([_pow("r", i), _pow("s", s)]) for s in range(2) for i in range(n // 2)]
+    if kind == "Q":
+        return [_word([_pow("a", x), _pow("b", u)]) for u in range(2) for x in range(n // 2)]
+    if kind == "H":
+        return [_word([_pow("x", i), _pow("y", j), _pow("z", k)])
+                for i, j, k in itertools.product(range(n), repeat=3)]
+    return None  # E<p>^<r>: products of unlabelled E<p>^1
+
+
+def eager_labels(spec: str) -> list[str] | None:
+    """The eager label list of a catalog spec, products folded from the left."""
+    first, *rest = spec.split(" x ")
+    labels = _atomic_labels(first)
+    if rest:
+        n = catalog.get(first).n
+        for part in rest:
+            n2 = catalog.get(part).n
+            labels, n = product_labels(labels, _atomic_labels(part), n, n2), n * n2
+    return labels
 
 
 def fingerprint(g: FiniteGroup) -> tuple:

@@ -9,7 +9,17 @@ import pytest
 from cealg import catalog, groups
 from cealg.catalog import _encode, _mixed_radix
 from cealg.groups import ORDER_CAP, FiniteGroup, GroupValidationError, direct_product
-from reference import fingerprint, index_of_label, verify_fixed_entries
+from cealg.decision import _p_part_group, decompose_p
+from cealg.fields import is_prime
+from reference import (
+    eager_labels,
+    fingerprint,
+    index_of_label,
+    labels_of,
+    shown,
+    subgroup_labels,
+    verify_fixed_entries,
+)
 
 
 class TestNamedGroups:
@@ -59,7 +69,7 @@ class TestNamedGroups:
         inherited_orders.clear()
         g = catalog.get("D8 x C3")
         assert validated_orders == [] and inherited_orders == [24]
-        assert g.name == "D8 x C3" and g.labels == direct_product(d8, c3).labels
+        assert g.name == "D8 x C3" and labels_of(g) == labels_of(direct_product(d8, c3))
 
     def test_unknown_specs_rejected(self):
         for bad, message in [
@@ -105,7 +115,7 @@ SPEC_BUILDERS = [
                          ids=[s for s, _, _ in SPEC_BUILDERS])
 def test_spec_gives_its_builders_group(spec, builder, args):
     g, ref = catalog.get(spec), builder.__wrapped__(*args)
-    assert (g.name, g.labels) == (ref.name, ref.labels)
+    assert (g.name, labels_of(g)) == (ref.name, labels_of(ref))
     assert np.array_equal(g.table, ref.table)
 
 
@@ -184,6 +194,26 @@ def test_standard_entries_deterministic():
     a = [name for name, _ in catalog.standard_entries()]
     b = [name for name, _ in catalog.standard_entries()]
     assert a == b and len(a) == 35
+
+
+# -- label functions against the former eager lists ------------------------------
+
+# every standard entry (the fourteen of order 16 among them), then the rest of
+# prop29 and the Heisenberg groups, and two products
+_LABEL_SPECS = [name for name, _ in catalog.standard_entries()] + [
+    "prop29:5", "H5", "H7", "Q8 x C3", "H7 x C9"]
+
+
+@pytest.mark.parametrize("spec", _LABEL_SPECS)
+def test_labels_match_the_eager_lists(spec):
+    g, ref = catalog.get(spec), eager_labels(spec)
+    assert labels_of(g) == shown(ref, g.n)
+    # and the p-parts that decompose_p splits off as subgroups
+    for p in (q for q in range(2, g.n + 1) if g.n % q == 0 and is_prime(q)):
+        dec = decompose_p(g, p)
+        if dec.p_part_is_subgroup:
+            sub = _p_part_group(g, dec)
+            assert labels_of(sub) == shown(subgroup_labels(ref, dec.p_part), sub.n)
 
 
 # -- the array builders against a per-pair loop over the same laws -------------
@@ -314,8 +344,7 @@ def test_blocked_law_matches_whole_array_build(monkeypatch, build):
     blocked = catalog._table_from_law
 
     def recording(radices, law, name, labels=None):
-        # the families of any order pass their labels as one-shot generators
-        labels = None if labels is None else list(labels)
+        # the families pass their labels as functions of the index
         calls.append((radices, law, name, labels))
         return blocked(radices, law, name, labels)
 
@@ -331,7 +360,7 @@ def test_blocked_law_matches_whole_array_build(monkeypatch, build):
             monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
             g = blocked(radices, law, name, labels)
             assert g.table.tolist() == ref.table.tolist() and g.inv.tolist() == ref.inv.tolist()
-            assert g.labels == ref.labels and g.name == name
+            assert labels_of(g) == labels_of(ref) and g.name == name
 
 
 # the Heisenberg law the catalog built H_p from before it became a product
@@ -351,7 +380,7 @@ def test_heisenberg_matches_whole_array_law(p):
     ref = _table_from_law((p, p, p), _heisenberg_law, f"H{p}", labels)
     g = catalog.heisenberg.__wrapped__(p)
     assert g.table.tolist() == ref.table.tolist() and g.inv.tolist() == ref.inv.tolist()
-    assert g.labels == ref.labels and g.name == ref.name
+    assert labels_of(g) == labels_of(ref) and g.name == ref.name
 
 
 def test_heisenberg_validates_no_table_larger_than_cp(validated_orders, inherited_orders):

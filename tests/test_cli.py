@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -320,6 +321,9 @@ REFUSAL_LINES = [
     ("check --group order16: --field 2", "unknown group spec 'order16:'"),
     ("check --group D7 --field 2", "dihedral group order must be even and >= 2"),
     ("check --group C2 --field 4", "field characteristic must be prime, got 4"),
+    ("check --group C2 --field ''", 'field spec must be "p", "p^k" or "0", got \'\''),
+    ("check --group C2 --field 2^", 'field spec must be "p", "p^k" or "0", got \'2^\''),
+    ("check --group C2 --field two", 'field spec must be "p", "p^k" or "0", got \'two\''),
     ("check --group D16 --field 2 --method structural",
      "structural rules do not settle D16: class > 2 without the central-coset condition"),
 ]
@@ -581,6 +585,47 @@ def _child_env() -> dict:
     src = os.path.dirname(os.path.dirname(cealg.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+# calls that share the one parser in turn: two refusals, the help text (which
+# exits 0 through SystemExit) and a verdict
+REUSE_RUNS = [["groups", "info"], ["check", "--group", "C2", "--field", "4"], ["--help"],
+              ["check", "--group", "Q8", "--field", "2"]]
+
+
+def _main_exit(argv: list[str]) -> int:
+    """main's exit code, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    for argv in REUSE_RUNS:
+        code = _main_exit(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "cealg.cli", *argv],
+                               env=dict(_child_env(), COLUMNS="80"),
+                               capture_output=True, text=True, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_main_builds_no_parser_after_its_first_call(capsys, monkeypatch):
+    _main_exit(REUSE_RUNS[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for i in range(10):
+        _main_exit(REUSE_RUNS[i % len(REUSE_RUNS)])
+    capsys.readouterr()
+    assert built == []
 
 
 def test_socle_and_crossvalidate_runs_leave_numpy_ma_unimported():

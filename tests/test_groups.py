@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +21,12 @@ from reference import (
     REFERENCE_SPECS,
     elem_abelian_by_factors,
     element_orders,
+    eager_labels,
     fingerprint,
     index_of_label,
+    labels_of,
+    shown,
+    subgroup_labels,
 )
 
 # a Latin square with identity and two-sided inverses that is not associative
@@ -103,7 +109,7 @@ class TestGenerators:
 
     def test_no_generators_give_trivial_group(self):
         g = group_from_generators(3, [])
-        assert g.n == 1 and g.labels == ["e"]
+        assert g.n == 1 and labels_of(g) == ["e"]
 
     def test_s3(self):
         g = group_from_generators(3, [(1, 0, 2), (1, 2, 0)], "S3")
@@ -398,7 +404,7 @@ def test_analyses_match_scalar_loops(spec):
         if dec.p_part_is_subgroup:
             sub = g.subgroup(dec.p_part)
             assert sub.table.tolist() == _subgroup_table_ref(g, dec.p_part)
-            assert sub.labels == ([g.labels[x] for x in dec.p_part] if g.labels else None)
+            assert labels_of(sub) == shown(subgroup_labels(eager_labels(spec), dec.p_part), sub.n)
         else:
             with pytest.raises(ValueError, match="not closed"):
                 g.subgroup(dec.p_part)
@@ -569,7 +575,7 @@ def test_elem_abelian_table_is_digitwise_sum(p, r):
     ref = ((digits[:, None, :] + digits[None, :, :]) % p) @ np.array([p**i for i in range(r)])
     g = catalog.elem_abelian(p, r)
     assert g.table.tolist() == ref.tolist()
-    assert g.name == f"E{p}^{r}" and g.labels is None
+    assert g.name == f"E{p}^{r}" and labels_of(g) == shown(None, g.n)
 
 
 _ELEM_ABELIAN_CASES = [
@@ -582,7 +588,7 @@ def test_elem_abelian_matches_factor_at_a_time_build(p, r):
     # halves and one factor at a time pair the same base-p digits
     g, ref = catalog.elem_abelian.__wrapped__(p, r), elem_abelian_by_factors(p, r)
     assert np.array_equal(g.table, ref.table) and np.array_equal(g.inv, ref.inv)
-    assert (g.name, g.labels) == (ref.name, ref.labels)
+    assert (g.name, labels_of(g)) == (ref.name, labels_of(ref))
 
 
 def _unique_quotient(g, normal):
@@ -652,8 +658,26 @@ def _derived(g, rng):
     yield g.quotient_map(g.commutator_subgroup)[0]
 
 
+def test_label_functions_keep_no_group_alive():
+    # factors and a parent made directly, so that no catalog cache holds them
+    def cyclic_table(n):
+        idx = np.arange(n)
+        return (idx[:, None] + idx) % n
+
+    c2 = FiniteGroup(cyclic_table(2), "C2", ["1", "a"])
+    c3 = FiniteGroup(cyclic_table(3), "C3", lambda i: "b" * i or "1")
+    c6 = FiniteGroup(cyclic_table(6), "C6", [f"g{i}" for i in range(6)])
+    prod, sub = direct_product(c2, c3), c6.subgroup([0, 2, 4])
+    gone = [weakref.ref(g) for g in (c2, c3, c6)]
+    del c2, c3, c6
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None, None]
+    assert labels_of(prod) == ["(1,1)", "(1,b)", "(1,bb)", "(a,1)", "(a,b)", "(a,bb)"]
+    assert labels_of(sub) == ["g0", "g2", "g4"]
+
+
 def _assert_passes_full_validation(g):
-    fresh = FiniteGroup(g.table.copy(), g.name, g.labels)
+    fresh = FiniteGroup(g.table.copy(), g.name, labels_of(g))
     assert fresh.inv.tolist() == g.inv.tolist(), g.name
     assert not g.table.flags.writeable and not g.inv.flags.writeable
 
