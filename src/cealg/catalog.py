@@ -21,6 +21,7 @@ import numpy as np
 from .fields import is_prime, power_exceeds
 from .groups import (
     ORDER_CAP,
+    TABLE,
     FiniteGroup,
     GroupValidationError,
     direct_product,
@@ -43,9 +44,10 @@ def _table_from_law(radices: tuple[int, ...], law: Callable, name: str, labels=N
     n = math.prod(radices)
     if not 0 < n <= ORDER_CAP:
         raise GroupValidationError(f"group order {n} outside (0, {ORDER_CAP}]")
+    # the law's unreduced digits are int32; reduced, each index fits TABLE
     digits = _mixed_radix(np.arange(n, dtype=np.int32), radices)
     right = [d[None, :] for d in digits]
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE)
     for rows in row_blocks(n):
         table[rows] = _encode(law([d[rows, None] for d in digits], right), radices)
     return FiniteGroup(table, name, labels)

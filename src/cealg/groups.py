@@ -20,6 +20,12 @@ array.
 Elements are canonical indices 0..n-1 with index 0 the identity.  Subsets of
 a group are passed around as sorted tuples of indices so that every derived
 object serializes identically across runs.
+
+Every table and inverse array is read-only int16 (TABLE): ORDER_CAP = 2^13
+keeps each entry below 2^15, so a table takes 2 n^2 bytes.  An index formed
+from entries, such as a pair x * n + y, is formed in intp first.  The n^2
+passes over a table (validation, product fills, the laws, the cosets of a
+quotient) go by row blocks, so nothing else of that size is formed.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 ORDER_CAP = 1 << 13
+# the dtype of every Cayley table and inverse array: the cap keeps each
+# entry below 2^15, so a table takes 2 n^2 bytes (134 MB at the cap)
+TABLE = np.int16
 # the n^2 passes over a table go by row blocks of about this many entries
 BLOCK_ENTRIES = 1 << 16
 # element labels: a function of the index, a sequence of n, or None for str(i)
@@ -87,10 +96,14 @@ class FiniteGroup:
         name: str = "G",
         labels: Labels = None,
     ):
-        table = np.asarray(table, dtype=np.int32)
+        table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupValidationError("multiplication table must be square")
-        self._adopt(table, name, labels)
+        self._adopt(table.shape[0], name, labels)
+        # the range is checked before the narrowing cast, which would wrap
+        if table.min() < 0 or table.max() >= self.n:
+            raise GroupValidationError("table entries out of range")
+        self.table = table.astype(TABLE, copy=False)
         self._validate()
         self.table.setflags(write=False)
         self.inv.setflags(write=False)
@@ -107,19 +120,19 @@ class FiniteGroup:
         inverses taken from the parts.  The table is not validated again;
         the order cap and the count of a label sequence are still checked."""
         g = cls.__new__(cls)
-        g._adopt(table, name, labels)
-        g.inv = np.asarray(inv, dtype=np.int32)
+        g._adopt(table.shape[0], name, labels)  # the cap, before any cast
+        g.table = np.asarray(table, dtype=TABLE)
+        g.inv = np.asarray(inv, dtype=TABLE)
         g.table.setflags(write=False)
         g.inv.setflags(write=False)
         return g
 
     # -- construction checks -------------------------------------------------
 
-    def _adopt(self, table: np.ndarray, name: str, labels: Labels) -> None:
-        self.n = int(table.shape[0])
+    def _adopt(self, n: int, name: str, labels: Labels) -> None:
+        self.n = int(n)
         if self.n == 0 or self.n > ORDER_CAP:
             raise GroupValidationError(f"group order {self.n} outside (0, {ORDER_CAP}]")
-        self.table = table
         self.name = name
         # the label of element i is self._label(i); str for an unlabelled group
         if labels is None or callable(labels):
@@ -132,14 +145,12 @@ class FiniteGroup:
 
     def _validate(self) -> None:
         n, t = self.n, self.table
-        if t.min() < 0 or t.max() >= n:
-            raise GroupValidationError("table entries out of range")
         # the identity comes before the generating set, whose closure
         # terminates only because 0 * s = s
-        ref = np.arange(n, dtype=np.int32)
+        ref = np.arange(n, dtype=TABLE)
         if not (t[0] == ref).all() or not (t[:, 0] == ref).all():
             raise GroupValidationError("index 0 is not a two-sided identity")
-        self.inv = np.empty(n, dtype=np.int32)
+        self.inv = np.empty(n, dtype=TABLE)
         for rows in row_blocks(n):
             hits = t[rows] == 0
             unique = np.count_nonzero(hits, axis=1) == 1
@@ -155,8 +166,8 @@ class FiniteGroup:
         # a group, and so a Latin square.
         for s in self.right_generators.tolist():
             col = np.ascontiguousarray(t[:, s])  # y -> ys
-            # half blocks of rows: take copies an int32 index block to int64
-            for rows in row_blocks(n, 2 * n):
+            # quarter blocks of rows: take copies an int16 index block to int64
+            for rows in row_blocks(n, 4 * n):
                 blk = t[rows]
                 if not (col.take(blk) == blk.take(col, axis=1)).all():
                     raise GroupValidationError(f"associativity fails at element {s}")
@@ -339,7 +350,7 @@ class FiniteGroup:
         if not inside[prod].all():
             raise ValueError("member set is not closed under multiplication")
         # a closed finite set holding 1 is a subgroup, and inherits the axioms
-        pos = np.cumsum(inside, dtype=np.int32) - 1  # position in the member list
+        pos = np.cumsum(inside, dtype=TABLE) - 1  # position in the member list
         lab = self._label  # not self: the label function keeps no table alive
         labels = None if lab is str else lambda i: lab(int(mem[i]))
         return FiniteGroup._inherited(
@@ -365,17 +376,21 @@ class FiniteGroup:
         validated again; what is checked is that N is a normal subgroup.
         """
         inside = self._member_mask(normal)
-        t = self.table
-        cosets = t[:, inside]  # row g holds gN
-        least = cosets.min(axis=1)
+        t, mem = self.table, np.flatnonzero(inside)
+        if not (inside[0] and self.is_normal(mem)):
+            raise ValueError("quotient requires a normal subgroup")
+        # the cosets gN, rows of t[:, mem], are formed a row block at a time
+        blocks = list(row_blocks(self.n, mem.size))
+        least = np.empty(self.n, dtype=TABLE)
+        for rows in blocks:
+            least[rows] = t[rows][:, mem].min(axis=1)
         # the least member is constant on every coset, so the cosets
         # partition G, exactly when N, holding the identity, is closed
-        if not (inside[0] and self.is_normal(np.flatnonzero(inside))
-                and (least[cosets] == least[:, None]).all()):
+        if not all((least[t[rows][:, mem]] == least[rows, None]).all() for rows in blocks):
             raise ValueError("quotient requires a normal subgroup")
         is_rep = least == np.arange(self.n)
         reps = np.flatnonzero(is_rep)
-        coset_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+        coset_of = (np.cumsum(is_rep, dtype=TABLE) - 1)[least]
         quo = FiniteGroup._inherited(
             coset_of[t[reps[:, None], reps]],
             coset_of[self.inv[reps]],  # (gN)^-1 = g^-1 N
@@ -496,7 +511,7 @@ def _closure(
                     via.append(k)
                     nxt.append(index[c])
         frontier = nxt
-    left = np.array([[index[_compose(g, e)] for e in elems] for g in gen_ts], dtype=np.int32)
+    left = np.array([[index[_compose(g, e)] for e in elems] for g in gen_ts], dtype=TABLE)
     left = left.reshape(len(gen_ts), len(elems))
     return elems, left, np.array(parent, dtype=np.int32), np.array(via, dtype=np.int32)
 
@@ -529,7 +544,7 @@ def group_from_generators(
     del elems  # labelled, the permutations are freed before the table is filled
     # row j of the table from its parent's: (w . g) . a = w . (g . a).
     # Parents are listed before their children, so rows fill in order.
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE)
     table[0] = np.arange(n)
     for j in range(1, n):
         table[j] = table[parent[j]].take(left[via[j]])
@@ -563,11 +578,11 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) ->
     if n > ORDER_CAP:
         raise ValueError(f"product order {n} exceeds the cap {ORDER_CAP}")
     # pair (x, y) -> x * n2 + y
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE)
     _fill_pairs(table, lambda xs, cs: g1.table[xs, None, :], g2.table)
     l1, l2 = g1._label, g2._label  # not the groups: no table is kept alive
     labels = None if l1 is l2 is str else lambda i: f"({l1(i // n2)},{l2(i % n2)})"
-    inv = g1.inv[:, None] * np.int32(n2) + g2.inv[None, :]  # (x, y)^-1 = (x^-1, y^-1)
+    inv = g1.inv[:, None] * n2 + g2.inv[None, :]  # (x, y)^-1 = (x^-1, y^-1)
     return FiniteGroup._inherited(table, inv.ravel(), name or f"{g1.name} x {g2.name}", labels)
 
 
@@ -600,7 +615,7 @@ def semidirect_product(
     for c, a in enumerate(perms):
         if sorted(a) != ident:
             raise ValueError(f"action of element {c} is not a permutation")
-    acts = np.array(perms, dtype=np.int32)
+    acts = np.array(perms, dtype=TABLE)
     tn, tg = n_grp.table, gamma.table
     for c in range(1, ng):
         a = acts[c]
@@ -620,7 +635,7 @@ def semidirect_product(
             raise ValueError(
                 f"action is not a homomorphism: fails at pair ({c1}, {int(np.argmin(hom))})"
             )
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE)
     if acting_first:
         for c in range(ng):
             # row (c, x) holds (c c') * nn + x * action[c](x') at column (c', x')

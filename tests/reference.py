@@ -4,8 +4,9 @@ The decision pipeline never calls these: each is a second route that a test
 holds the package to (a batched Gaussian elimination, the element orders of
 a whole group, the class <= 2 witness construction of Theorem 2, the
 radical basis of the center, augmentation ideals, subgroup idempotents, the
-frozen catalog fingerprints, the factor-at-a-time elementary abelian
-build, the catalog's former eager label lists), or a small helper for
+whole-array quotient map, the frozen catalog fingerprints, the
+factor-at-a-time elementary abelian build, the catalog's former eager label
+lists), or a small helper for
 building coefficient rows by hand.  An element of FG is its int64
 coefficient row; products go through `GroupAlgebra._mul_arrays`, sums and
 scalings through the field's vector operations.
@@ -237,6 +238,30 @@ def witness_ce(group: FiniteGroup, fld: GF, x: np.ndarray) -> np.ndarray:
     if not cur.any() or not alg.is_central(c) or not alg.is_central(cur):
         raise CrossValidationError("constructive witness failed its postcondition")
     return c
+
+
+# -- the whole-array quotient ---------------------------------------------------------
+
+
+def quotient_whole_array(g: FiniteGroup, normal: Iterable[int]) -> tuple[np.ndarray, ...]:
+    """G/N as `FiniteGroup.quotient_map` formed it before its row blocks:
+    every coset gN at once, as the n x |N| array t[:, N], in int64.
+
+    Returns the quotient's table, its inverses and the coset of every
+    element, cosets numbered by their least members; raises ValueError
+    unless N is a normal subgroup."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(normal, dtype=np.int64)] = True
+    t = g.table.astype(np.int64)
+    cosets = t[:, inside]  # row g holds gN
+    least = cosets.min(axis=1)
+    if not (inside[0] and g.is_normal(np.flatnonzero(inside))
+            and (least[cosets] == least[:, None]).all()):
+        raise ValueError("quotient requires a normal subgroup")
+    is_rep = least == np.arange(g.n)
+    reps = np.flatnonzero(is_rep)
+    coset_of = (np.cumsum(is_rep) - 1)[least]
+    return coset_of[t[reps[:, None], reps]], coset_of[g.inv[reps]], coset_of
 
 
 # -- catalog references ---------------------------------------------------------------

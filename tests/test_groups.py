@@ -1,11 +1,12 @@
 import gc
+import json
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from cealg import catalog, groups
+from cealg import catalog, cli, groups
 from cealg.decision import decompose_p
 from cealg.fields import is_prime
 from cealg.groups import (
@@ -25,6 +26,7 @@ from reference import (
     fingerprint,
     index_of_label,
     labels_of,
+    quotient_whole_array,
     shown,
     subgroup_labels,
 )
@@ -100,6 +102,16 @@ class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(GroupValidationError):
             FiniteGroup([[0, 1]])
+
+    @pytest.mark.parametrize("bad", [40000, (1 << 16) + 3, -1])
+    def test_refuses_entries_before_narrowing_them(self, bad):
+        # cast to int16 first, 40000 would read -25536, and 2^16 + 3 would
+        # read 3, the right product of 1 and 2 in C4
+        t = catalog.cyclic(4).table.astype(np.int64)
+        t[1, 2] = bad
+        for given in (t, t.tolist()):
+            with pytest.raises(GroupValidationError, match="table entries out of range"):
+                FiniteGroup(given)
 
 
 class TestGenerators:
@@ -631,6 +643,55 @@ def test_quotient_refuses_normal_sets_that_are_not_subgroups():
         d16.quotient_map(d16.center[1:])  # the center without the identity
 
 
+# blocks of one row, of a few rows with a partial last block, and the default
+_COSET_BLOCKS = pytest.mark.parametrize("entries", [1, 37, None], ids=["1", "37", "default"])
+
+
+@_COSET_BLOCKS
+@pytest.mark.parametrize("spec", REFERENCE_SPECS + ["D16", "prop29:3", "E2^10"])
+def test_quotient_map_matches_whole_array_reference(monkeypatch, spec, entries):
+    g = catalog.get(spec)
+    if entries:
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+    normals = [g.center] if spec in ("D16", "prop29:3", "E2^10") else [
+        g.center, g.commutator_subgroup]
+    for normal in normals:
+        table, inv, coset_of = quotient_whole_array(g, normal)
+        q, got = g.quotient_map(normal)
+        assert np.array_equal(q.table, table) and np.array_equal(q.inv, inv)
+        assert np.array_equal(got, coset_of)
+
+
+@_COSET_BLOCKS
+def test_quotient_refusals_match_whole_array_reference(monkeypatch, entries):
+    # normal sets holding 1 that are not closed: the identity with S3's
+    # transpositions, and with D16's class of the reflection s
+    s3, d16 = catalog.sym3(), catalog.dihedral(16)
+    cases = [(s3, (0, *[c for c in s3.conjugacy.classes if len(c) == 3][0])),
+             (d16, (0, *d16.conjugacy.classes[d16.conjugacy.class_of[index_of_label(d16, "s")]]))]
+    if entries:
+        monkeypatch.setattr(groups, "BLOCK_ENTRIES", entries)
+    for g, members in cases:
+        assert g.is_normal(members)
+        for quotient in (g.quotient_map, lambda m: quotient_whole_array(g, m)):
+            with pytest.raises(ValueError, match="normal subgroup"):
+                quotient(members)
+
+
+def test_quotient_by_the_center_peaks_far_below_the_table():
+    g = catalog.elem_abelian.__wrapped__(2, 12)
+    center = g.center  # found with the generators, before the trace
+    tracemalloc.start()
+    try:
+        q, coset_of = g.quotient_map(center)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.n == 1 and not coset_of.any()
+    # the n x |Z| cosets at once took 2 n^2 bytes (32 MB) in int16 alone
+    assert peak < 1 << 20, peak
+
+
 # -- groups that inherit the axioms, checked by full validation ---------------
 
 _INHERITING_SPECS = [
@@ -740,8 +801,17 @@ def test_inherited_path_keeps_its_refusals():
     # an order above the cap is refused before the table is read; a
     # broadcast view stands in for the table without allocating it
     big = np.broadcast_to(np.zeros(1, dtype=np.int32), (ORDER_CAP + 1, ORDER_CAP + 1))
-    with pytest.raises(GroupValidationError, match="outside"):
-        FiniteGroup._inherited(big, np.zeros(ORDER_CAP + 1, dtype=np.int32), "big")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupValidationError, match="outside"):
+            FiniteGroup._inherited(big, np.zeros(ORDER_CAP + 1, dtype=np.int32), "big")
+        with pytest.raises(GroupValidationError, match="outside"):
+            FiniteGroup(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # neither path casts the view: that would allocate its 2^26 entries
+    assert peak < 1 << 20, peak
     with pytest.raises(ValueError, match="cap"):
         direct_product(catalog.cyclic(91), catalog.cyclic(91))  # 8281 > 8192
 
@@ -844,3 +914,88 @@ def test_build_peak_is_the_result_plus_two_row_blocks(build):
     # a whole n x n temporary would not fit into the bound
     assert g.table.nbytes > two_blocks
     assert peak - retained <= two_blocks, (peak - retained, two_blocks)
+
+
+# -- the table layout: int16, read-only, at every order up to the cap ----------
+
+
+def test_the_cap_fits_the_table_dtype():
+    assert groups.TABLE is np.int16
+    assert ORDER_CAP <= np.iinfo(groups.TABLE).max + 1
+
+
+def _every_builder(tmp_path):
+    """Groups from every builder: closed-form laws, direct and semidirect
+    products, permutation closures, a group file, and subgroups and
+    quotients of those."""
+    out = [g for _, g in catalog.standard_entries()] + catalog.order16_all()
+    out += [catalog.get(s) for s in ("prop29:2", "prop29:3", "prop29:5", "H11")]
+    products = [catalog.get(s) for s in ("H7 x C9", "S3 x C64", "Q8 x C3")]
+    out += products
+    action = [[(x * 4**c) % 9 for x in range(9)] for c in range(3)]
+    for acting_first in (False, True):
+        out.append(semidirect_product(catalog.cyclic(9), catalog.cyclic(3), action,
+                                      acting_first=acting_first))
+    out.append(group_from_generators(6, _SYM6_GENERATORS, "S6"))
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"name": "S4", "degree": 4,
+                                "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]}))
+    out.append(cli.load_group(str(path)))
+    for g in products:
+        for p in (2, 3, 7):
+            dec = decompose_p(g, p) if g.n % p == 0 else None
+            if dec and dec.p_part_is_subgroup:
+                out.append(g.subgroup(dec.p_part))
+    for g in list(out):
+        out += [g.subgroup(g.center), g.quotient_map(g.center)[0],
+                g.quotient_map(g.commutator_subgroup)[0]]
+    return out
+
+
+def test_every_builder_stores_read_only_int16_tables(tmp_path):
+    built = _every_builder(tmp_path)
+    assert len(built) > 200
+    for g in built:
+        assert g.table.dtype == g.inv.dtype == np.int16, g.name
+        assert not g.table.flags.writeable and not g.inv.flags.writeable, g.name
+
+
+def _sum_mod(n):
+    return lambda x, y: (x + y) % n
+
+
+# the three largest shapes, each against its law computed in int64
+_AT_THE_CAP = {
+    "C8192": (lambda: catalog.cyclic.__wrapped__(8192), _sum_mod(8192), lambda x: -x % 8192),
+    "C2 x C4096": (
+        lambda: direct_product(catalog.cyclic.__wrapped__(2), catalog.cyclic.__wrapped__(4096)),
+        lambda x, y: (x // 4096 + y // 4096) % 2 * 4096 + (x + y) % 4096,
+        lambda x: x // 4096 * 4096 + -x % 4096),
+    "E2^13": (lambda: catalog.elem_abelian.__wrapped__(2, 13), np.bitwise_xor, lambda x: x),
+}
+
+
+@pytest.mark.parametrize("build, law, inverse", _AT_THE_CAP.values(), ids=_AT_THE_CAP.keys())
+def test_tables_at_the_cap_match_an_int64_reference(rng, build, law, inverse):
+    g = build()
+    n = g.n
+    every = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([[0, 1, n // 2, n - 2, n - 1], rng.choice(n, 16, replace=False)])
+    got = g.table[rows].astype(np.int64)
+    assert np.array_equal(got, law(rows[:, None], every[None, :]))
+    assert np.array_equal(g.inv.astype(np.int64), inverse(every))
+    assert not g.table[every, g.inv].any()
+
+
+def test_a_table_at_the_cap_retains_two_bytes_an_entry():
+    n = ORDER_CAP
+    catalog.cyclic.__wrapped__(64)  # numpy's and the catalog's first-call costs
+    tracemalloc.start()
+    try:
+        g = catalog.cyclic.__wrapped__(n)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.table.nbytes == 2 * n * n
+    # the table, its inverses, the generators and the label function
+    assert retained <= 2 * n * n + 8 * n, retained
