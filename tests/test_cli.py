@@ -104,6 +104,15 @@ class TestCheckCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "2^63" in err[0]
 
+    @pytest.mark.parametrize("budget, listed", [(256, True), (255, False)])
+    def test_crossvalidate_runs_the_oracle_exactly_within_budget(self, capsys, budget, listed):
+        # D8 over GF(2) has 2^8 = 256 candidates
+        assert main(["check", "--group", "D8", "--field", "2", "--crossvalidate",
+                     "--budget", str(budget)]) == 0
+        out = capsys.readouterr().out
+        assert ("agrees   oracle: centrally_essential" in out) == listed
+        assert "agrees   socle: centrally_essential" in out
+
     def test_socle_on_non_p_group_refused(self, capsys):
         assert main(["check", "--group", "S3", "--field", "2", "--method", "socle"]) == 2
 
@@ -254,10 +263,13 @@ class TestReproduceCommand:
         assert all(r["verdict"] == "not_centrally_essential" for r in doc["rows"])
 
 
-# stdout SHA-256 and exit code of `check ... --format json` and
-# `reproduce prop29 --format json`: each reason tag once, both crossvalidate
-# shapes (socle and oracle; socle only when the oracle is over budget), a
-# GF(4) op and every route's own `details`
+# stdout SHA-256 and exit code of `check ... --format json` and the three
+# `reproduce ... --format json` tables: each reason tag once, both
+# crossvalidate shapes (socle and oracle; socle only when the oracle is over
+# budget), a GF(4) op, every route's own `details`, and each shape of the
+# decision pipeline: a crossvalidated class > 2 positive, a failed Sylow
+# split and a negative with both witnesses, a structural class <= 2 p-part
+# of a product, and an auto negative on a p-part of a product
 REPORT_DIGESTS = [
     ("check --group Q8 --field 2", 0,
      "9cc778d888de63ba07e9aa76129c06726e0771b91308dbc3d5ae235631dbf633"),
@@ -291,8 +303,22 @@ REPORT_DIGESTS = [
      "91a0e49db1e5b7610424105a5a84567648b03d19a3c74d4813823e6dd3e74aaa"),
     ("check --group D8 --field 2^2 --method socle", 0,
      "4c53c05bfd4b4ff8730efec47f8c725de9d87ec223a234bd54e0c24612e6c3fc"),
+    ("check --group D16 --field 2 --crossvalidate", 0,
+     "17544f5c85031ac8484097d50b531267a40a30c4e4f14a22339fb575a785eade"),
+    ("check --group S3 --field 2 --crossvalidate", 1,
+     "6712e21ddd66999abe82e99c760cbc057d4ecdcbaf669b92bc99a4f8fffc5fd0"),
+    ("check --group prop29:2 --field 2 --crossvalidate", 1,
+     "f32c1d433e0358338cc7500f644e7ced25608c6e935d6d72135a32ad9183a09b"),
+    ("check --group 'Q8 x C3' --field 2 --method structural", 0,
+     "3ba018e880d944391f8a8b73e93b2d16b068e0a4038b6e8d403bae5515c1a10c"),
+    ("check --group 'prop29:2 x C3' --field 2", 1,
+     "3b03883aa3d0d3f8ffd2ff4b46c331d5c5f243cd6021a8c77c57be57a33dfd58"),
     ("reproduce prop29", 0,
      "c20078c8c7762abec021fe8d69693e69816dbe5822a2d50d9dd2719a92804d8f"),
+    ("reproduce thm11", 0,
+     "7fa19c1527e96adf892980ac1b49b9e217df7675945e5c192549a70bec7ee9ef"),
+    ("reproduce remark31", 0,
+     "b414426d4208bc47d1e2f06f6e466f746247990a5a7cf4fe99c4d6962882e3de"),
 ]
 
 

@@ -819,6 +819,13 @@ class TestDecide:
         r = decide(catalog.quaternion8(), f2, method="crossvalidate")
         assert ("oracle", ESSENTIAL) in r.cross_checks
 
+    def test_crossvalidate_skips_the_oracle_past_its_index(self, f2):
+        # 2^64 candidates reach the oracle's int64 index at any budget: the
+        # cross-check is skipped, not raised
+        r = decide(catalog.dihedral(64), f2, "crossvalidate", budget=2**70)
+        assert r.verdict == ESSENTIAL and r.method == "socle"
+        assert not any(name == "oracle" for name, _ in r.cross_checks)
+
     def test_counterexample_group_gf3(self, f3):
         r = decide(catalog.p5_class3_group(3), f3)
         assert r.verdict == NOT_ESSENTIAL
