@@ -4,9 +4,11 @@ Every entry is deterministic: identical tables across runs.  Families are
 built either from closed-form multiplication laws on normal forms (cyclic,
 dihedral, quaternion, ...) or from the generic product constructors.
 
-get() reads one grammar table: the fixed names Q8, S3, QD16 and M16, then
-the families C<n>, E<p>^<r>, D<2m>, Q<2^m>, H<p>, order16:<1..14> and
-prop29:<p>, each a pattern and its builder, and "A x B" for direct products.
+get() and names() read one grammar table, in listing order: each entry's
+spec, its pattern, its builder and its help line.  get() tries the fixed
+names Q8, S3, QD16 and M16 first, then the families C<n>, E<p>^<r>, D<2m>,
+Q<2^m>, H<p>, order16:<1..14> and prop29:<p>, and takes "A x B" for direct
+products.
 """
 
 from __future__ import annotations
@@ -329,25 +331,27 @@ def p5_class3_group(p: int) -> FiniteGroup:
 # -- name grammar --------------------------------------------------------------
 
 
-# the grammar table: fixed names first, so "Q8" keeps its +/- i j k labels,
-# then the families, whose numbers are the builder's arguments
-_NAMED = {"Q8": quaternion8, "S3": sym3, "QD16": semidihedral16, "M16": modular16}
-_FAMILIES: list[tuple[str, Callable[..., FiniteGroup]]] = [
-    (r"C(\d+)", cyclic),
-    (r"E(\d+)\^(\d+)", elem_abelian),
-    (r"D(\d+)", dihedral),
-    (r"Q(\d+)", gen_quaternion),
-    (r"H(\d+)", heisenberg),
-    (r"order16:(\d+)", order16),
-    (r"prop29:(\d+)", p5_class3_group),
+# the grammar table in listing order: spec, pattern, builder, help.  A fixed
+# name is its own pattern; a family's numbers are its builder's arguments
+_GRAMMAR: list[tuple[str, str, Callable[..., FiniteGroup], str]] = [
+    ("C<n>", r"C(\d+)", cyclic, "cyclic of order n"),
+    ("E<p>^<r>", r"E(\d+)\^(\d+)", elem_abelian, "elementary abelian of order p^r"),
+    ("D<2m>", r"D(\d+)", dihedral, "dihedral of order 2m"),
+    ("Q<2^m>", r"Q(\d+)", gen_quaternion, "generalized quaternion of order 2^m (Q8, Q16, ...)"),
+    ("QD16", "QD16", semidihedral16, "semidihedral of order 16"),
+    ("M16", "M16", modular16, "modular group of order 16"),
+    ("Q8", "Q8", quaternion8, "quaternion group with +/- i j k labels"),
+    ("S3", "S3", sym3, "symmetric group on 3 letters"),
+    ("H<p>", r"H(\d+)", heisenberg, "unitriangular 3x3 group over GF(p), order p^3"),
+    ("order16:<1..14>", r"order16:(\d+)", order16, "the fourteen groups of order 16"),
+    ("prop29:<p>", r"prop29:(\d+)", p5_class3_group, "order p^5, class 3, p in {2, 3, 5}"),
 ]
 
 
 def _atomic(spec: str) -> FiniteGroup:
     spec = spec.strip()
-    if spec in _NAMED:
-        return _NAMED[spec]()
-    for pattern, build in _FAMILIES:
+    # the fixed names first, so "Q8" keeps its +/- i j k labels
+    for _, pattern, build, _ in sorted(_GRAMMAR, key=lambda entry: entry[0] != entry[1]):
         m = re.fullmatch(pattern, spec)
         if m:
             return build(*(int(x) for x in m.groups()))
@@ -368,20 +372,8 @@ def get(spec: str) -> FiniteGroup:
 
 def names() -> list[str]:
     """Stable listing of the atomic grammar for the CLI."""
-    return [
-        "C<n>            cyclic of order n",
-        "E<p>^<r>        elementary abelian of order p^r",
-        "D<2m>           dihedral of order 2m",
-        "Q<2^m>          generalized quaternion of order 2^m (Q8, Q16, ...)",
-        "QD16            semidihedral of order 16",
-        "M16             modular group of order 16",
-        "Q8              quaternion group with +/- i j k labels",
-        "S3              symmetric group on 3 letters",
-        "H<p>            unitriangular 3x3 group over GF(p), order p^3",
-        "order16:<1..14> the fourteen groups of order 16",
-        "prop29:<p>      order p^5, class 3, p in {2, 3, 5}",
-        "A x B           direct product of two specs",
-    ]
+    lines = [f"{spec:<15} {text}" for spec, _, _, text in _GRAMMAR]
+    return lines + [f"{'A x B':<15} direct product of two specs"]
 
 
 def standard_entries() -> list[tuple[str, FiniteGroup]]:

@@ -198,20 +198,27 @@ def _reproduce_prop29(fmt: str, include_p5: bool) -> tuple[int, str]:
 def _reproduce_thm11(fmt: str, budget: int) -> tuple[int, str]:
     rows = []
     bad = []
+    refused = []  # (candidates, name, p) of the instances the oracle refused
     for name, g in catalog.standard_entries():
         if g.n > 16:
             continue
         for fld in (field_make(2), field_make(3)):
-            if fld.order**g.n > budget:
+            try:
+                oracle = decide(g, fld, "oracle", budget)
+            except BudgetError:
+                refused.append((fld.order**g.n, name, fld.p))
                 continue
             r = decide(g, fld)
-            oracle = decide(g, fld, "oracle", budget)
             r.cross_checks.append(("oracle", oracle.verdict))
             rows.append(r)
             if oracle.verdict != r.verdict:
                 bad.append(
                     f"{name} over GF({fld.p}): decide={r.verdict} oracle={oracle.verdict}"
                 )
+    if not rows:
+        least, name, p = min(refused)
+        raise ValueError(f"budget {budget} admits no thm11 instance; the smallest, "
+                         f"{name} over GF({p}), needs a budget of {least}")
     return (EXIT_MISMATCH if bad else 0), _format_rows(rows, fmt, bad)
 
 

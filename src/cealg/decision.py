@@ -18,16 +18,16 @@ other:
   class-constancy test; before any verdict it checks, one bounded block of
   radical rows at a time, that they are nilpotent (squaring the block in
   one product per level) and annihilate the socle's excess vector;
-* the structural route applies the Sylow-decomposition reduction, the
-  class <= 2 shortcut, and for class > 2 groups with the central-coset
-  property a constructive non-essentiality witness g * (sum of the center),
-  re-verified by independent linear algebra.
+* the structural route: for class > 2 groups with the central-coset
+  property, a constructive non-essentiality witness g * (sum of the center).
 
 Every witness that a verdict carries is a read-only int64 coefficient row
-of FG, re-validated numerically, never trusted from theory alone; a failed
-Sylow split carries none.  The oracle and the socle decider share only
-their result type, Outcome, and `_record`, which writes one into a report;
-`decide` is the one entry point that builds reports.
+of FG that one certify step, `_certified`, has re-validated, never trusted
+from theory alone; a failed Sylow split carries none.  The oracle and the
+socle decider share only their result type, Outcome, `_record`, which
+writes one into a report, and that step.  `decide` is the one entry point
+that builds reports: one pipeline for the auto, crossvalidate and
+structural methods (see its docstring).
 """
 
 from __future__ import annotations
@@ -141,6 +141,19 @@ def candidate_admits_central_multiple(
     return inter > 0, {"rank_rC": r1, "rank_sum": r2, "center_dim": d, "intersection_dim": inter}
 
 
+def _certified(alg: GroupAlgebra, row: np.ndarray, what: str) -> dict:
+    """The rank checks of the witness row `row`, made read-only: it must not
+    be central and must admit no nonzero central multiple, or the decider
+    that produced it is wrong."""
+    row.setflags(write=False)
+    if alg.is_central(row):
+        raise CrossValidationError(f"{what} is central")
+    admits, checks = candidate_admits_central_multiple(alg, row)
+    if admits:
+        raise CrossValidationError(f"{what} failed the rank re-verification")
+    return checks
+
+
 def _candidate_digits(ms: np.ndarray, q: int, n: int) -> np.ndarray:
     """Coefficient rows of the candidates with int64 indices ms.
 
@@ -192,12 +205,9 @@ def oracle_centrally_essential(
         checked = (total - 1) // (q - 1)
         return Outcome(ESSENTIAL, {"candidates": checked})
     witness = _candidate_digits(np.array([bad], dtype=np.int64), q, n)[0]
-    witness.setflags(write=False)
-    ok, artifact = candidate_admits_central_multiple(alg, witness)
-    if ok:
-        raise CrossValidationError("oracle counterexample failed re-verification")
-    artifact["candidate_index"] = bad
-    return Outcome(NOT_ESSENTIAL, artifact, witness, artifact)
+    checks = _certified(alg, witness, "oracle counterexample")
+    checks["candidate_index"] = bad
+    return Outcome(NOT_ESSENTIAL, checks, witness, checks)
 
 
 def _class_products(alg: GroupAlgebra) -> np.ndarray:
@@ -448,9 +458,6 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
         # the first socle basis vector outside the center is the
         # counterexample; a row of its own, so the basis goes before the guard
         excess = socle_rows[np.argmax(outside)].copy()
-        excess.setflags(write=False)
-        if alg.is_central(excess):
-            raise CrossValidationError("socle excess vector is central")
     del socle_rows
     for rows in row_blocks(len(rad), n, fields._PAIRS):
         # the radical description rests on its rows being nilpotent; guard
@@ -470,11 +477,9 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
             raise CrossValidationError("socle vector not annihilated by the radical")
     if excess is None:
         return Outcome(ESSENTIAL, {"socle_dim": socle_dim})
-    ok, artifact = candidate_admits_central_multiple(alg, excess)
-    if ok:
-        raise CrossValidationError("socle excess vector failed the rank re-verification")
-    artifact["socle_dim"] = socle_dim
-    return Outcome(NOT_ESSENTIAL, {"socle_dim": socle_dim}, excess, artifact)
+    checks = _certified(alg, excess, "socle excess vector")
+    checks["socle_dim"] = socle_dim
+    return Outcome(NOT_ESSENTIAL, {"socle_dim": socle_dim}, excess, checks)
 
 
 # -- structural route -------------------------------------------------------------
@@ -530,28 +535,16 @@ def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[np.ndarray, dict]:
     nc = group.nilpotency_class
     if nc is None or nc <= 2:
         raise ValueError("non-essentiality witness requires nilpotency class > 2")
-    ok, _ = group.central_coset_condition()
-    if not ok:
+    if not group.central_coset_condition()[0]:
         raise ValueError("non-essentiality witness requires the central-coset condition")
-    chain = group.upper_central_series.subgroups
-    z2 = set(chain[2])
+    z2 = set(group.upper_central_series.subgroups[2])
     g = next(i for i in range(group.n) if i not in z2)
-    alg = GroupAlgebra(group, fld)
     x = np.zeros(group.n, dtype=np.int64)
     x[group.table[g, list(group.center)]] = 1
-    x.setflags(write=False)
-    if not x.any():
-        raise CrossValidationError("witness element vanished unexpectedly")
-    if alg.is_central(x):
-        raise CrossValidationError("witness element is central; hypothesis violated")
-    admits, artifact = candidate_admits_central_multiple(alg, x)
-    if admits:
-        raise CrossValidationError(
-            "witness verification failed: x admits a central multiple"
-        )
-    artifact["witness_g"] = group.label(g)
-    artifact["noncentral"] = True
-    return x, artifact
+    checks = _certified(GroupAlgebra(group, fld), x, "center-sum witness")
+    checks["witness_g"] = group.label(g)
+    checks["noncentral"] = True
+    return x, checks
 
 
 # -- the pipeline -------------------------------------------------------------------
@@ -575,17 +568,15 @@ def decide(
 
     `fld=None` is characteristic zero, where FG is centrally essential
     exactly when it is commutative, i.e. when G is abelian (method "auto" or
-    "char0").  Over GF(p^k) the method is one of
-
-    * "auto": p-decomposition, whose failure settles the question
-      negatively; nilpotency class <= 2 on the p-part settles it
-      positively; otherwise the socle decider on the p-part;
-    * "crossvalidate": "auto", then the socle decider (after the class
-      shortcut) and, within budget, the oracle run redundantly and must
-      agree;
-    * "oracle" or "socle": that decider alone, on G itself;
-    * "structural": the structural rules alone; raises
-      StructuralUndecidedError when they do not apply.
+    "char0").  Over GF(p^k), "oracle" or "socle" runs that decider alone on
+    G, and "auto", "crossvalidate" and "structural" run one pipeline: the
+    Sylow split G = P x H (H abelian), whose failure settles FG negatively;
+    nilpotency class <= 2 on the p-part P, which settles it positively; at
+    class > 2 the socle decider on P, or for "structural" the central-coset
+    condition (StructuralUndecidedError without it); and on a negative
+    verdict, when P has that condition, the center-sum witness.
+    "crossvalidate" then runs the socle decider (after the class shortcut)
+    and the oracle (unless it refuses over its budget); both must agree.
     """
     report = DecisionReport(
         group_name=group.name,
@@ -603,54 +594,67 @@ def decide(
             report.verdict, report.reason = ESSENTIAL, "char0_commutative"
         else:
             report.verdict, report.reason = NOT_ESSENTIAL, "char0_noncommutative"
-    elif method == "oracle":
-        _record(report, group, "oracle", oracle_centrally_essential(group, fld, budget))
-    elif method == "socle":
-        _record(report, group, "socle", socle_centrally_essential(group, fld))
-    elif method == "structural":
-        _, p_group = _shortcuts(report, group, fld, {})
-        if not report.reason:
-            if not p_group.central_coset_condition()[0]:
-                raise StructuralUndecidedError(
-                    f"structural rules do not settle {group.name}: class > 2 "
-                    "without the central-coset condition"
-                )
-            x, artifact = witness_not_ce(p_group, fld)
-            report.verdict, report.reason = NOT_ESSENTIAL, "central_coset_witness"
-            report.witnesses.append(_witness_dict(p_group, "center_sum_translate", x, artifact))
-    elif method in ("auto", "crossvalidate"):
-        dec, p_group = _shortcuts(report, group, fld, report.timings)
+        return report
+    if method == "char0":
+        raise ValueError(f"method 'char0' needs characteristic zero, not {fld}")
+    if method in ("oracle", "socle"):
+        out = (oracle_centrally_essential(group, fld, budget) if method == "oracle"
+               else socle_centrally_essential(group, fld))
+        _record(report, group, method, out)
+        return report
+    if method not in ("auto", "crossvalidate", "structural"):
+        raise ValueError(f"unknown method {method!r}")
+
+    structural = method == "structural"
+    t0 = time.perf_counter()
+    dec = decompose_p(group, fld.p)
+    report.timings["decompose"] = time.perf_counter() - t0
+    if not structural:
         report.details["decomposition"] = {
             "p_part_size": len(dec.p_part),
             "p_prime_part_size": len(dec.p_prime_part),
             "is_direct": dec.is_direct,
             "h_abelian": dec.h_abelian,
         }
-        if p_group is not None:
+    if not dec.is_direct:
+        report.verdict, report.reason = NOT_ESSENTIAL, "sylow_decomposition_failed"
+    else:
+        p_group = _p_part_group(group, dec)
+        if not structural:
             report.details["p_part_order"] = p_group.n
-        if not report.reason:
+        t0 = time.perf_counter()
+        nc = p_group.nilpotency_class
+        report.timings["central_series"] = time.perf_counter() - t0
+        report.details["p_part_class"] = nc
+        if nc is not None and nc <= 2:
+            report.verdict, report.reason = ESSENTIAL, "nc_le_2"
+        elif structural:
+            if not p_group.central_coset_condition()[0]:
+                raise StructuralUndecidedError(
+                    f"structural rules do not settle {group.name}: class > 2 "
+                    "without the central-coset condition"
+                )
+            report.verdict, report.reason = NOT_ESSENTIAL, "central_coset_witness"
+        else:
             t0 = time.perf_counter()
             soc = socle_centrally_essential(p_group, fld)
             report.timings["socle"] = time.perf_counter() - t0
             _record(report, p_group, "socle", soc)
-            if soc.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
-                x, artifact = witness_not_ce(p_group, fld)
-                report.witnesses.append(
-                    _witness_dict(p_group, "center_sum_translate", x, artifact))
-    elif method == "char0":
-        raise ValueError(f"method 'char0' needs characteristic zero, not {fld}")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        if report.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
+            x, art = witness_not_ce(p_group, fld)
+            report.witnesses.append(_witness_dict(p_group, "center_sum_translate", x, art))
 
     if method == "crossvalidate":
-        checks = []
+        # the socle decider checks the class shortcut; p_group is set there
+        runs = [("oracle", lambda: oracle_centrally_essential(group, fld, budget))]
         if report.reason == "nc_le_2":
-            checks.append(("socle", lambda: socle_centrally_essential(p_group, fld)))
-        if fld.order**group.n <= min(budget, INDEX_LIMIT - 1):
-            checks.append(("oracle", lambda: oracle_centrally_essential(group, fld, budget)))
-        for name, run in checks:
+            runs.insert(0, ("socle", lambda: socle_centrally_essential(p_group, fld)))
+        for name, run in runs:
             t0 = time.perf_counter()
-            verdict = run().verdict
+            try:
+                verdict = run().verdict
+            except BudgetError:
+                continue  # the oracle refuses over its budget: no cross-check
             report.timings[name] = time.perf_counter() - t0
             report.cross_checks.append((name, verdict))
             if verdict != report.verdict:
@@ -658,29 +662,6 @@ def decide(
                     f"{name} disagrees with {report.method} ({report.reason}) on {group.name}"
                 )
     return report
-
-
-def _shortcuts(
-    report: DecisionReport, group: FiniteGroup, fld: GF, timings: dict[str, float]
-) -> tuple[PDecomposition, FiniteGroup | None]:
-    """The Sylow split and the class <= 2 shortcut of the auto and structural
-    routes: sets the verdict and reason when they settle FG, records the
-    p-part's class, and returns the split with the p-part (None when the
-    split is not direct)."""
-    t0 = time.perf_counter()
-    dec = decompose_p(group, fld.p)
-    timings["decompose"] = time.perf_counter() - t0
-    if not dec.is_direct:
-        report.verdict, report.reason = NOT_ESSENTIAL, "sylow_decomposition_failed"
-        return dec, None
-    p_group = _p_part_group(group, dec)
-    t1 = time.perf_counter()
-    nc = p_group.nilpotency_class
-    timings["central_series"] = time.perf_counter() - t1
-    report.details["p_part_class"] = nc
-    if nc is not None and nc <= 2:
-        report.verdict, report.reason = ESSENTIAL, "nc_le_2"
-    return dec, p_group
 
 
 # per route: the reason for each verdict, and the kind of its witness

@@ -94,6 +94,16 @@ class TestNamedGroups:
                 catalog.get(bad)
 
 
+@pytest.mark.parametrize("spec", ["C<n>", "E<p>^<r>", "D<2m>", "Q<2^m>", "H<p>",
+                                  "order16:<1..14>", "prop29:<p>"])
+def test_listed_family_placeholders_are_not_specs(spec):
+    # `groups list` shows these spellings; lookup matches the patterns only,
+    # so none of them reaches a builder without its argument
+    with pytest.raises(ValueError) as info:
+        catalog.get(spec)
+    assert str(info.value) == f"unknown group spec {spec!r}"
+
+
 # each fixed name and one spec per family, with the builder that makes it;
 # the builder runs again past its cache
 SPEC_BUILDERS = [

@@ -253,6 +253,22 @@ class TestReproduceCommand:
         assert "all assertions hold" in out
         assert "sylow_decomposition_failed" in out
 
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_thm11_refuses_a_budget_that_admits_no_instance(self, capsys, budget):
+        # 2 candidates, C1 over GF(2), is the least the oracle can check
+        assert main(["reproduce", "thm11", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: budget {budget} admits no thm11 instance; the "
+                                "smallest, C1 over GF(2), needs a budget of 2\n")
+
+    def test_thm11_at_the_least_budget_checks_c1(self, capsys):
+        assert main(["reproduce", "thm11", "--budget", "2"]) == 0
+        header, row, verdict = capsys.readouterr().out.splitlines()
+        assert row.split() == ["C1", "1", "GF(2)", "structural", "nc_le_2",
+                               "centrally_essential"]
+        assert verdict == "all assertions hold"
+
     def test_json_format(self, tmp_path):
         p = tmp_path / "r.json"
         assert main(["reproduce", "prop29", "--format", "json",

@@ -702,10 +702,47 @@ def test_socle_checks_catch_injected_faults(monkeypatch, f2, name):
         socle_centrally_essential(catalog.p5_class3_group(2), f2)
 
 
-def test_central_excess_is_refused(monkeypatch, f2):
-    monkeypatch.setattr(GroupAlgebra, "is_central", lambda a, x: True)
-    with pytest.raises(decision.CrossValidationError, match="socle excess vector is central"):
-        socle_centrally_essential(catalog.p5_class3_group(2), f2)
+# the three routes that report a witness row, and the name each gives it
+WITNESS_ROUTES = {
+    "oracle": (lambda: oracle_centrally_essential(catalog.sym3(), field_make(2)).witness,
+               "oracle counterexample"),
+    "socle": (lambda: socle_centrally_essential(catalog.get("prop29:2"), field_make(2)).witness,
+              "socle excess vector"),
+    "center-sum": (lambda: witness_not_ce(catalog.get("prop29:3"), field_make(3))[0],
+                   "center-sum witness"),
+}
+
+
+@pytest.mark.parametrize("route", WITNESS_ROUTES)
+def test_each_witness_route_certifies_its_row_once(monkeypatch, route):
+    run, what = WITNESS_ROUTES[route]
+    calls, certified = [], decision._certified
+
+    def spy(alg, row, name):
+        calls.append((row, name))
+        return certified(alg, row, name)
+
+    monkeypatch.setattr(decision, "_certified", spy)
+    witness = run()
+    assert len(calls) == 1 and calls[0][0] is witness and calls[0][1] == what
+    assert not witness.flags.writeable
+
+
+@pytest.mark.parametrize("fault", ["central", "central multiple"])
+@pytest.mark.parametrize("route", WITNESS_ROUTES)
+def test_each_witness_route_refuses_a_faulty_row(monkeypatch, route, fault):
+    run, what = WITNESS_ROUTES[route]
+    if fault == "central":
+        monkeypatch.setattr(GroupAlgebra, "is_central", lambda a, x: True)
+        message = f"{what} is central"
+    else:
+        admits = candidate_admits_central_multiple
+        monkeypatch.setattr(decision, "candidate_admits_central_multiple",
+                            lambda alg, x: (True, admits(alg, x)[1]))
+        message = f"{what} failed the rank re-verification"
+    with pytest.raises(decision.CrossValidationError) as info:
+        run()
+    assert str(info.value) == message
 
 
 def test_guard_squares_each_block_at_most_log_n_times(monkeypatch, f2):
@@ -852,6 +889,14 @@ class TestDecide:
     def test_timings_recorded(self, f2):
         r = decide(catalog.quaternion8(), f2)
         assert "decompose" in r.timings
+
+    def test_structural_route_runs_the_same_steps(self, f2):
+        # the pipeline times the same steps; the report keeps the structural
+        # details, with no decomposition and no p-part order
+        r = decide(catalog.get("Q8 x C3"), f2, "structural")
+        assert (r.method, r.reason) == ("structural", "nc_le_2")
+        assert set(r.timings) == {"decompose", "central_series"}
+        assert r.details == {"p_part_class": 2}
 
     @pytest.mark.parametrize("spec,p", [("Q8", 2), ("D16", 2), ("H3", 3), ("C9", 3),
                                         ("prop29:2", 2), ("prop29:3", 3)])
