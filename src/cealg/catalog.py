@@ -66,10 +66,15 @@ def _mixed_radix(idx: int | np.ndarray, radices: tuple[int, ...]) -> list:
 
 
 def _encode(digits: list[np.ndarray], radices: tuple[int, ...]) -> np.ndarray:
-    """Index arrays of unreduced digit arrays, each reduced mod its radix."""
-    out = digits[0] % radices[0]
-    for d, r in zip(digits[1:], radices[1:]):
-        out = out * r + d % r
+    """Index arrays of unreduced digit arrays, each reduced mod its radix r
+    in place by steps of r: the laws' digits lie within a few r of [0, r)."""
+    out = 0
+    for d, r in zip(digits, radices):
+        for _ in range(d.max() // r):
+            np.subtract(d, r, out=d, where=d >= r)
+        for _ in range(-(d.min() // r)):
+            np.add(d, r, out=d, where=d < 0)
+        out = out * r + d
     return out
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from . import fields
 from .algebra import GroupAlgebra
 from .fields import GF, Matrix
-from .groups import FiniteGroup, row_blocks
+from .groups import BLOCK_ENTRIES, FiniteGroup, row_blocks
 
 DEFAULT_BUDGET = 1 << 20
 INDEX_LIMIT = 1 << 63  # the oracle enumerates fewer candidates than this
@@ -433,7 +433,7 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     return red.data[: len(pivots)][:, coset_of]
 
 
-def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
+def socle_centrally_essential(group: FiniteGroup, fld: GF, alg=None) -> Outcome:
     """Essentiality via the socle: C is essential in FG iff every element
     annihilated by the radical of C already lies in C.
 
@@ -443,10 +443,11 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
     vector outside C is returned as a certified counterexample (its central
     multiples form the line it spans, which misses C).  Before any verdict,
     one pass over bounded blocks of the radical basis rows guards their
-    nilpotency and re-checks that they annihilate that vector, in FG.
+    nilpotency and re-checks that they annihilate that vector.  `alg`, when
+    given, is FG already built, so its class sums are shared.
     """
     _require_p_group(group, fld)
-    alg = GroupAlgebra(group, fld)
+    alg = alg or GroupAlgebra(group, fld)
     n = group.n
     rad = _radical_basis(alg)
     socle_rows = _radical_annihilator(alg)
@@ -486,8 +487,10 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF) -> Outcome:
 
 
 def decompose_p(group: FiniteGroup, p: int) -> PDecomposition:
-    """Split elements into p-part and p'-part and test for a direct
-    decomposition G = P x H with H abelian."""
+    """Split elements into p-part P and p'-part H and test for a direct
+    decomposition G = P x H with H abelian in O(n |S|), with S_X generating
+    <X> (X itself if n |X| fits a block, else X's greedy generators): P is
+    closed iff P S_P lies in P, and x commutes with H iff x commutes with S_H."""
     n, t = group.n, group.table
     # element orders divide n: a p-power order divides its p-part pk, an
     # order prime to p divides n / pk
@@ -499,13 +502,12 @@ def decompose_p(group: FiniteGroup, p: int) -> PDecomposition:
         # a p-group: P is everything, H the identity alone
         return PDecomposition(p, tuple(range(n)), (0,), True, True, True)
     h_part = np.flatnonzero(group.powers(every, n // pk) == 0)
-    closed = bool(p_mask[t[p_part[:, None], p_part]].all())
-    commute = bool((t[p_part[:, None], h_part] == t[h_part[:, None], p_part].T).all())
-    t_hh = t[h_part[:, None], h_part]
-    h_ab = bool((t_hh == t_hh.T).all())
-    return PDecomposition(
-        p, tuple(p_part.tolist()), tuple(h_part.tolist()), closed, commute, h_ab
-    )
+    s_p, s_h = (x if x.size * n <= BLOCK_ENTRIES else group._greedy_generators(x)
+                for x in (p_part, h_part))
+    closed = bool(p_mask[t[p_part[:, None], s_p]].all())
+    commutes = (t[:, s_h] == t[s_h].T).all(axis=1)  # x commutes with <H>
+    return PDecomposition(p, tuple(p_part.tolist()), tuple(h_part.tolist()), closed,
+                          bool(commutes[p_part].all()), bool(commutes[h_part].all()))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -525,12 +527,12 @@ def _p_part_group(group: FiniteGroup, dec: PDecomposition) -> FiniteGroup:
     return group.subgroup(dec.p_part, name=f"{group.name}|P")
 
 
-def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[np.ndarray, dict]:
+def witness_not_ce(group: FiniteGroup, fld: GF, alg=None) -> tuple[np.ndarray, dict]:
     """For a class > 2 p-group satisfying the central-coset condition over
     characteristic p, the element x = g * (sum of the center), g the least
     element outside Z_2, has x C /\\ C = 0; verified by rank computation
-    before being returned, so the certificate stands on the linear algebra
-    alone."""
+    before being returned, in FG (`alg` when given), so the certificate
+    stands on the linear algebra alone."""
     _require_p_group(group, fld)
     nc = group.nilpotency_class
     if nc is None or nc <= 2:
@@ -541,7 +543,7 @@ def witness_not_ce(group: FiniteGroup, fld: GF) -> tuple[np.ndarray, dict]:
     g = next(i for i in range(group.n) if i not in z2)
     x = np.zeros(group.n, dtype=np.int64)
     x[group.table[g, list(group.center)]] = 1
-    checks = _certified(GroupAlgebra(group, fld), x, "center-sum witness")
+    checks = _certified(alg or GroupAlgebra(group, fld), x, "center-sum witness")
     checks["witness_g"] = group.label(g)
     checks["noncentral"] = True
     return x, checks
@@ -620,6 +622,7 @@ def decide(
         report.verdict, report.reason = NOT_ESSENTIAL, "sylow_decomposition_failed"
     else:
         p_group = _p_part_group(group, dec)
+        alg = GroupAlgebra(p_group, fld)  # FG of the p-part: one set of class sums
         if not structural:
             report.details["p_part_order"] = p_group.n
         t0 = time.perf_counter()
@@ -637,11 +640,11 @@ def decide(
             report.verdict, report.reason = NOT_ESSENTIAL, "central_coset_witness"
         else:
             t0 = time.perf_counter()
-            soc = socle_centrally_essential(p_group, fld)
+            soc = socle_centrally_essential(p_group, fld, alg)
             report.timings["socle"] = time.perf_counter() - t0
             _record(report, p_group, "socle", soc)
         if report.verdict == NOT_ESSENTIAL and p_group.central_coset_condition()[0]:
-            x, art = witness_not_ce(p_group, fld)
+            x, art = witness_not_ce(p_group, fld, alg)
             report.witnesses.append(_witness_dict(p_group, "center_sum_translate", x, art))
 
     if method == "crossvalidate":

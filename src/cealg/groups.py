@@ -11,11 +11,13 @@ Direct products, semidirect products, subgroups and quotients of validated
 groups inherit the axioms, and take their inverses from the parts; what is
 checked for them is their own premise: that the action is a homomorphism
 into Aut(N), that the member set holds 1 and is closed, that N is a normal
-subgroup.  Classes are orbits of
-conjugation by S, the center commutes with S, Z_{i+1} is read off the
-n x |S| table of the commutators [x, s], and G' is the normal closure of the
-[s, u]; each is O(n |S|) up to logarithmic factors, and none forms an n x n
-array.
+subgroup.  Classes are orbits of conjugation by S, the center commutes
+with S, Z_{i+1} is read off the n x |S| table of the commutators [x, s],
+G' is the normal closure of the [s, u], and the deciders' Sylow split tests
+P and H against generating sets of their own; each is O(n |S|) up to
+logarithmic factors.  The central-coset condition tests one product gz per
+class representative g and central z, a block of z at a time, until every
+class has its z.  None forms an n x n array.
 
 Elements are canonical indices 0..n-1 with index 0 the identity.  Subsets of
 a group are passed around as sorted tuples of indices so that every derived
@@ -152,12 +154,13 @@ class FiniteGroup:
             raise GroupValidationError("index 0 is not a two-sided identity")
         self.inv = np.empty(n, dtype=TABLE)
         for rows in row_blocks(n):
-            hits = t[rows] == 0
-            unique = np.count_nonzero(hits, axis=1) == 1
-            if not unique.all():
+            # the identity's positions, row-major: one a row, so i runs through the rows
+            i, j = np.divmod(np.flatnonzero(t[rows] == 0), n)
+            if not np.array_equal(i + rows.start, ref[rows]):
+                once = np.bincount(i, minlength=ref[rows].size) == 1
                 raise GroupValidationError(
-                    f"element {rows.start + unique.argmin()} lacks a unique right inverse")
-            self.inv[rows] = hits.argmax(axis=1)
+                    f"element {rows.start + once.argmin()} lacks a unique right inverse")
+            self.inv[rows] = j
         if not (t[self.inv, ref] == 0).all():
             raise GroupValidationError("inverse law fails")
         # Light's test: the s with (xy)s = x(ys) for all x, y form a set closed
@@ -202,8 +205,7 @@ class FiniteGroup:
         appears; a square is a product of generators, so the closure stays
         the same, and <g> closes in about log2 |g| rounds."""
         t = self.table
-        is_gen = np.zeros_like(reached)
-        is_gen[np.fromiter(gens, dtype=np.int64)] = True
+        is_gen = self._member_mask(gens)
         frontier = np.flatnonzero(reached)
         while frontier.size:
             s = np.flatnonzero(is_gen)
@@ -322,15 +324,13 @@ class FiniteGroup:
         n = self.n
         comm = self._commutators(np.arange(n))
         chain: list[tuple[int, ...]] = [(0,)]
-        current = np.zeros(n, dtype=bool)
-        current[0] = True
+        current = np.arange(n) == 0
         while True:
-            in_cur = current[comm]  # in_cur[g, i] = [g, s_i] in Z_i
-            nxt = in_cur.all(axis=1)
+            nxt = current[comm].all(axis=1)  # [g, s] in Z_i for every generator s
             if (nxt == current).all():
                 break
             current = nxt
-            chain.append(tuple(int(x) for x in np.nonzero(current)[0]))
+            chain.append(tuple(np.flatnonzero(current).tolist()))
             if current.all():
                 break
         nc = len(chain) - 1 if current.all() else None
@@ -346,15 +346,17 @@ class FiniteGroup:
         if not inside[0]:
             raise ValueError("subgroup must contain the identity")
         mem = np.flatnonzero(inside)
-        prod = self.table[mem[:, None], mem]
-        if not inside[prod].all():
+        pos = np.where(inside, np.cumsum(inside) - 1, -1).astype(TABLE)  # in mem, or -1
+        table = np.empty((mem.size, mem.size), dtype=TABLE)
+        for rows in row_blocks(mem.size, self.n):
+            table[rows] = pos.take(self.table.take(mem[rows], axis=0).take(mem, axis=1))
+        if table.min() < 0:
             raise ValueError("member set is not closed under multiplication")
         # a closed finite set holding 1 is a subgroup, and inherits the axioms
-        pos = np.cumsum(inside, dtype=TABLE) - 1  # position in the member list
         lab = self._label  # not self: the label function keeps no table alive
         labels = None if lab is str else lambda i: lab(int(mem[i]))
         return FiniteGroup._inherited(
-            pos[prod], pos[self.inv[mem]], name or f"{self.name}|sub{mem.size}", labels)
+            table, pos[self.inv[mem]], name or f"{self.name}|sub{mem.size}", labels)
 
     def _member_mask(self, members: Iterable[int]) -> np.ndarray:
         """The bool mask of a set of elements given in any order, repeats
@@ -409,30 +411,31 @@ class FiniteGroup:
         subgroup of the center contains a non-trivial cyclic one, and the
         condition is inherited downward.  The condition is constant on
         classes (conjugating g carries gH onto the same class), so one
-        representative per class is checked.
+        representative per class is checked; and g<z> lies in g's class
+        exactly when gz does (gz = x^-1 g x gives g z^k = x^-k g x^k, z being
+        central).  So one pass over blocks of the central z, in center order,
+        tests all the representatives still open.
         """
         return self._central_coset
 
     @cached_property
     def _central_coset(self) -> tuple[bool, dict]:
-        t, cp = self.table, self.conjugacy
-        cyclic: dict[int, np.ndarray] = {}  # central z -> the subgroup <z>
-        cert: dict[int, int] = {}
-        for cls in cp.classes:
-            if len(cls) == 1:
-                continue
-            g = cls[0]
-            found = None
-            for zc in self.center[1:]:
-                if zc not in cyclic:
-                    cyclic[zc] = np.asarray(self.subgroup_generated([zc]))
-                if (cp.rep[t[g, cyclic[zc]]] == g).all():
-                    found = zc
-                    break
-            if found is None:
-                return False, {"violator": g, "witnesses": cert}
-            cert[g] = found
-        return True, {"violator": None, "witnesses": cert}
+        t, rep = self.table, self.conjugacy.rep
+        reps = np.flatnonzero(np.bincount(rep, minlength=self.n) > 1)
+        zs = np.array(self.center[1:], dtype=np.int64)
+        found = np.zeros(reps.size, dtype=np.int64)  # each class's first z, 0 for none yet
+        for block in row_blocks(zs.size, max(1, reps.size)):
+            open_ = np.flatnonzero(found == 0)
+            if not open_.size:
+                break
+            g = reps[open_, None]
+            hit = rep[t[g, zs[block]]] == g
+            got = hit.any(axis=1)
+            found[open_[got]] = zs[block][hit[got].argmax(axis=1)]
+        ok = bool(found.all())
+        k = reps.size if ok else int(np.argmin(found))  # the violator, if any
+        cert = dict(zip(reps[:k].tolist(), found[:k].tolist()))  # the classes before it
+        return ok, {"violator": None if ok else int(reps[k]), "witnesses": cert}
 
     def z2_self_centralizing(self) -> bool:
         """Whether the centralizer of Z_2 is contained in Z_2."""
@@ -551,24 +554,23 @@ def group_from_generators(
     return FiniteGroup(table, name, labels)
 
 
-def _fill_pairs(
-    table: np.ndarray, moved: Callable[[slice, slice], np.ndarray], tg: np.ndarray
-) -> None:
+def _fill_pairs(table: np.ndarray, t1: np.ndarray, tg: np.ndarray, acts=None) -> None:
     """Fill the table of pairs (x, c) -> x * m + c, m = |tg|, whose entry in
-    row (x, c) and column (x', c') is moved[x, c, x'] * m + tg[c, c'].
+    row (x, c) and column (x', c') is moved[x, c, x'] * m + tg[c, c'], with
+    moved[x, c, x'] = x * acts[c][x'] in t1, or x * x' when acts is None.
 
-    moved(xs, cs) gives moved[xs, cs], with an axis c of length 1 where it
-    does not depend on c.  The table fills a row block of tg at a time:
-    rows (x, c) for the c of the block and a block of x, each moved[x, c]
-    times m with its entries repeated m times, plus tg's row c tiled k
-    times.  No temporary holds more than a block."""
+    The table fills a row block of tg at a time: rows (x, c) for the c of
+    the block and a block of x, each moved[x, c] times m with its entries
+    repeated m times, plus tg's row c tiled k times.  An x-block repeats
+    |xs| n entries (times |cs| with acts), so no temporary exceeds a block."""
     n, m = table.shape[0], tg.shape[0]
     k = n // m
     by_x = table.reshape(k, m, n)
     for cs in row_blocks(m, n):
         right = tg[cs, None, :].repeat(k, axis=1).reshape(-1, n)
-        for xs in row_blocks(k, right.size):
-            np.add((moved(xs, cs) * m).repeat(m, axis=2), right, out=by_x[xs, cs])
+        for xs in row_blocks(k, n if acts is None else right.size):
+            moved = t1[xs, None, :] if acts is None else t1[xs][:, acts[cs]]
+            np.add((moved * m).repeat(m, axis=2), right, out=by_x[xs, cs])
         del right  # freed before the next block's is built
 
 
@@ -579,7 +581,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: str | None = None) ->
         raise ValueError(f"product order {n} exceeds the cap {ORDER_CAP}")
     # pair (x, y) -> x * n2 + y
     table = np.empty((n, n), dtype=TABLE)
-    _fill_pairs(table, lambda xs, cs: g1.table[xs, None, :], g2.table)
+    _fill_pairs(table, g1.table, g2.table)
     l1, l2 = g1._label, g2._label  # not the groups: no table is kept alive
     labels = None if l1 is l2 is str else lambda i: f"({l1(i // n2)},{l2(i % n2)})"
     inv = g1.inv[:, None] * n2 + g2.inv[None, :]  # (x, y)^-1 = (x^-1, y^-1)
@@ -621,7 +623,7 @@ def semidirect_product(
         a = acts[c]
         for rows in row_blocks(nn):
             # a(x y) = a(x) a(y) for the x of this block and every y
-            same = a.take(tn[rows]) == tn[a[rows, None], a]
+            same = a.take(tn[rows]) == tn.take(a[rows], axis=0).take(a, axis=1)
             if not same.all():
                 x, y = np.argwhere(~same)[0]
                 raise ValueError(
@@ -642,7 +644,7 @@ def semidirect_product(
             np.add(tn[:, acts[c]][:, None, :], tg[c][:, None] * nn,
                    out=table[c * nn : (c + 1) * nn].reshape(nn, ng, nn))
     else:
-        _fill_pairs(table, lambda xs, cs: tn[xs][:, acts[cs]], tg)
+        _fill_pairs(table, tn, tg, acts)
     # (x, c)^-1 = (action[c^-1](x^-1), c^-1)
     cinv = gamma.inv[:, None]
     xinv = acts[cinv, n_grp.inv]

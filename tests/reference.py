@@ -4,12 +4,12 @@ The decision pipeline never calls these: each is a second route that a test
 holds the package to (a batched Gaussian elimination, the element orders of
 a whole group, the class <= 2 witness construction of Theorem 2, the
 radical basis of the center, augmentation ideals, subgroup idempotents, the
-whole-array quotient map, the frozen catalog fingerprints, the
-factor-at-a-time elementary abelian build, the catalog's former eager label
-lists), or a small helper for
-building coefficient rows by hand.  An element of FG is its int64
-coefficient row; products go through `GroupAlgebra._mul_arrays`, sums and
-scalings through the field's vector operations.
+whole-array quotient map, the dense Sylow split, the frozen catalog
+fingerprints, the factor-at-a-time elementary abelian build, the law
+digits' integer remainder, the catalog's former eager label lists), or a
+small helper for building coefficient rows by hand.  An element of FG is
+its int64 coefficient row; products go through `GroupAlgebra._mul_arrays`,
+sums and scalings through the field's vector operations.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ import numpy as np
 
 from cealg import catalog
 from cealg.algebra import GroupAlgebra
-from cealg.decision import CrossValidationError, _radical_basis, _require_p_group
+from cealg.decision import (
+    CrossValidationError,
+    PDecomposition,
+    _p_part,
+    _radical_basis,
+    _require_p_group,
+)
 from cealg.fields import GF, Matrix
 from cealg.groups import FiniteGroup, _closure, cycle_notation, direct_product
 
@@ -264,7 +270,40 @@ def quotient_whole_array(g: FiniteGroup, normal: Iterable[int]) -> tuple[np.ndar
     return coset_of[t[reps[:, None], reps]], coset_of[g.inv[reps]], coset_of
 
 
+# -- the dense Sylow split -------------------------------------------------------------
+
+
+def decompose_p_dense(group: FiniteGroup, p: int) -> PDecomposition:
+    """`decompose_p` as it was formed before its generating sets: the three
+    tests read the |P| x |P|, |P| x |H| and |H| x |H| slices of the table."""
+    n, t = group.n, group.table
+    pk = _p_part(n, p)
+    every = np.arange(n)
+    p_mask = group.powers(every, pk) == 0
+    p_part = np.flatnonzero(p_mask)
+    if p_part.size == n:
+        return PDecomposition(p, tuple(range(n)), (0,), True, True, True)
+    h_part = np.flatnonzero(group.powers(every, n // pk) == 0)
+    closed = bool(p_mask[t[p_part[:, None], p_part]].all())
+    commute = bool((t[p_part[:, None], h_part] == t[h_part[:, None], p_part].T).all())
+    t_hh = t[h_part[:, None], h_part]
+    h_ab = bool((t_hh == t_hh.T).all())
+    return PDecomposition(
+        p, tuple(p_part.tolist()), tuple(h_part.tolist()), closed, commute, h_ab
+    )
+
+
 # -- catalog references ---------------------------------------------------------------
+
+
+def encode_mod(digits: list[np.ndarray], radices: tuple[int, ...]) -> np.ndarray:
+    """`catalog._encode` as it was formed before its steps of r: index
+    arrays of unreduced digit arrays, each reduced by the integer remainder,
+    leaving its inputs as they are."""
+    out = digits[0] % radices[0]
+    for d, r in zip(digits[1:], radices[1:]):
+        out = out * r + d % r
+    return out
 
 
 def elem_abelian_by_factors(p: int, r: int) -> FiniteGroup:

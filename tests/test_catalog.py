@@ -13,6 +13,7 @@ from cealg.decision import _p_part_group, decompose_p
 from cealg.fields import is_prime
 from reference import (
     eager_labels,
+    encode_mod,
     fingerprint,
     index_of_label,
     labels_of,
@@ -371,6 +372,47 @@ def test_blocked_law_matches_whole_array_build(monkeypatch, build):
             g = blocked(radices, law, name, labels)
             assert g.table.tolist() == ref.table.tolist() and g.inv.tolist() == ref.inv.tolist()
             assert labels_of(g) == labels_of(ref) and g.name == name
+
+
+# -- the law digits against the integer remainder ------------------------------
+
+# every law-built table: its build, whether its digits reach below 0 and 2r
+# or more, and whether it reduces the digits of prop29:p's automorphism beta
+# of N_p^4 (one call on 1-D digit arrays)
+_LAW_DIGITS = {
+    "C1": (partial(catalog.cyclic.__wrapped__, 1), False, False, False),
+    "C12": (partial(catalog.cyclic.__wrapped__, 12), False, False, False),
+    "C1024": (partial(catalog.cyclic.__wrapped__, 1024), False, False, False),
+    "D6": (partial(catalog.dihedral.__wrapped__, 6), True, False, False),
+    "D512": (partial(catalog.dihedral.__wrapped__, 512), True, False, False),
+    "Q8": (partial(catalog.gen_quaternion.__wrapped__, 8), True, False, False),
+    "Q64": (partial(catalog.gen_quaternion.__wrapped__, 64), True, False, False),
+    "P16": (catalog.pauli16.__wrapped__, False, True, False),
+    "prop29:3": (partial(catalog._p5_odd.__wrapped__, 3), False, True, True),
+    "prop29:5": (partial(catalog._p5_odd.__wrapped__, 5), False, True, True),
+}
+
+
+@pytest.mark.parametrize("build, below, above, beta", _LAW_DIGITS.values(),
+                         ids=_LAW_DIGITS.keys())
+def test_law_digits_match_the_integer_remainder(monkeypatch, build, below, above, beta):
+    encode, calls = catalog._encode, []
+
+    def recording(digits, radices):
+        given = [np.array(d) for d in digits]  # _encode reduces its digits in place
+        out = encode(digits, radices)
+        assert np.array_equal(out, encode_mod(given, radices))
+        calls.append(list(zip(given, radices)))
+        return out
+
+    monkeypatch.setattr(catalog, "_encode", recording)
+    build()
+    digits = [dr for call in calls for dr in call]
+    assert any(d.min() < 0 for d, _ in digits) == below
+    assert any((d >= 2 * r).any() for d, r in digits) == above
+    betas = [call for call in calls if call[0][0].ndim == 1]
+    assert len(betas) == beta
+    assert all(any((d >= 2 * r).any() for d, r in call) for call in betas)
 
 
 # the Heisenberg law the catalog built H_p from before it became a product

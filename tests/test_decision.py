@@ -32,6 +32,7 @@ from cealg.groups import FiniteGroup, row_blocks
 from reference import (
     basis,
     batched_ranks,
+    decompose_p_dense,
     element_orders,
     fingerprint,
     from_support,
@@ -807,6 +808,25 @@ def test_central_coset_condition_evaluated_once(monkeypatch, f3, method):
     assert len(evaluated) == 1
 
 
+def test_decide_builds_the_class_sums_once(monkeypatch, f3):
+    # on a negative verdict at class > 2 the socle decider and the
+    # center-sum witness certify their rows in one algebra of the p-part
+    built = []
+    center_basis = GroupAlgebra.center_basis.func
+
+    def counting(self):
+        built.append(self)
+        return center_basis(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(GroupAlgebra, "center_basis")
+    monkeypatch.setattr(GroupAlgebra, "center_basis", prop)
+    report = decide(catalog.get("prop29:3"), f3)
+    assert report.verdict == NOT_ESSENTIAL
+    assert [w["kind"] for w in report.witnesses] == ["socle_excess", "center_sum_translate"]
+    assert len(built) == 1
+
+
 class TestDecomposition:
     def test_s3_at_3(self):
         d = decompose_p(catalog.sym3(), 3)
@@ -838,6 +858,34 @@ class TestDecomposition:
             assert d.is_direct
             assert len(d.p_part) * len(d.p_prime_part) == g.n
             assert set(d.p_part) & set(d.p_prime_part) == {0}
+
+
+# -- the Sylow split from generating sets against the dense table slices ----------
+
+
+def _assert_split_matches_dense(g):
+    for p in range(2, g.n + 1):
+        if g.n % p == 0 and fields.is_prime(p):
+            assert decompose_p(g, p) == decompose_p_dense(g, p), (g.name, p)
+
+
+def test_sylow_split_matches_dense_slices_on_standard_entries():
+    for _, g in catalog.standard_entries():
+        _assert_split_matches_dense(g)
+
+
+@pytest.mark.parametrize("spec", ["C1024", "D512", "H7 x C9", "S3 x C64", "Q8 x C125", "C5 x S3"])
+def test_sylow_split_matches_dense_slices(spec):
+    _assert_split_matches_dense(catalog.get(spec))
+
+
+def test_sylow_split_fails_each_test_somewhere():
+    # among the groups above: P not closed, P and H not commuting, H not abelian
+    s3_2, s3_3 = decompose_p(catalog.sym3(), 2), decompose_p(catalog.sym3(), 3)
+    c5_s3 = decompose_p(catalog.get("C5 x S3"), 5)
+    assert not s3_2.p_part_is_subgroup
+    assert s3_3.p_part_is_subgroup and not s3_3.parts_commute
+    assert c5_s3.p_part_is_subgroup and c5_s3.parts_commute and not c5_s3.h_abelian
 
 
 class TestDecide:

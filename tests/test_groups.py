@@ -425,6 +425,26 @@ def test_analyses_match_scalar_loops(spec):
     assert g.central_coset_condition() == _central_coset_ref(g)
 
 
+def test_central_coset_violator_after_classes_that_absorb():
+    # in D16 x D8 the classes (1, y) of D8's non-central y come first and
+    # absorb (1, r^2); the class (r, 1) of D16's rotation r absorbs no
+    # central z, so the violator follows classes with witnesses
+    g = catalog.get("D16 x D8")
+    ok, cert = g.central_coset_condition()
+    first = min(c[0] for c in g.conjugacy.classes if len(c) > 1)
+    assert not ok and cert["violator"] != first and cert["witnesses"]
+    assert (ok, cert) == _central_coset_ref(g)
+
+
+def test_central_coset_matches_scalar_loop_on_standard_entries():
+    # in H3 every non-central class absorbs both non-trivial central z, and
+    # keeps the first in center order
+    h3 = catalog.get("H3")
+    assert len(h3.center) == 3 and h3.central_coset_condition()[0]
+    for spec, g in catalog.standard_entries():
+        assert g.central_coset_condition() == _central_coset_ref(g), spec
+
+
 def test_generator_table_matches_composition_loop():
     gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
     g = group_from_generators(4, gens, "S4")
