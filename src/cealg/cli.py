@@ -302,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         handler = {"groups": cmd_groups, "check": cmd_check, "reproduce": cmd_reproduce}
         return handler[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            BudgetError, StructuralUndecidedError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, OSError, BudgetError, StructuralUndecidedError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except CrossValidationError as exc:

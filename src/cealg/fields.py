@@ -7,12 +7,13 @@ multiplicative identity.  A GF object owns the arithmetic; there is no
 per-element wrapper class.
 
 Vectorized operations work on numpy int64 arrays of encodings.  Every field
-carries negation and inverse tables; prime fields add and multiply mod p,
-extension fields of order <= 256 carry full add/mul tables, and larger ones
-use digit tables for addition and log/exp tables for multiplication, so
-every field up to the 2^16 order cap stays vectorizable.  Only this module
-knows the encoding: the matrix kernels below and every caller use the GF
-vector operations, one code path for every GF(p^k).
+is built one way: base-p digit, log/exp, negation and inverse tables.  Prime
+fields add and multiply mod p.  An extension-field product is one log/exp
+gather, and a sum an add-table lookup for orders up to TABLE_ORDER or digit
+arithmetic above it, so every field up to the 2^16 order cap stays
+vectorizable.  Only this module knows the encoding: the matrix kernels below
+and every caller use the GF vector operations, one code path for every
+GF(p^k).
 """
 
 from __future__ import annotations
@@ -142,30 +143,22 @@ class GF:
         self._build_tables()
 
     def _build_tables(self) -> None:
+        """One build for every GF(p^k).  exp holds the powers g^0..g^(q-2) of
+        the least generator g twice over, then 2q - 1 zeros, and log[0] is
+        2(q - 1), so exp[log[a] + log[b]] is a*b, a zero factor landing in
+        the zero tail.  The powers come by doubling: once exp holds
+        g^0..g^(s-1), the next s are that block times g^s, one vector
+        product.  Negation comes from the base-p digits, inverses from
+        log/exp; the float64 digit planes and, up to TABLE_ORDER, the add
+        table exist only for k > 1, where a path reads them."""
         p, k, q = self.p, self.k, self.order
-        a = np.arange(q, dtype=np.int64)
-        self._add_t = self._mul_t = None
-        self._dig = self._fplanes = self._log = self._exp = None
-        if k == 1:
-            self._neg_t = (-a) % p
-            self._inv_t = np.array([pow(x, -1, p) if x else 0 for x in range(q)], dtype=np.int64)
-            return
-        dig = self._dig = (a[:, None] // self._pmat) % p
-        # the float64 digit planes for vmatmul: _fplanes[i, x] is digit i of x
-        self._fplanes = np.ascontiguousarray(dig.T, dtype=np.float64)
-        self._build_log_exp()
-        log, exp = self._log[1:], self._exp
-        self._neg_t = ((-dig) % p) @ self._pmat
-        self._inv_t = np.concatenate([[0], exp[-log % (q - 1)]])
-        if q <= TABLE_ORDER:
-            self._add_t = ((dig[:, None, :] + dig[None, :, :]) % p) @ self._pmat
-            self._mul_t = np.zeros((q, q), dtype=np.int64)
-            self._mul_t[1:, 1:] = exp[(log[:, None] + log[None, :]) % (q - 1)]
-
-    def _build_log_exp(self) -> None:
-        """Powers of a generator g by doubling: once exp holds g^0..g^(s-1),
-        the next s powers are that block times g^s, one vector product."""
-        q = self.order
+        dig = self._dig = (np.arange(q, dtype=np.int64)[:, None] // self._pmat) % p
+        self._fplanes = self._add_t = None
+        if k > 1:
+            # the float64 digit planes for vmatmul: _fplanes[i, x] is digit i of x
+            self._fplanes = np.ascontiguousarray(dig.T, dtype=np.float64)
+            if q <= TABLE_ORDER:
+                self._add_t = ((dig[:, None, :] + dig[None, :, :]) % p) @ self._pmat
         g = self._find_generator()
         exp = np.ones(q - 1, dtype=np.int64)
         s, g_s = 1, g  # g_s = g^s
@@ -175,14 +168,17 @@ class GF:
             s, g_s = s + m, self._mul_scalar(g_s, g_s)
         if self._mul_scalar(int(exp[-1]), g) != 1:
             raise RuntimeError("generator order mismatch")
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self._exp, self._log = exp, log
+        self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
+        self._log[exp] = np.arange(q - 1)
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+        self._neg_t = ((-dig) % p) @ self._pmat
+        # g^-i = g^(q-1-i); log[0] indexes from the end, into the zero tail
+        self._inv_t = self._exp[q - 1 - self._log]
 
     def _find_generator(self) -> int:
         n = self.order - 1
         factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
-        for cand in range(2, self.order):
+        for cand in range(1, self.order):
             if all(self._pow_scalar(cand, n // f) != 1 for f in factors):
                 return cand
         raise RuntimeError("no multiplicative generator found")
@@ -249,18 +245,10 @@ class GF:
         return self.vadd(a, self._neg_t[b])
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b elementwise: mod p, or one log/exp gather when k > 1."""
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_t is not None:
-            return self._mul_t[a, b]
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        ab = np.broadcast_to(a, out.shape)[nz]
-        bb = np.broadcast_to(b, out.shape)[nz]
-        out[nz] = self._exp[(self._log[ab] + self._log[bb]) % (self.order - 1)]
-        return out
+        return self._exp[self._log[a] + self._log[b]]
 
     def vscale(self, s: int, a: np.ndarray) -> np.ndarray:
         return self.vmul(s, a)
@@ -447,7 +435,7 @@ class Matrix:
         F = self.field
         red, pivots = self.rref()
         n = self.cols
-        free = [c for c in range(n) if c not in pivots]
+        free = np.flatnonzero(~np.isin(np.arange(n), pivots))
         basis = np.zeros((len(free), n), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = F.vneg(red.data[: len(pivots), free].T)

@@ -329,6 +329,19 @@ REPORT_DIGESTS = [
      "3ba018e880d944391f8a8b73e93b2d16b068e0a4038b6e8d403bae5515c1a10c"),
     ("check --group 'prop29:2 x C3' --field 2", 1,
      "3b03883aa3d0d3f8ffd2ff4b46c331d5c5f243cd6021a8c77c57be57a33dfd58"),
+    # extension fields on both sides of fields.TABLE_ORDER
+    ("check --group S3 --field 2^8 --method oracle --budget 281474976710656", 1,
+     "bebe601489b0c312dc800402018aa4d577d31afebfad33673f3583fcd5608870"),
+    ("check --group S3 --field 3^6 --method oracle --budget 4611686018427387904", 1,
+     "e8893838f135df972e0730e5761fb60f75f1dad4627ddc03cc04692d6d4b9960"),
+    ("check --group prop29:2 --field 2^8 --method socle", 1,
+     "0d81e7ad55cd78ce72078fcc198376af04ee01e1a58327ed6d6ec678d2007c82"),
+    ("check --group H3 --field 3^6 --method socle", 0,
+     "018783b5dff3c34a60df5c69292984666be98c6b1b01a629f27987a5dd9922c6"),
+    ("check --group prop29:3 --field 3^6", 1,
+     "0acd35479d5417c42eaea7a43e27180cd5b7f7f39b2ca113ff3254a176a181ad"),
+    ("check --group D16 --field 2^10 --crossvalidate", 0,
+     "666ea1f7d31f11a3910474939b56d70f91667b4580cd51fe2c28df439fa6a0c3"),
     ("reproduce prop29", 0,
      "c20078c8c7762abec021fe8d69693e69816dbe5822a2d50d9dd2719a92804d8f"),
     ("reproduce thm11", 0,

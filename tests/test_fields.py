@@ -73,17 +73,21 @@ class TestConstruction:
         assert F.mul(x, F.inv(x)) == 1
         assert F.mul(3, F.mul(5, 7)) == F.mul(F.mul(3, 5), 7)
 
-    @pytest.mark.parametrize("p, k", [(2, 8), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("p, k", [(2, 8), (3, 5), (5, 3), (7, 1), (257, 1)])
     def test_log_exp_match_scalar_walk(self, p, k):
         F = GF(p, k)
+        q = F.order
         g, x = F._find_generator(), 1
-        exp, log = [], np.zeros(F.order, dtype=np.int64)
-        for i in range(F.order - 1):
+        exp, log = [], np.zeros(q, dtype=np.int64)
+        for i in range(q - 1):
             exp.append(x)
             log[x] = i
             x = F._mul_scalar(x, g)
         assert x == 1
-        assert F._exp.tolist() == exp and F._log.tolist() == log.tolist()
+        assert F._exp[: q - 1].tolist() == exp and F._log[1:].tolist() == log[1:].tolist()
+        # log[0] reaches past the second cycle, into the zero tail
+        assert F._log[0] == 2 * (q - 1)
+        assert F._exp[q - 1 :].tolist() == exp + [0] * (2 * q - 1)
         assert F._dig.tolist() == [_decode_base(x, p, k) for x in range(F.order)]
 
     def test_largest_field_builds_fast(self):
@@ -138,9 +142,9 @@ def test_vsum_at_matches_scalar_adds(p, k):
     assert F.vsum_at(np.zeros(1000, dtype=np.int64), vals, 2).tolist() == [total, 0]
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8), (3, 5)])
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8), (3, 5), (2, 1), (7, 1)])
 def test_find_generator_is_least_of_full_order(p, k):
-    # the multiplicative order of each element by a scalar walk
+    # the multiplicative order of each element by a scalar walk; GF(2) gets 1
     F = GF(p, k)
 
     def order(x):
@@ -151,6 +155,40 @@ def test_find_generator_is_least_of_full_order(p, k):
 
     least = next(x for x in range(1, F.order) if order(x) == F.order - 1)
     assert F._find_generator() == least
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8), (3, 5)])
+def test_vmul_matches_scalar_on_every_pair(p, k):
+    # the zero row and column included
+    F = field_make(p, k)
+    a = np.arange(F.order)
+    got = F.vmul(a[:, None], a[None, :])
+    want = [[F._mul_scalar(x, y) for y in range(F.order)] for x in range(F.order)]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("p, k", [(2, 10), (3, 7), (5, 6), (2, 16)])
+def test_vmul_matches_scalar_on_random_pairs(p, k):
+    F, rng = field_make(p, k), np.random.default_rng(p * 100 + k)
+    a, b = rng.integers(0, F.order, size=(2, 10**4))
+    a[:50] = 0  # zeros in a alone, in both, and in b alone
+    b[25:75] = 0
+    want = [F._mul_scalar(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert F.vmul(a, b).tolist() == want
+    # a scalar times an array, zero included, and an (h, 1) x (1, n) broadcast
+    xs, ys = a[40:70].tolist(), b[:100].tolist()
+    for s in (0, 1, xs[-1]):
+        assert F.vmul(s, b[:100]).tolist() == [F._mul_scalar(s, y) for y in ys]
+    outer = F.vmul(a[40:70, None], b[None, :100])
+    assert outer.shape == (30, 100)
+    assert outer.tolist() == [[F._mul_scalar(x, y) for y in ys] for x in xs]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257, 65521])
+def test_prime_field_negation_and_inverse_tables(p):
+    F = GF(p)
+    assert F._neg_t.tolist() == [(-x) % p for x in range(p)]
+    assert F._inv_t.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
 
 
 def _span_size(field, rows):
