@@ -342,6 +342,21 @@ REPORT_DIGESTS = [
      "0acd35479d5417c42eaea7a43e27180cd5b7f7f39b2ca113ff3254a176a181ad"),
     ("check --group D16 --field 2^10 --crossvalidate", 0,
      "666ea1f7d31f11a3910474939b56d70f91667b4580cd51fe2c28df439fa6a0c3"),
+    # the socle route over extension fields up to GF(2^16), and the
+    # verifier on products over GF(p^k) and on the default route's largest
+    # pinned witness
+    ("check --group D256 --field 2^8 --method socle", 0,
+     "0aa870074a8a91fefed99e4af03cb42fa57a4a190dc18b3efd237611feafb0a4"),
+    ("check --group 'H5 x C5' --field 5^2 --method socle", 0,
+     "db702985dd0594bcc52ebc4fcde821eb00b6c9c47aa3ce307ae5462d9ac73f0a"),
+    ("check --group D512 --field 2^16 --method socle", 0,
+     "3cd8e8f17cdfc72725a3da2e680f591ff7860b1602ca29b8e3a12cbf314fed96"),
+    ("check --group 'prop29:2 x E2^4' --field 2^4", 1,
+     "a2f825687432c8369ed38c20b7b1040e45366513e1f99be36326a6aacbca2c79"),
+    ("check --group 'prop29:3 x C2' --field 3^2 --crossvalidate", 1,
+     "f1de18d74824cb4a9759efd7794f75d678e10ae954a5e81decd978c9daae439b"),
+    ("check --group 'prop29:2 x E2^6' --field 2", 1,
+     "24dadb210dff8585eefa323ea3fa0f828545fac2c0cc4bcb2f036a43dfb3d4b1"),
     ("reproduce prop29", 0,
      "c20078c8c7762abec021fe8d69693e69816dbe5822a2d50d9dd2719a92804d8f"),
     ("reproduce thm11", 0,
