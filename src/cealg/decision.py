@@ -13,11 +13,12 @@ other:
   refuses above its budget and at q^|G| >= 2^63, beyond the int64 index;
 * the socle decider, valid for p-groups over characteristic p, computes the
   annihilator of the radical of the center and tests containment in the
-  center -- one nullspace loop in F[G/Z] for the center Z, from the first
-  link's multiplication matrix to one RREF lifted to FG, plus a
-  class-constancy test; before any verdict it checks, one bounded block of
-  radical rows at a time, that they are nilpotent (squaring the block in
-  one product per level) and annihilate the socle's excess vector;
+  center -- one nullspace loop in F[G/Z] for the center Z, over GF(p)
+  whatever k is, from the first link's multiplication matrix to one RREF
+  lifted to FG, plus a class-constancy test; before any verdict it checks,
+  one bounded block of radical rows at a time, that they are nilpotent
+  (squaring the block in one product per level) and annihilate the socle's
+  excess vector;
 * the structural route: for class > 2 groups with the central-coset
   property, a constructive non-essentiality witness g * (sum of the center).
 
@@ -129,14 +130,20 @@ def candidate_admits_central_multiple(
 
     Works on the subspace rC spanned by the rows r * Sigma_K, formed as
     one product of r with the class-sum rows of alg.center_basis:
-    dim(rC /\\ C) = rank(rC) + dim C - rank(rC + C).
+    dim(rC /\\ C) = rank(rC) + dim C - rank(rC + C).  The class sums are
+    in RREF with their pivots at the least members of the classes, so
+    reducing a row mod C subtracts from each entry the row's entry at the
+    least member of that entry's class, and rank(rC + C) = dim C +
+    rank(rC - rC[:, rep]); this is the identity behind the oracle's class
+    coordinates.  The reduction is taken of the RREF rows of rC, which
+    span rC, so neither elimination sees the class sums, and the second
+    has only rank(rC) rows.
     """
     F = alg.field
-    m1 = Matrix(F, alg._mul_arrays(coeffs, alg.center_basis))
-    r1 = m1.rank()
-    zmat, _ = alg.center_matrix
-    r2 = Matrix(F, np.vstack([m1.data, zmat.data])).rank()
+    red, pivots = Matrix(F, alg._mul_arrays(coeffs, alg.center_basis)).rref()
+    rows, r1 = red.data[: len(pivots)], len(pivots)
     d = len(alg.center_basis)
+    r2 = d + Matrix(F, F.vsub(rows, rows[:, alg.group.conjugacy.rep])).rank()
     inter = r1 + d - r2
     return inter > 0, {"rank_rC": r1, "rank_sum": r2, "center_dim": d, "intersection_dim": inter}
 
@@ -394,12 +401,12 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     So a class sum K annihilates x exactly when Kbar ybar = 0, where
     Kbar[gZ] = |K /\\ gZ|, an integer mod p and so its own encoding in any
     GF(p^k).  The kernels of the Kbar are intersected in F[G/Z], one loop
-    over the nonzero Kbar: the first one's link is its left multiplication
-    matrix, a later one's is its product with the running basis, and a link
-    that is zero costs no nullspace.  No kernel is empty, as Sigma_{G/Z}
-    lies in every one (Kbar Sigma_{G/Z} = |K| Sigma_{G/Z}, and |K| is a
-    power of p).  The RREF is taken in F[G/Z] and lifted to FG by the
-    cosets: they are numbered by their least members, so the lift of an
+    over the indices of the nonzero Kbar: the first one's link is its left
+    multiplication matrix, a later one's is its product with the running
+    basis, and a link that is zero costs no nullspace.  No kernel is empty,
+    as Sigma_{G/Z} lies in every one (Kbar Sigma_{G/Z} = |K| Sigma_{G/Z}, and
+    |K| is a power of p).  The RREF is taken in F[G/Z] and lifted to FG by
+    the cosets: they are numbered by their least members, so the lift of an
     RREF is the RREF of the lift.
     """
     group, F = alg.group, alg.field
@@ -409,26 +416,20 @@ def _radical_annihilator(alg: GroupAlgebra) -> np.ndarray:
     cp = group.conjugacy
     keys = np.asarray(cp.class_of, dtype=np.int64) * m + coset_of
     images = np.bincount(keys, minlength=len(cp.classes) * m).reshape(-1, m)
-    images = images[np.array(cp.sizes) > 1]
     images %= F.p
-    qalg = GroupAlgebra(quo, F)
-    # the rows of basis span the running space; None is all of F[G/Z]
-    basis = None
-    for kbar in images:
-        if not kbar.any():
-            continue
-        if basis is None:
-            link = qalg.left_mult_matrix(kbar)
-        else:
-            restricted = qalg._mul_arrays(kbar, basis)
-            if not restricted.any():
-                continue  # Kbar already annihilates the running space
-            link = Matrix(F, restricted.T)
-        # ker rows are coordinates w.r.t. the current basis
-        ker = link.nullspace().data
-        basis = ker if basis is None else F.vmatmul(ker, basis)
-    if basis is None:  # every Kbar is zero: the coset sums span the socle
+    live = np.flatnonzero((np.array(cp.sizes) > 1) & images.any(axis=1))
+    if not live.size:  # every Kbar is zero: the coset sums span the socle
         return (coset_of == np.arange(m)[:, None]).astype(np.int64)
+    qalg = GroupAlgebra(quo, F)
+    # the rows of basis span the running space
+    basis = qalg.left_mult_matrix(images[live[0]]).nullspace().data
+    for idx in live[1:]:
+        restricted = qalg._mul_arrays(images[idx], basis)
+        if not restricted.any():
+            continue  # Kbar already annihilates the running space
+        # ker rows are coordinates w.r.t. the current basis
+        ker = Matrix(F, restricted.T).nullspace().data
+        basis = F.vmatmul(ker, basis)
     red, pivots = Matrix(F, basis).rref()
     return red.data[: len(pivots)][:, coset_of]
 
@@ -443,14 +444,23 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF, alg=None) -> Outcome:
     vector outside C is returned as a certified counterexample (its central
     multiples form the line it spans, which misses C).  Before any verdict,
     one pass over bounded blocks of the radical basis rows guards their
-    nilpotency and re-checks that they annihilate that vector.  `alg`, when
-    given, is FG already built, so its class sums are shared.
+    nilpotency and re-checks that they annihilate that vector.
+
+    Every matrix of the chain and the guard has its entries in GF(p): the
+    radical rows have entries 0, 1 and -1, the Kbar are integers mod p, and
+    each kernel of a GF(p) matrix has a GF(p) basis.  An element of GF(p)
+    has the same encoding in GF(p^k), and the RREF of a GF(p) matrix is the
+    same over GF(p^k), so both run in F_p[G] and their rows, ranks and
+    verdict do not depend on k.  Only the excess vector is certified over
+    the given field, in FG.  `alg`, when given, is FG already built; its
+    class sums are the radical rows, so they are built once.
     """
     _require_p_group(group, fld)
     alg = alg or GroupAlgebra(group, fld)
+    prime = alg if fld.k == 1 else GroupAlgebra(group, fields.field_make(fld.p))
     n = group.n
     rad = _radical_basis(alg)
-    socle_rows = _radical_annihilator(alg)
+    socle_rows = _radical_annihilator(prime)
     socle_dim = socle_rows.shape[0]
     # a row lies in C exactly when it is constant on classes
     outside = (socle_rows != socle_rows[:, group.conjugacy.rep]).any(axis=1)
@@ -467,10 +477,10 @@ def socle_centrally_essential(group: FiniteGroup, fld: GF, alg=None) -> Outcome:
         # product, and a row leaves at its first zero power.  The block is
         # stacked once, and first re-checks that it annihilates the excess
         x = np.stack(rad[rows])
-        stray = excess is not None and alg._mul_arrays(x, excess).any()
+        stray = excess is not None and prime._mul_arrays(x, excess).any()
         x, e = x[x.any(axis=1)], 1
         while e < n and len(x):
-            x = alg._mul_arrays(x, x)
+            x = prime._mul_arrays(x, x)
             x, e = x[x.any(axis=1)], 2 * e
         if len(x):
             raise CrossValidationError("radical basis element is not nilpotent")

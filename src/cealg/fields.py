@@ -399,19 +399,23 @@ class Matrix:
 
         Pivot rule: scan columns left to right, take the first nonzero row
         at or below the current pivot row.  Deterministic by construction.
+        From a column with no such row the scan jumps, with one `any` over
+        the rows left, to the next column that has one, so the empty
+        columns of a wide or low-rank matrix cost no step each.
         """
         F = self.field
         a = self.data.copy()
         m, n = a.shape
         pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            col = a[r:, c]
-            nz = np.nonzero(col)[0]
+        r = c = 0
+        while r < m and c < n:
+            nz = np.nonzero(a[r:, c])[0]
             if nz.size == 0:
-                continue
+                live = np.flatnonzero(a[r:, c + 1 :].any(axis=0))
+                if live.size == 0:
+                    break
+                c += 1 + int(live[0])
+                nz = np.nonzero(a[r:, c])[0]
             src = r + int(nz[0])
             if src != r:
                 a[[r, src]] = a[[src, r]]
@@ -424,7 +428,7 @@ class Matrix:
             if hit.size:
                 a[hit] = F.vsubmul(a[hit], factors[hit, None], a[r][None, :])
             pivots.append(c)
-            r += 1
+            r, c = r + 1, c + 1
         return Matrix(F, a), pivots
 
     def rank(self) -> int:

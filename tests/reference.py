@@ -1,8 +1,9 @@
 """Independent references that only the tests use.
 
 The decision pipeline never calls these: each is a second route that a test
-holds the package to (a batched Gaussian elimination, the element orders of
-a whole group, the class <= 2 witness construction of Theorem 2, the
+holds the package to (a batched Gaussian elimination, the column-by-column
+RREF, the element orders of a whole group, the socle chain over the given
+field one Kbar at a time, the verifier's stacked rank, the class <= 2 witness construction of Theorem 2, the
 radical basis of the center, augmentation ideals, subgroup idempotents, the
 whole-array quotient map, the dense Sylow split, the frozen catalog
 fingerprints, the factor-at-a-time elementary abelian build, the law
@@ -74,6 +75,36 @@ def batched_ranks(field: GF, mats: np.ndarray) -> np.ndarray:
         if int(piv.min()) == m:
             break
     return piv
+
+
+def rref_by_columns(field: GF, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The RREF and pivot columns of a matrix of encodings, as `Matrix.rref`
+    formed them before it jumped over empty columns: one `nonzero` per
+    column, with the same pivot rule."""
+    a = np.array(data, dtype=np.int64)
+    m, n = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        src = r + int(nz[0])
+        if src != r:
+            a[[r, src]] = a[[src, r]]
+        pv = int(a[r, c])
+        if pv != 1:
+            a[r] = field.vscale(field.inv(pv), a[r])
+        factors = a[:, c].copy()
+        factors[r] = 0
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            a[hit] = field.vsubmul(a[hit], factors[hit, None], a[r][None, :])
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def element_orders(g: FiniteGroup) -> np.ndarray:
@@ -203,6 +234,50 @@ def radical_center_basis(group: FiniteGroup, fld: GF) -> list[np.ndarray]:
     check."""
     _require_p_group(group, fld)
     return _radical_basis(GroupAlgebra(group, fld))
+
+
+def socle_rows_per_link(alg: GroupAlgebra) -> np.ndarray:
+    """The socle rows of `_radical_annihilator` as its chain formed them
+    before it ran over GF(p): in F[G/Z] over alg's own field, with one
+    product and one `.any()` per nonzero Kbar, so a decider over GF(p^k) is
+    held to a chain over GF(p^k)."""
+    group, F = alg.group, alg.field
+    quo, coset_of = group.quotient_map(group.center)
+    m = quo.n
+    cp = group.conjugacy
+    keys = np.asarray(cp.class_of, dtype=np.int64) * m + coset_of
+    images = np.bincount(keys, minlength=len(cp.classes) * m).reshape(-1, m)
+    images = images[np.array(cp.sizes) > 1] % F.p
+    qalg = GroupAlgebra(quo, F)
+    basis = None  # rows span the running space; None is all of F[G/Z]
+    for kbar in images:
+        if not kbar.any():
+            continue
+        if basis is None:
+            link = qalg.left_mult_matrix(kbar)
+        else:
+            restricted = qalg._mul_arrays(kbar, basis)
+            if not restricted.any():
+                continue
+            link = Matrix(F, restricted.T)
+        ker = link.nullspace().data
+        basis = ker if basis is None else F.vmatmul(ker, basis)
+    if basis is None:
+        return (coset_of == np.arange(m)[:, None]).astype(np.int64)
+    red, pivots = Matrix(F, basis).rref()
+    return red.data[: len(pivots)][:, coset_of]
+
+
+def admits_central_multiple_stacked(alg: GroupAlgebra, coeffs: np.ndarray) -> tuple[bool, dict]:
+    """`candidate_admits_central_multiple` as it ranked before its residue
+    form: rank(rC + C) from the stacked rows of rC and the class sums, the
+    rows r * Sigma_K one product each, ranked by the batched elimination."""
+    F = alg.field
+    rc = np.stack([alg._mul_arrays(coeffs, s) for s in alg.center_basis])
+    r1, r2 = (int(batched_ranks(F, a[None])[0]) for a in (rc, np.vstack([rc, alg.center_basis])))
+    d = len(alg.center_basis)
+    inter = r1 + d - r2
+    return inter > 0, {"rank_rC": r1, "rank_sum": r2, "center_dim": d, "intersection_dim": inter}
 
 
 def witness_ce(group: FiniteGroup, fld: GF, x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from cealg.cli import main, parse_field
 from cealg.decision import candidate_admits_central_multiple
 from cealg.fields import field_make
 from cealg.groups import ORDER_CAP
-from reference import from_support, index_of_label
+from reference import admits_central_multiple_stacked, from_support, index_of_label
 
 
 class TestFieldParsing:
@@ -423,7 +423,8 @@ SHIPPED_WITNESS_CASES = [
 @pytest.mark.parametrize("cmd", SHIPPED_WITNESS_CASES)
 def test_shipped_witnesses_check_from_their_report_bytes(capsys, cmd):
     # each witness's [label, coefficient] pairs as a row of the reported
-    # group: not central, no central multiple, and the report's ranks
+    # group: not central, no central multiple, and the report's ranks, the
+    # same by the stacked rank of the reference
     assert main(shlex.split(cmd) + ["--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     g = catalog.get(doc["group"]["name"])
@@ -436,6 +437,7 @@ def test_shipped_witnesses_check_from_their_report_bytes(capsys, cmd):
         assert not admits
         keys = ("rank_rC", "rank_sum", "center_dim", "intersection_dim")
         assert {k: art[k] for k in keys} == {k: w["checks"][k] for k in keys}
+        assert (admits, art) == admits_central_multiple_stacked(alg, row)
 
 
 # -- the names the benchmark's tracer wraps -------------------------------------

@@ -30,6 +30,7 @@ from cealg.decision import (
 from cealg.fields import Matrix, field_make
 from cealg.groups import FiniteGroup, row_blocks
 from reference import (
+    admits_central_multiple_stacked,
     basis,
     batched_ranks,
     decompose_p_dense,
@@ -40,6 +41,7 @@ from reference import (
     power,
     radical_center_basis,
     random_nonzero,
+    socle_rows_per_link,
     subgroup_idempotent,
     witness_ce,
 )
@@ -334,11 +336,11 @@ def test_certificate_is_a_nonzero_central_multiple(case):
 def test_verifier_rows_are_the_per_class_products(monkeypatch, spec, p, k):
     # the verifier's rows r * Sigma_K, formed as one product with the
     # class-sum array, against one _mul_arrays product per class sum; the
-    # first rank it takes is that of those rows
+    # first elimination it takes is of those rows
     alg = GroupAlgebra(catalog.get(spec), field_make(p, k))
     F, rng = alg.field, np.random.default_rng(7)
-    ranked, rank = [], Matrix.rank
-    monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append(m.data) or rank(m))
+    ranked, rank, rref = [], Matrix.rank, Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda m: ranked.append(m.data) or rref(m))
     for density in (0.05, 0.5, 1.0):
         r = rng.integers(0, F.order, alg.dim) * (rng.random(alg.dim) < density)
         ranked.clear()
@@ -505,8 +507,10 @@ class TestSocle:
 
     @pytest.mark.parametrize("spec,p,verdict", [
         ("prop29:3", 3, NOT_ESSENTIAL), ("Q8", 2, ESSENTIAL)])
-    def test_class_sums_built_once(self, monkeypatch, spec, p, verdict):
-        # the radical basis and the re-verification share one GroupAlgebra
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_class_sums_built_once(self, monkeypatch, spec, p, verdict, k):
+        # the radical basis and the re-verification share one set of class
+        # sums, also when the chain runs over GF(p) below GF(p^k)
         built = []
         center_basis = GroupAlgebra.center_basis.func
 
@@ -517,7 +521,7 @@ class TestSocle:
         prop = cached_property(counting)
         prop.__set_name__(GroupAlgebra, "center_basis")
         monkeypatch.setattr(GroupAlgebra, "center_basis", prop)
-        soc = socle_centrally_essential(catalog.get(spec), field_make(p, 1))
+        soc = socle_centrally_essential(catalog.get(spec), field_make(p, k))
         assert soc.verdict == verdict
         assert len(built) == 1
 
@@ -633,6 +637,61 @@ def test_quotient_chain_matches_fg_chain(spec, p, k):
         assert soc.witness.tolist() == rows[np.argmax(outside)].tolist()
     else:
         assert soc.verdict == ESSENTIAL and soc.witness is None
+
+
+STANDARD_P_GROUPS = [(spec, _prime_of(g.n)) for spec, g in catalog.standard_entries()
+                     if _is_p_group(g.n, _prime_of(g.n))]
+
+
+@pytest.mark.parametrize("spec,p", STANDARD_P_GROUPS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_prime_field_chain_matches_the_extension_chain(spec, p, k):
+    # the decider's chain runs over GF(p) whatever k is; the chain over
+    # GF(p^k), one Kbar at a time, must give the same rows, and the
+    # decider's verdict, socle dimension and excess are those of the rows
+    g, fld = catalog.get(spec), field_make(p, k)
+    rows = socle_rows_per_link(GroupAlgebra(g, fld))
+    assert decision._radical_annihilator(GroupAlgebra(g, field_make(p))).tolist() == rows.tolist()
+    outside = (rows != rows[:, g.conjugacy.rep]).any(axis=1)
+    soc = socle_centrally_essential(g, fld)
+    assert soc.details["socle_dim"] == rows.shape[0]
+    if outside.any():
+        assert soc.verdict == NOT_ESSENTIAL
+        assert soc.witness.tolist() == rows[np.argmax(outside)].tolist()
+    else:
+        assert soc.verdict == ESSENTIAL and soc.witness is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_chain_takes_links_after_the_first(monkeypatch, k):
+    # relabeled so, D16 x D16 orders its classes such that two Kbar after
+    # the first give links
+    g = catalog.get("D16 x D16")
+    g = _relabel(g, np.concatenate([[0], 1 + np.random.default_rng(2).permutation(g.n - 1)]))
+    fld = field_make(2, k)
+    want = socle_rows_per_link(GroupAlgebra(g, fld)).tolist()
+    links, nullspace = [], Matrix.nullspace
+    monkeypatch.setattr(Matrix, "nullspace", lambda m: links.append(m) or nullspace(m))
+    assert decision._radical_annihilator(GroupAlgebra(g, field_make(2))).tolist() == want
+    assert len(links) == 3
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in catalog.standard_entries()])
+def test_verifier_matches_the_stacked_rank(spec):
+    # rank(rC + C) as dim C plus the rank of rC reduced mod C, against the
+    # rank of the stacked rows: group elements, class sums, 1 + z, and
+    # dense and sparse random rows
+    g = catalog.get(spec)
+    rng = np.random.default_rng(g.n)
+    for p, k in [(2, 1), (3, 1), (2, 2)]:
+        alg = GroupAlgebra(g, field_make(p, k))
+        rows = [basis(alg, 0), basis(alg, g.n - 1), *alg.center_basis[-2:]]
+        rows.append(from_support(alg, [(0, 1), (g.center[-1], 1)]))
+        for density in (0.1, 0.5, 1.0):
+            rows.append(rng.integers(0, alg.field.order, g.n) * (rng.random(g.n) < density))
+        for r in rows:
+            r = np.asarray(r, dtype=np.int64)
+            assert candidate_admits_central_multiple(alg, r) == admits_central_multiple_stacked(alg, r)
 
 
 @pytest.mark.parametrize("spec", ["D16", "QD16 x C4", "prop29:3", "H5 x C5"])
@@ -808,9 +867,11 @@ def test_central_coset_condition_evaluated_once(monkeypatch, f3, method):
     assert len(evaluated) == 1
 
 
-def test_decide_builds_the_class_sums_once(monkeypatch, f3):
+@pytest.mark.parametrize("k", [1, 2])
+def test_decide_builds_the_class_sums_once(monkeypatch, k):
     # on a negative verdict at class > 2 the socle decider and the
-    # center-sum witness certify their rows in one algebra of the p-part
+    # center-sum witness certify their rows in one algebra of the p-part,
+    # also when the socle chain runs over GF(p) below GF(p^k)
     built = []
     center_basis = GroupAlgebra.center_basis.func
 
@@ -821,7 +882,7 @@ def test_decide_builds_the_class_sums_once(monkeypatch, f3):
     prop = cached_property(counting)
     prop.__set_name__(GroupAlgebra, "center_basis")
     monkeypatch.setattr(GroupAlgebra, "center_basis", prop)
-    report = decide(catalog.get("prop29:3"), f3)
+    report = decide(catalog.get("prop29:3"), field_make(3, k))
     assert report.verdict == NOT_ESSENTIAL
     assert [w["kind"] for w in report.witnesses] == ["socle_excess", "center_sum_translate"]
     assert len(built) == 1

@@ -15,7 +15,7 @@ from cealg.fields import (
     is_prime,
     rank_batched,
 )
-from reference import batched_ranks
+from reference import batched_ranks, rref_by_columns
 
 
 class TestConstruction:
@@ -316,6 +316,31 @@ class TestMatrix:
                 for t in range(4):
                     want = F.add(want, F.mul(int(a.data[i, t]), int(b.data[t, j])))
                 assert prod.data[i, j] == want
+
+
+# every field the tests above build: prime, tabled, log/exp and untabled
+EVERY_FIELD = [(2, 1), (3, 1), (5, 1), (7, 1), (257, 1), (65521, 1), (2, 2), (2, 3),
+               (3, 2), (5, 2), (2, 8), (3, 5), (5, 3), (2, 10), (3, 7), (5, 6), (2, 16)]
+
+
+@pytest.mark.parametrize("p,k", EVERY_FIELD)
+def test_rref_jumps_match_the_column_loop(p, k):
+    # the RREF that jumps over empty columns against the loop that steps
+    # through them: wide, low-rank, zero-column, zero and empty matrices
+    F, rng = field_make(p, k), np.random.default_rng(p * 100 + k)
+    wide = rng.integers(0, F.order, size=(3, 80))
+    low = F.vmatmul(rng.integers(0, F.order, size=(24, 3)), rng.integers(0, F.order, size=(3, 40)))
+    sparse_cols = rng.integers(0, F.order, size=(12, 50)) * (rng.random(50) < 0.2)
+    late = np.zeros((6, 30), dtype=np.int64)
+    late[2:, [7, 8, 29]] = rng.integers(1, F.order, size=(4, 3))
+    rank1 = F.vmatmul(rng.integers(0, F.order, size=(9, 1)), rng.integers(1, F.order, size=(1, 35)))
+    for a in (wide, low, sparse_cols, late, rank1, sparse_cols.T,
+              np.zeros((5, 7), dtype=np.int64), np.zeros((0, 6), dtype=np.int64),
+              np.zeros((4, 0), dtype=np.int64)):
+        a = np.asarray(a, dtype=np.int64)
+        red, pivots = Matrix(F, a).rref()
+        want, want_pivots = rref_by_columns(F, a)
+        assert (red.data.tolist(), pivots) == (want.tolist(), want_pivots)
 
 
 @st.composite
