@@ -357,6 +357,31 @@ REPORT_DIGESTS = [
      "f1de18d74824cb4a9759efd7794f75d678e10ae954a5e81decd978c9daae439b"),
     ("check --group 'prop29:2 x E2^6' --field 2", 1,
      "24dadb210dff8585eefa323ea3fa0f828545fac2c0cc4bcb2f036a43dfb3d4b1"),
+    # the center, the series and G' in `groups info`, on semidirect
+    # products, dihedral and quasidihedral 2-groups and direct products
+    # with an abelian or a non-nilpotent factor, and two routes that read them
+    ("groups info H11", 0,
+     "5b09caf53fd9a41c7043b3eab80eabab02dc266dbcb2063e736b998109b2312a"),
+    ("groups info prop29:5", 0,
+     "eb16a3470ffe335edf8e25451ac8cb9b3ddfc5078ee54ef56f8ab30fe5cfa512"),
+    ("groups info D512", 0,
+     "32f1e8d0f8b91e945e19c2dbfa78e1a422b59c101232361dc4102258242c6f5f"),
+    ("groups info 'H7 x C9'", 0,
+     "2202b55c12c500df018f9d98c408fe4e31149122a8d44c6dcd70ffdbab97377f"),
+    ("groups info 'H3 x S3'", 0,
+     "b4643772c8dae92a019a69ccf2d3ef86a628bc6c1f6c9c9e572dd7c93cbfea45"),
+    ("groups info order16:13", 0,
+     "0a18801f89f55d4172f72f58373c81b63bcb3cc3a4be225b9e8485f1af464c95"),
+    ("groups info 'prop29:2 x E2^4'", 0,
+     "d0a8606fd5b1a3b1f2611a149f9c8d43bd209ee85d2852f24d58855f01c212c3"),
+    ("groups info QD16", 0,
+     "27bd8ad788efaac47bb2c6d33ae953f2ca43d691724fdacc2beed991aa7b36ab"),
+    ("groups info H13", 0,
+     "16f656f1995ecf33660036dcb2298a71e1aef6fcd59104f973fd71895086b23d"),
+    ("check --group H13 --field 13", 0,
+     "3485a62304cf43465841f5ed6b0eac6a854a08c468d26cf690091dd00198710f"),
+    ("check --group prop29:5 --field 5 --method structural", 1,
+     "1481142f9960dc2b3bc71b8e4c6c84cd40404c12229d501b5967ace03dd0d4fb"),
     ("reproduce prop29", 0,
      "c20078c8c7762abec021fe8d69693e69816dbe5822a2d50d9dd2719a92804d8f"),
     ("reproduce thm11", 0,
