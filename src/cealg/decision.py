@@ -515,7 +515,7 @@ def decompose_p(group: FiniteGroup, p: int) -> PDecomposition:
     s_p, s_h = (x if x.size * n <= BLOCK_ENTRIES else group._greedy_generators(x)
                 for x in (p_part, h_part))
     closed = bool(p_mask[t[p_part[:, None], s_p]].all())
-    commutes = (t[:, s_h] == t[s_h].T).all(axis=1)  # x commutes with <H>
+    commutes = group._commuting_with(s_h)  # x commutes with <H>
     return PDecomposition(p, tuple(p_part.tolist()), tuple(h_part.tolist()), closed,
                           bool(commutes[p_part].all()), bool(commutes[h_part].all()))
 

@@ -10,14 +10,15 @@ whose Light's associativity test over S covers every triple in O(n^2 |S|).
 Direct products, semidirect products, subgroups and quotients of validated
 groups inherit the axioms, and take their inverses from the parts; what is
 checked for them is their own premise: that the action is a homomorphism
-into Aut(N), that the member set holds 1 and is closed, that N is a normal
-subgroup.  Classes are orbits of conjugation by S, the center commutes
-with S, Z_{i+1} is read off the n x |S| table of the commutators [x, s],
-G' is the normal closure of the [s, u], and the deciders' Sylow split tests
-P and H against generating sets of their own; each is O(n |S|) up to
-logarithmic factors.  The central-coset condition tests one product gz per
-class representative g and central z, a block of z at a time, until every
-class has its z.  None forms an n x n array.
+into Aut(N), on generators of N and of the acting group, that the member
+set holds 1 and is closed, that N is a normal subgroup.  The analyses read
+the n x |S| table of conjugates s^-1 g s: classes are its orbits, the
+center its fixed points, and the commutators [x, s] = x^-1 (s^-1 x s) give
+Z_{i+1} and G' = <[x, s]>.  The deciders' Sylow split tests P and H
+against generating sets of their own; each is O(n |S|) up to logarithmic
+factors.  The central-coset condition tests one product gz per class
+representative g and central z, a block of z at a time, until every class
+has its z.  None forms an n x n array.
 
 Elements are canonical indices 0..n-1 with index 0 the identity.  Subsets of
 a group are passed around as sorted tuples of indices so that every derived
@@ -273,8 +274,9 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        # an element commuting with every generator commutes with every word
-        return self._commuting_with(self.right_generators)
+        # a point that conjugation by every generator fixes commutes with every word
+        fixed = (self.conjugators == np.arange(self.n)).all(axis=0)
+        return tuple(np.flatnonzero(fixed).tolist())
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -285,44 +287,37 @@ class FiniteGroup:
         if not s:
             raise ValueError("centralizer of the empty set is undefined")
         # the centralizer of s is that of any subset generating <s>
-        return self._commuting_with(self._greedy_generators(np.array(s, dtype=np.int64)))
+        gens = self._greedy_generators(np.array(s, dtype=np.int64))
+        return tuple(np.flatnonzero(self._commuting_with(gens)).tolist())
 
-    def _commuting_with(self, arr: np.ndarray) -> tuple[int, ...]:
+    def _commuting_with(self, arr: np.ndarray) -> np.ndarray:
+        """The bool mask of the elements that commute with every member of arr."""
         t = self.table
-        good = (t[:, arr] == t[arr, :].T).all(axis=1)
-        return tuple(np.flatnonzero(good).tolist())
+        return (t[:, arr] == t[arr, :].T).all(axis=1)
 
     def subgroup_generated(self, s: Iterable[int]) -> tuple[int, ...]:
         # words in the generators form a subsemigroup, hence a subgroup here
         reached = np.arange(self.n) == 0  # the identity alone
         return tuple(np.flatnonzero(self._close(reached, s)).tolist())
 
-    def _commutators(self, xs: np.ndarray) -> np.ndarray:
-        """[x, s] = x^-1 s^-1 x s for every x in xs and generator s."""
-        t, inv, s = self.table, self.inv, self.right_generators
-        return t[t[inv[xs][:, None], inv[s]], t[xs[:, None], s]]
+    @cached_property
+    def _commutators(self) -> np.ndarray:
+        """[x, s] = x^-1 (s^-1 x s) for every element x (rows) and generator s."""
+        out = self.table[self.inv[:, None], self.conjugators.T]
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def commutator_subgroup(self) -> tuple[int, ...]:
-        # G' is the normal closure of the commutators of the generators.  Each
-        # round adds the least conjugate that escapes, so the subgroup at
-        # least doubles, and stops once conjugating by the generators keeps it
-        gens = np.flatnonzero(self._member_mask(
-            self._commutators(self.right_generators).ravel())).tolist()
-        inside = np.arange(self.n) == 0
-        while True:
-            members = np.flatnonzero(self._close(inside, gens))
-            conj = self.conjugators[:, members]
-            escaped = conj[~inside[conj]]
-            if not escaped.size:
-                return tuple(members.tolist())
-            gens.append(int(escaped.min()))
+        # the [x, s] generate a normal subgroup, as g^-1 [x, s] g = [xg, s] [g, s]^-1,
+        # modulo which every generator is central: it holds G' and lies in it
+        values = np.flatnonzero(self._member_mask(self._commutators.ravel()))
+        return self.subgroup_generated(self._greedy_generators(values))
 
     @cached_property
     def upper_central_series(self) -> CentralSeries:
         # Z_{i+1} = {x : [x, s] in Z_i for every generator s}
-        n = self.n
-        comm = self._commutators(np.arange(n))
+        n, comm = self.n, self._commutators
         chain: list[tuple[int, ...]] = [(0,)]
         current = np.arange(n) == 0
         while True:
@@ -601,8 +596,10 @@ def semidirect_product(
     acting_first, written (c, x) and indexed c * |n_grp| + x.
 
     Every action[c] must be an automorphism of n_grp and the assignment
-    c -> action[c] a homomorphism; both are checked exhaustively, and the
-    product then inherits the group axioms from n_grp and gamma.
+    c -> action[c] a homomorphism; both are checked on generators s, as
+    a(s y) = a(s) a(y) for every y gives a(w y) = a(w) a(y) for every word w
+    by induction, and so does action[s c] = action[s] action[c] for every c.
+    The product then inherits the group axioms from n_grp and gamma.
     """
     nn, ng = n_grp.n, gamma.n
     n = nn * ng
@@ -619,24 +616,19 @@ def semidirect_product(
             raise ValueError(f"action of element {c} is not a permutation")
     acts = np.array(perms, dtype=TABLE)
     tn, tg = n_grp.table, gamma.table
-    for c in range(1, ng):
-        a = acts[c]
-        for rows in row_blocks(nn):
-            # a(x y) = a(x) a(y) for the x of this block and every y
-            same = a.take(tn[rows]) == tn.take(a[rows], axis=0).take(a, axis=1)
-            if not same.all():
-                x, y = np.argwhere(~same)[0]
-                raise ValueError(
-                    f"action of element {c} is not an automorphism: fails at pair "
-                    f"({rows.start + int(x)}, {int(y)})"
-                )
-    for c1 in range(ng):
-        # hom[c2] says action[c1 c2](x) = action[c1](action[c2](x)) for every x
-        hom = (acts[tg[c1]] == acts[c1].take(acts)).all(axis=1)
-        if not hom.all():
-            raise ValueError(
-                f"action is not a homomorphism: fails at pair ({c1}, {int(np.argmin(hom))})"
-            )
+    s = n_grp.right_generators
+    # same[c, i, y] says action[c](s_i y) = action[c](s_i) action[c](y)
+    same = acts[:, tn[s]] == tn[acts[:, s][:, :, None], acts[:, None, :]]
+    if not same.all():
+        c, i, y = np.argwhere(~same)[0].tolist()
+        raise ValueError(
+            f"action of element {c} is not an automorphism: fails at pair ({s[i]}, {y})")
+    s = gamma.right_generators
+    # hom[i, c] says action[s_i c](x) = action[s_i](action[c](x)) for every x
+    hom = (acts[tg[s]] == acts[s][:, acts]).all(axis=2)
+    if not hom.all():
+        i, c = np.argwhere(~hom)[0].tolist()
+        raise ValueError(f"action is not a homomorphism: fails at pair ({s[i]}, {c})")
     table = np.empty((n, n), dtype=TABLE)
     if acting_first:
         for c in range(ng):

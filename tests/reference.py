@@ -3,12 +3,14 @@
 The decision pipeline never calls these: each is a second route that a test
 holds the package to (a batched Gaussian elimination, the column-by-column
 RREF, the element orders of a whole group, the socle chain over the given
-field one Kbar at a time, the verifier's stacked rank, the class <= 2 witness construction of Theorem 2, the
-radical basis of the center, augmentation ideals, subgroup idempotents, the
-whole-array quotient map, the dense Sylow split, the frozen catalog
-fingerprints, the factor-at-a-time elementary abelian build, the law
-digits' integer remainder, the catalog's former eager label lists), or a
-small helper for building coefficient rows by hand.  An element of FG is
+field one Kbar at a time, the verifier's stacked rank, the class <= 2
+witness construction of Theorem 2, the radical basis of the center,
+augmentation ideals, subgroup idempotents, the whole-array quotient map,
+the dense Sylow split, the all-pairs checks of a semidirect product's
+action, the frozen catalog fingerprints, the factor-at-a-time elementary
+abelian build, the law digits' integer remainder, the catalog's former
+eager label lists), or a small helper for building coefficient rows by
+hand.  An element of FG is
 its int64 coefficient row; products go through `GroupAlgebra._mul_arrays`,
 sums and scalings through the field's vector operations.
 """
@@ -366,6 +368,58 @@ def decompose_p_dense(group: FiniteGroup, p: int) -> PDecomposition:
     return PDecomposition(
         p, tuple(p_part.tolist()), tuple(h_part.tolist()), closed, commute, h_ab
     )
+
+
+# -- the all-pairs action checks -------------------------------------------------------
+
+
+def semidirect_action_refusal(
+    n_grp: FiniteGroup, gamma: FiniteGroup, action: Sequence[Sequence[int]]
+) -> str | None:
+    """The refusal of `semidirect_product` as it was checked before its
+    generating sets, or None for a valid action: the first c whose action
+    fails a(x y) = a(x) a(y), at its first failing pair (x, y) in row
+    order, then the first pair (c1, c2) with action[c1 c2] other than
+    action[c1] action[c2].  Each action must be a permutation fixing 0, and
+    action[0] the identity."""
+    acts = np.array(action, dtype=np.int64)
+    tn, tg = n_grp.table, gamma.table
+    for c in range(1, gamma.n):
+        a = acts[c]
+        same = a[tn] == tn[a[:, None], a]
+        if not same.all():
+            x, y = np.argwhere(~same)[0].tolist()
+            return f"action of element {c} is not an automorphism: fails at pair ({x}, {y})"
+    for c1 in range(gamma.n):
+        hom = (acts[tg[c1]] == acts[c1][acts]).all(axis=1)
+        if not hom.all():
+            return f"action is not a homomorphism: fails at pair ({c1}, {int(np.argmin(hom))})"
+    return None
+
+
+def automorphisms(g: FiniteGroup) -> list[list[int]]:
+    """Every automorphism of a small group, as the list of images: each
+    assignment of images to the right generators that extends, word by
+    word, to a bijective homomorphism."""
+    gens = g.right_generators.tolist()
+    t = g.table
+    out = []
+    for images in itertools.product(range(g.n), repeat=len(gens)):
+        phi, frontier, ok = {0: 0}, [0], True
+        while frontier and ok:
+            nxt = []
+            for x in frontier:
+                for s, im in zip(gens, images):
+                    y, v = int(t[x, s]), int(t[phi[x], im])
+                    if y not in phi:
+                        phi[y] = v
+                        nxt.append(y)
+                    ok &= phi[y] == v
+            frontier = nxt
+        a = [phi[x] for x in range(g.n)] if ok else None
+        if a and sorted(a) == list(range(g.n)) and (np.array(a)[t] == t[np.ix_(a, a)]).all():
+            out.append(a)
+    return out
 
 
 # -- catalog references ---------------------------------------------------------------

@@ -113,6 +113,20 @@ class TestCheckCommand:
         assert ("agrees   oracle: centrally_essential" in out) == listed
         assert "agrees   socle: centrally_essential" in out
 
+    @pytest.mark.parametrize("spec", ["Q8 x C3", "D8 x C3"])
+    def test_theorem_11_positive_on_a_product_by_the_definition(self, capsys, spec):
+        # G = P x H with P non-abelian of class 2 and H = C3 != 1: Theorem
+        # 1.1 says FG is centrally essential over GF(2), and the oracle
+        # checks it on all 2^24 - 1 nonzero elements
+        assert main(["check", "--group", spec, "--field", "2", "--crossvalidate",
+                     "--budget", str(2**24), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["reason"]) == ("centrally_essential", "nc_le_2")
+        assert doc["details"]["p_part_class"] == 2
+        assert doc["details"]["decomposition"]["p_prime_part_size"] == 3
+        assert doc["cross_checks"] == [["socle", "centrally_essential"],
+                                       ["oracle", "centrally_essential"]]
+
     def test_socle_on_non_p_group_refused(self, capsys):
         assert main(["check", "--group", "S3", "--field", "2", "--method", "socle"]) == 2
 

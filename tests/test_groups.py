@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -20,6 +21,7 @@ from cealg.groups import (
 )
 from reference import (
     REFERENCE_SPECS,
+    automorphisms,
     elem_abelian_by_factors,
     element_orders,
     eager_labels,
@@ -27,6 +29,7 @@ from reference import (
     index_of_label,
     labels_of,
     quotient_whole_array,
+    semidirect_action_refusal,
     shown,
     subgroup_labels,
 )
@@ -582,7 +585,7 @@ def _assert_matches_scan(g):
 
 @pytest.mark.parametrize(
     "spec", [s for s, _ in catalog.standard_entries()]
-    + ["D64", "S3 x C64", "H7", "C1024", "D512", "Q8 x C125"]
+    + ["D64", "S3 x C64", "H7", "C1024", "D512", "Q8 x C125", "H11", "D1024", "prop29:5"]
 )
 def test_generator_analyses_match_table_scans(spec):
     g = catalog.get(spec)
@@ -860,7 +863,8 @@ def test_action_refusals_in_both_pair_orders(acting_first):
 @pytest.mark.parametrize("rows", [None, 1, 5])
 def test_automorphism_refusal_names_the_first_failing_pair(monkeypatch, acting_first, rows):
     # swapping 5 and 7 in C12 fixes 0 but is no automorphism: the first
-    # failing pair in row order is (1, 4), a(5) = 7 against 1 + a(4) = 5
+    # failing pair (s, y), s a generator, is (1, 4), a(5) = 7 against
+    # a(1) + a(4) = 5
     c12 = catalog.cyclic(12)
     swap = [{5: 7, 7: 5}.get(x, x) for x in range(12)]
     if rows:
@@ -868,6 +872,85 @@ def test_automorphism_refusal_names_the_first_failing_pair(monkeypatch, acting_f
     action = [list(range(12)), swap]
     with pytest.raises(ValueError, match=r"element 1 is not an automorphism: fails at pair \(1, 4\)"):
         semidirect_product(c12, catalog.cyclic(2), action, acting_first=acting_first)
+
+
+def _power(a, e):
+    out = list(range(len(a)))
+    for _ in range(e):
+        out = [a[x] for x in out]
+    return out
+
+
+def _first_generator_map(g, rng):
+    """A permutation a fixing 0 with a(s y) = a(s) a(y) for the first
+    generator s and every y, and at random otherwise: the right cosets <s>y
+    go to one another in a random order, the identity's to itself, each
+    with s^k y -> s^k z for a random z of its image."""
+    t, s = g.table, int(g.right_generators[0])
+    pw = [0]
+    while (nxt := int(t[s, pw[-1]])) != 0:
+        pw.append(nxt)
+    cosets, seen = [], set()
+    for y in range(g.n):
+        if y not in seen:
+            cosets.append([int(t[p, y]) for p in pw])
+            seen.update(cosets[-1])
+    a = np.zeros(g.n, dtype=np.int64)
+    order = [0] + (1 + rng.permutation(len(cosets) - 1)).tolist()
+    for src, i in zip(cosets, order):
+        a[src] = np.roll(cosets[i], -int(rng.integers(len(pw))) if i else 0)
+    return a.tolist()
+
+
+def _actions(n_grp, m, auts, rng):
+    """Actions of C_m on n_grp: powers of an automorphism, of an order
+    dividing m or not; random permutations fixing 0; automorphisms drawn
+    at random for each c; and maps that respect the first generator only."""
+    ident = list(range(n_grp.n))
+    a = auts[int(rng.integers(len(auts)))]
+    k = next(k for k in range(1, n_grp.n + 1) if _power(a, k) == ident)
+    for alpha in (a, _power(a, k // np.gcd(k, m))):
+        yield [_power(alpha, c) for c in range(m)]
+    yield [ident] + [[0] + (1 + rng.permutation(n_grp.n - 1)).tolist() for _ in range(m - 1)]
+    yield [ident] + [auts[int(rng.integers(len(auts)))] for _ in range(m - 1)]
+    yield [ident] + [_first_generator_map(n_grp, rng) for _ in range(m - 1)]
+
+
+@_PAIR_ORDERS
+@pytest.mark.parametrize("spec", ["C12", "E2^3", "Q8", "D8", "C3 x C3"])
+def test_action_checks_on_generators_match_the_all_pairs_reference(rng, acting_first, spec):
+    # the package refuses exactly when the all-pairs reference does, for the
+    # same element c; the pair it names fails and starts with a generator
+    n_grp = catalog.get(spec)
+    auts = automorphisms(n_grp)
+    seen = set()
+    for m in (2, 3, 4, 6):
+        gamma = catalog.cyclic(m)
+        for _ in range(6):
+            for action in _actions(n_grp, m, auts, rng):
+                want = semidirect_action_refusal(n_grp, gamma, action)
+                try:
+                    g = semidirect_product(n_grp, gamma, action, acting_first=acting_first)
+                except ValueError as err:
+                    got = str(err)
+                else:
+                    assert want is None
+                    _assert_passes_full_validation(g)
+                    seen.add("accepted")
+                    continue
+                assert want is not None and got.split(": fails")[0] == want.split(": fails")[0]
+                u, v = (int(x) for x in re.search(r"pair \((\d+), (\d+)\)$", got).groups())
+                acts = np.array(action)
+                if "automorphism" in got:
+                    c = int(re.search(r"element (\d+)", got).group(1))
+                    a, t = acts[c], n_grp.table
+                    assert u in n_grp.right_generators and a[t[u, v]] != t[a[u], a[v]]
+                    seen.add("automorphism")
+                else:
+                    assert u in gamma.right_generators
+                    assert (acts[gamma.table[u, v]] != acts[u][acts[v]]).any()
+                    seen.add("homomorphism")
+    assert seen == {"accepted", "automorphism", "homomorphism"}
 
 
 def test_acting_first_is_the_pair_swap_of_n_first(rng):
