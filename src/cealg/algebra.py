@@ -6,7 +6,7 @@ table, formed by the one kernel `_mul_arrays` for whole stacks of rows at
 once: a stack of x rows as sums over support pairs, and a single row x as
 one gathered product (BLAS), or as support pairs when y is sparse.  The
 class sums, which span the center, are one read-only array of coefficient
-rows, and both center-membership tests (commuting with every basis element,
+rows, and both center-membership tests (commuting with every generator,
 and constancy on conjugacy classes) are kept side by side as mutual checks.
 """
 
@@ -135,22 +135,17 @@ class GroupAlgebra:
         """Center membership of the coefficient row c, computed two
         independent ways.
 
-        Route 1: c commutes with every group basis element.  Route 2: the
-        coefficients are constant on conjugacy classes (class sums have
-        disjoint supports, so this is exactly span membership).  The two
-        must agree; a mismatch would be an implementation bug.
+        Route 1: c commutes with every right generator s, and so with every
+        product of them: (c s)[j] = c[j s^-1] equals (s c)[j] = c[s^-1 j]
+        for every j.  Route 2: the coefficients are constant on conjugacy
+        classes (class sums have disjoint supports, so this is exactly span
+        membership).  The two must agree; a mismatch would be an
+        implementation bug.
         """
-        t = self.group.table
-        commutes = True
-        for g in range(self.dim):
-            xg = np.zeros(self.dim, dtype=np.int64)
-            xg[t[:, g]] = c
-            gx = np.zeros(self.dim, dtype=np.int64)
-            gx[t[g, :]] = c
-            if not (xg == gx).all():
-                commutes = False
-                break
-        constant = bool((c == c[self.group.conjugacy.rep]).all())
+        g = self.group
+        t, s_inv = g.table, g.inv[g.right_generators]
+        commutes = bool((c[t[:, s_inv]].T == c[t[s_inv]]).all())
+        constant = bool((c == c[g.conjugacy.rep]).all())
         if commutes != constant:
             raise RuntimeError("center membership routes disagree; this is a bug")
         return commutes

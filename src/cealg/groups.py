@@ -467,51 +467,46 @@ def _least_in_orbit(perms: np.ndarray) -> np.ndarray:
 # -- constructors -------------------------------------------------------------
 
 
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """(a . b)(x) = a(b(x))."""
-    return tuple(a[b[x]] for x in range(len(a)))
-
-
 def _closure(
     degree: int, gens: Sequence[Sequence[int]]
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Breadth-first closure of permutations under composition.
 
-    Returns the elements (identity first, then words by length, ties broken
-    by generator index), the left-multiplication maps left[k, i] = index of
-    gens[k] . element i, and for every element but the identity the parent
-    element and the generator whose product parent . generator first
-    reached it.
+    Returns the elements as rows of points (identity first, then words by
+    length, ties broken by generator index), the left-multiplication maps
+    left[k, i] = index of gens[k] . element i, and for every element but the
+    identity the parent element and the generator whose product
+    parent . generator first reached it; (a . b)(x) = a(b(x)).
     """
-    gen_ts = []
+    point = np.min_scalar_type(degree)  # an unsigned type that holds every point
+    perms = []
     for g in gens:
-        t = tuple(int(x) for x in g)
+        t = [int(x) for x in g]
+        # checked before the narrowing cast, which would wrap
         if len(t) != degree or sorted(t) != list(range(degree)):
             raise ValueError(f"generator {g} is not a permutation of 0..{degree - 1}")
-        gen_ts.append(t)
-    ident = tuple(range(degree))
-    elems: list[tuple[int, ...]] = [ident]
-    index = {ident: 0}
+        perms.append(np.array(t, dtype=point))
+    # an element is kept as the bytes of its row, which also key the index;
+    # the list is the queue: it grows while it is read
+    elems = [np.arange(degree, dtype=point).tobytes()]
+    index = {elems[0]: 0}
     parent: list[int] = [0]
     via: list[int] = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for k, g in enumerate(gen_ts):
-                c = _compose(elems[w], g)
-                if c not in index:
-                    if len(elems) >= ORDER_CAP:
-                        raise ValueError(f"closure exceeds the order cap {ORDER_CAP}")
-                    index[c] = len(elems)
-                    elems.append(c)
-                    parent.append(w)
-                    via.append(k)
-                    nxt.append(index[c])
-        frontier = nxt
-    left = np.array([[index[_compose(g, e)] for e in elems] for g in gen_ts], dtype=TABLE)
-    left = left.reshape(len(gen_ts), len(elems))
-    return elems, left, np.array(parent, dtype=np.int32), np.array(via, dtype=np.int32)
+    for w, e in enumerate(elems):
+        row = np.frombuffer(e, dtype=point)
+        for k, g in enumerate(perms):
+            c = row[g].tobytes()
+            if c not in index:
+                if len(elems) >= ORDER_CAP:
+                    raise ValueError(f"closure exceeds the order cap {ORDER_CAP}")
+                index[c] = len(elems)
+                elems.append(c)
+                parent.append(w)
+                via.append(k)
+    rows = np.frombuffer(b"".join(elems), dtype=point).reshape(len(elems), degree)
+    left = np.array([[index[r.tobytes()] for r in g[rows]] for g in perms], dtype=TABLE)
+    left = left.reshape(len(perms), len(rows))
+    return rows, left, np.array(parent, dtype=np.int32), np.array(via, dtype=np.int32)
 
 
 def cycle_notation(perm: Sequence[int]) -> str:
@@ -536,17 +531,15 @@ def group_from_generators(
     name: str = "G",
 ) -> FiniteGroup:
     """The permutation group generated by gens, as a Cayley table."""
-    elems, left, parent, via = _closure(degree, gens)
-    n = len(elems)
-    labels = [cycle_notation(e) for e in elems]
-    del elems  # labelled, the permutations are freed before the table is filled
+    rows, left, parent, via = _closure(degree, gens)
+    n = len(rows)
     # row j of the table from its parent's: (w . g) . a = w . (g . a).
     # Parents are listed before their children, so rows fill in order.
     table = np.empty((n, n), dtype=TABLE)
     table[0] = np.arange(n)
     for j in range(1, n):
         table[j] = table[parent[j]].take(left[via[j]])
-    return FiniteGroup(table, name, labels)
+    return FiniteGroup(table, name, lambda i: cycle_notation(rows[i].tolist()))
 
 
 def _fill_pairs(table: np.ndarray, t1: np.ndarray, tg: np.ndarray, acts=None) -> None:

@@ -7,10 +7,11 @@ field one Kbar at a time, the verifier's stacked rank, the class <= 2
 witness construction of Theorem 2, the radical basis of the center,
 augmentation ideals, subgroup idempotents, the whole-array quotient map,
 the dense Sylow split, the all-pairs checks of a semidirect product's
-action, the frozen catalog fingerprints, the factor-at-a-time elementary
-abelian build, the law digits' integer remainder, the catalog's former
-eager label lists), or a small helper for building coefficient rows by
-hand.  An element of FG is
+action, the tuple-composition closure of permutation generators, the
+commutation of a row with every group element, the frozen catalog
+fingerprints, the factor-at-a-time elementary abelian build, the law
+digits' integer remainder, the catalog's former eager label lists), or a
+small helper for building coefficient rows by hand.  An element of FG is
 its int64 coefficient row; products go through `GroupAlgebra._mul_arrays`,
 sums and scalings through the field's vector operations.
 """
@@ -33,7 +34,7 @@ from cealg.decision import (
     _require_p_group,
 )
 from cealg.fields import GF, Matrix
-from cealg.groups import FiniteGroup, _closure, cycle_notation, direct_product
+from cealg.groups import FiniteGroup, cycle_notation, direct_product
 
 # groups on which the array analyses and the class-sum RREF meet their
 # references
@@ -173,6 +174,20 @@ def labels_of(g: FiniteGroup) -> list[str]:
 
 
 # -- algebra references ------------------------------------------------------------
+
+
+def commutes_with_every_element(alg: GroupAlgebra, c: np.ndarray) -> bool:
+    """Whether the coefficient row c commutes with every group element g,
+    with c g and g c scattered one g at a time."""
+    t = alg.group.table
+    for g in range(alg.dim):
+        xg = np.zeros(alg.dim, dtype=np.int64)
+        xg[t[:, g]] = c
+        gx = np.zeros(alg.dim, dtype=np.int64)
+        gx[t[g, :]] = c
+        if not (xg == gx).all():
+            return False
+    return True
 
 
 def omega_ideal_basis(
@@ -422,6 +437,49 @@ def automorphisms(g: FiniteGroup) -> list[list[int]]:
     return out
 
 
+# -- the tuple-composition closure --------------------------------------------------
+
+
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """(a . b)(x) = a(b(x))."""
+    return tuple(a[b[x]] for x in range(len(a)))
+
+
+def closure_by_composition(
+    degree: int, gens: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The permutation group that gens generate, composed as tuples one
+    entry at a time: its elements (identity first, then words by length,
+    ties broken by generator index) and its Cayley table, each row filled
+    from the row of the element that first reached it."""
+    gen_ts = [tuple(int(x) for x in g) for g in gens]
+    ident = tuple(range(degree))
+    elems = [ident]
+    index = {ident: 0}
+    parent, via = [0], [0]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for k, g in enumerate(gen_ts):
+                c = _compose(elems[w], g)
+                if c not in index:
+                    index[c] = len(elems)
+                    elems.append(c)
+                    parent.append(w)
+                    via.append(k)
+                    nxt.append(index[c])
+        frontier = nxt
+    left = np.array([[index[_compose(g, e)] for e in elems] for g in gen_ts], dtype=np.int64)
+    n = len(elems)
+    # (w . g) . a = w . (g . a)
+    table = np.empty((n, n), dtype=np.int64)
+    table[0] = np.arange(n)
+    for j in range(1, n):
+        table[j] = table[parent[j]][left[via[j]]]
+    return elems, table
+
+
 # -- catalog references ---------------------------------------------------------------
 
 
@@ -501,7 +559,7 @@ def _atomic_labels(spec: str) -> list[str] | None:
     if spec == "Q8":
         return _Q8_LABELS
     if spec == "S3":
-        return [cycle_notation(e) for e in _closure(3, [(1, 0, 2), (1, 2, 0)])[0]]
+        return [cycle_notation(e) for e in closure_by_composition(3, [(1, 0, 2), (1, 2, 0)])[0]]
     if spec in ("QD16", "M16"):
         return [_word([_pow("r", i), _pow("s", s)]) for i in range(8) for s in range(2)]
     if spec == "P16":

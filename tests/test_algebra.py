@@ -7,6 +7,7 @@ from cealg.fields import Matrix, field_make
 from reference import (
     REFERENCE_SPECS,
     basis,
+    commutes_with_every_element,
     from_support,
     index_of_label,
     omega_ideal_basis,
@@ -149,6 +150,20 @@ class TestCenter:
         alg = GroupAlgebra(catalog.cyclic(6), f3)
         for _ in range(10):
             assert alg.is_central(random_nonzero(alg, rng))
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2)])
+    def test_is_central_matches_commuting_with_every_element(self, p, k, rng):
+        fld = field_make(p, k)
+        for spec, g in catalog.standard_entries():
+            alg = GroupAlgebra(g, fld)
+            rows = [basis(alg, i) for i in range(g.n)] + list(alg.center_basis)
+            for _ in range(8):
+                # constant on classes, or drawn freely
+                rows.append(rng.integers(0, fld.order, size=len(alg.center_basis))[
+                    np.array(g.conjugacy.class_of)])
+                rows.append(rng.integers(0, fld.order, size=g.n))
+            for c in rows:
+                assert alg.is_central(c) == commutes_with_every_element(alg, c), spec
 
 
 class TestOmegaIdeal:

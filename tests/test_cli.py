@@ -203,6 +203,14 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         assert main(["check", "--group", str(path), "--field", "2"]) == 2
 
+    @pytest.mark.parametrize("bad", [10**20, -1, 40000, (1 << 16) + 1])
+    def test_generator_entries_refused_before_narrowing_them(self, tmp_path, capsys, bad):
+        # cast to uint16 first, 2^16 + 1 would read 1 and make [1, 0, 2] a transposition
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 3, "generators": [[bad, 0, 2]]}))
+        assert main(["check", "--group", str(path), "--field", "2"]) == 2
+        assert "is not a permutation of 0..2" in capsys.readouterr().err
+
     def test_huge_degree_refused_before_building(self, tmp_path, monkeypatch):
         def build(*args):
             raise AssertionError("group built from a refused description")

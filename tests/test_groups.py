@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cealg import catalog, cli, groups
 from cealg.decision import decompose_p
@@ -15,6 +17,7 @@ from cealg.groups import (
     FiniteGroup,
     GroupValidationError,
     _closure,
+    cycle_notation,
     direct_product,
     group_from_generators,
     semidirect_product,
@@ -22,6 +25,7 @@ from cealg.groups import (
 from reference import (
     REFERENCE_SPECS,
     automorphisms,
+    closure_by_composition,
     elem_abelian_by_factors,
     element_orders,
     eager_labels,
@@ -451,10 +455,70 @@ def test_central_coset_matches_scalar_loop_on_standard_entries():
 def test_generator_table_matches_composition_loop():
     gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
     g = group_from_generators(4, gens, "S4")
-    elems = _closure(4, gens)[0]
+    elems = [tuple(r) for r in _closure(4, gens)[0].tolist()]
     index = {e: i for i, e in enumerate(elems)}
     ref = [[index[tuple(a[b[x]] for x in range(4))] for b in elems] for a in elems]
     assert g.n == 24 and g.table.tolist() == ref
+
+
+_SYM6_GENERATORS = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+
+
+def _q8_regular_generators() -> list[tuple[int, ...]]:
+    q8 = catalog.quaternion8()
+    return [tuple(q8.table[index_of_label(q8, lab)].tolist()) for lab in ("i", "j")]
+
+
+def _assert_matches_the_composition_closure(degree, gens):
+    g = group_from_generators(degree, gens)
+    elems, table = closure_by_composition(degree, gens)
+    assert [tuple(r) for r in _closure(degree, gens)[0].tolist()] == elems
+    assert np.array_equal(g.table, table)
+    assert labels_of(g) == [cycle_notation(e) for e in elems]
+
+
+@pytest.mark.parametrize("degree, gens", [
+    (3, [(1, 0, 2), (1, 2, 0)]),
+    (4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    (6, _SYM6_GENERATORS),
+    (8, _q8_regular_generators()),
+], ids=["S3", "S4", "S6", "Q8reg"])
+def test_generator_groups_match_the_composition_closure(degree, gens):
+    _assert_matches_the_composition_closure(degree, gens)
+
+
+@st.composite
+def _generator_lists(draw):
+    """A degree up to 7 and up to five generators, among them identities
+    and repeats; the list may be empty."""
+    degree = draw(st.integers(1, 7))
+    perm = st.one_of(st.just(tuple(range(degree))),
+                     st.permutations(range(degree)).map(tuple))
+    gens = draw(st.lists(perm, max_size=3))
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    return degree, draw(st.permutations(gens + repeats))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_generator_lists())
+def test_drawn_generator_groups_match_the_composition_closure(case):
+    _assert_matches_the_composition_closure(*case)
+
+
+def test_closure_refusal_peaks_below_the_rows_it_reached():
+    # S_2048 passes the cap after 8192 elements of 2048 points: 32 MB as
+    # uint16 rows, 134 MB as tuples of ints
+    degree = 2048
+    cyc = list(range(1, degree)) + [0]
+    swap = [1, 0] + list(range(2, degree))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="closure exceeds the order cap"):
+            group_from_generators(degree, [cyc, swap])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, peak
 
 
 def test_no_scalar_loops_on_catalog_and_decide(monkeypatch):
@@ -990,7 +1054,6 @@ def test_semidirect_product_matches_per_pair_loop(monkeypatch, acting_first, row
 
 # -- the builders hold at most two row blocks beyond what they return ----------
 
-_SYM6_GENERATORS = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
 _BOUNDED_BUILDS = {
     "H7 x C9": lambda: direct_product(catalog.heisenberg(7), catalog.cyclic(9)),
     # g2's rows of one x no longer fit a block
